@@ -50,6 +50,7 @@ from .policies import (
 )
 from .sde import INTEGRATORS, IntegrationError, SimulationParams
 from .theory import (
+    NOFB_RATE,
     h_ordering_speedup_bounds,
     permutation_sum_identities,
     random_permutation_speedup_bounds,
@@ -305,6 +306,7 @@ def cmd_run(args) -> int:
         slope, slope_err = fit_ln_delta_slope(stats, *window)
     except ValueError:
         window = None
+    nofb_slope = -NOFB_RATE * params.gamma
     fit = None
     try:
         fit = regression_mean_time(stats)
@@ -334,7 +336,7 @@ def cmd_run(args) -> int:
         "slope": slope,
         "slope_stderr": slope_err,
         "slope_window": list(window) if window else None,
-        "nofb_theory_slope": -16.0 * params.gamma,
+        "nofb_theory_slope": nofb_slope,
         "mean_time_slope": fit.slope if fit else None,
         "mean_time_slope_stderr": fit.slope_stderr if fit else None,
         "mean_time_intercept": fit.intercept if fit else None,
@@ -366,13 +368,13 @@ def cmd_run(args) -> int:
         print(
             f"  <ln Delta> slope over [{window[0]:.3g}, {window[1]:.3g}]: "
             f"{slope:.4f} +/- {slope_err:.4f}"
-            f" (no-control theory: {-16.0 * params.gamma:g})"
+            f" (no-control theory: {nofb_slope:g})"
         )
     if fit is not None:
         print(
             f"  mean time vs ln(1/eps) slope: {fit.slope:.5f} +/- "
             f"{fit.slope_stderr:.5f} (no-control theory: "
-            f"{1.0 / (16.0 * params.gamma):.5f})"
+            f"{1.0 / (NOFB_RATE * params.gamma):.5f})"
         )
     print(f"  max censored fraction: {max_censored:g}")
     print(f"  wrote {LOG_CSV}, {PASSAGE_CSV}, {SUMMARY_JSON} -> {out}")
@@ -388,10 +390,9 @@ def cmd_run(args) -> int:
         if max_censored > 0.10:
             failures.append(f"censoring {max_censored:.3f} above 0.10")
         if cfg.policy == "none":
-            expected = -16.0 * params.gamma
-            if slope is None or abs(slope - expected) > 0.10 * abs(expected):
+            if slope is None or abs(slope - nofb_slope) > 0.10 * abs(nofb_slope):
                 failures.append(
-                    f"slope {slope} outside 10% of {expected:g}"
+                    f"slope {slope} outside 10% of {nofb_slope:g}"
                 )
         if failures:
             for f in failures:

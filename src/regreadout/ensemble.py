@@ -3,7 +3,8 @@
 run_ensemble integrates many trajectories at once, vectorized across a
 compressed active set: every trajectory owns the same per-index noise
 stream as the single-trajectory integrator (blocks of steps are
-pre-drawn from it), frozen trajectories stop contributing at the step
+pre-drawn from it), each step goes through sde.update_rows and
+sde.infidelity_rows, frozen trajectories stop contributing at the step
 they reach stop_epsilon, and fully frozen rows are dropped from the
 arrays at block boundaries.  Random-permutation controls for a batch
 come from one dedicated ensemble stream, so paired runs that share a
@@ -13,8 +14,7 @@ The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
 fractions, fixed-target and asymptotic speed-ups, scaling sweeps over
 register sizes, a sampled single-step collapse rate under random
-permutations, and small regression and runs-test utilities used by the
-above.
+permutations, and the small regressions used by the above.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .policies import POLICY_KINDS, ControlPolicy, h_order_targets, no_control
-from .registers import DiagonalState, z_table
+from .registers import DiagonalState
 from .sde import (
     LOG_FLOOR,
-    NEGATIVITY_TOL,
     IntegrationError,
     SimulationParams,
+    infidelity_rows,
     trajectory_noise_rng,
+    update_rows,
 )
 from .theory import (
     SpeedupBounds,
@@ -43,6 +44,8 @@ from .theory import (
 
 # Steps pre-drawn per trajectory between active-set compressions.
 NOISE_BLOCK_STEPS = 128
+# Samples per vectorized chunk of mc_permuted_step_rate.
+MC_CHUNK_ROWS = 200_000
 # Spawn key of the batch control stream: outside the per-trajectory
 # (index, 0/1) key space, so ensemble permutation draws never collide
 # with any trajectory's own streams.
@@ -109,17 +112,6 @@ class EnsembleStats:
         )
 
 
-def _masked_infidelity_rows(lam: np.ndarray, rows: np.ndarray, amax: np.ndarray):
-    """Infidelity per row as the sum of non-maximal entries.
-
-    Summing the tail directly (instead of 1 - max) keeps relative
-    accuracy once the maximum approaches 1.
-    """
-    tail = lam.copy()
-    tail[rows, amax] = 0.0
-    return tail.sum(axis=1)
-
-
 def run_ensemble(
     params: SimulationParams,
     policy: ControlPolicy,
@@ -182,14 +174,8 @@ def run_ensemble(
         )
 
     dt = params.dt
-    gamma = params.gamma
-    c = 2.0 * math.sqrt(2.0 * gamma)
-    cdt = c * dt
     sqrt_dt = math.sqrt(dt)
     total_steps = params.total_steps
-    exact = params.integrator == "exact"
-    z = z_table(n)
-    zT = z.T
 
     grid_steps = np.arange(0, total_steps + 1, record_every, dtype=np.int64)
     if grid_steps[-1] != total_steps:
@@ -243,7 +229,6 @@ def run_ensemble(
         for j in range(A):
             noise[j] = gens[j].standard_normal((k_steps, n))
         noise *= sqrt_dt
-        rows = np.arange(A)
 
         for k in range(k_steps):
             if kind == "h_ordering":
@@ -268,29 +253,12 @@ def run_ensemble(
                 if cum is not None:
                     cum = cycle_images[j][cum]
 
-            expect = lam @ zT
-            dR = cdt * expect + noise[:, k, :]
-            if exact:
-                expo = c * (dR @ z)
-                expo -= expo.max(axis=1, keepdims=True)
-                lam = lam * np.exp(expo)
-                lam /= lam.sum(axis=1, keepdims=True)
-            else:
-                dw = dR - cdt * expect
-                coeff = dw @ z - np.sum(dw * expect, axis=1, keepdims=True)
-                lam = lam * (1.0 + c * coeff)
-                low = float(lam.min())
-                if low < -NEGATIVITY_TOL:
-                    raise IntegrationError(
-                        f"population went to {low:.3e} before clamping at step "
-                        f"{step + 1}; reduce dt (or gamma*dt)"
-                    )
-                np.clip(lam, 0.0, 1.0, out=lam)
-                lam /= lam.sum(axis=1, keepdims=True)
+            lam = update_rows(
+                lam, noise[:, k, :], params.gamma, dt, params.integrator
+            )
             step += 1
 
-            amax = np.argmax(lam, axis=1)
-            delta = _masked_infidelity_rows(lam, rows, amax)
+            amax, delta = infidelity_rows(lam)
             ln_new = np.log(np.maximum(delta, LOG_FLOOR))
             if not np.all(np.isfinite(ln_new)):
                 raise IntegrationError(f"non-finite infidelity at step {step}")
@@ -683,7 +651,6 @@ def mc_permuted_step_rate(
     dt: float,
     samples: int,
     master_seed: int,
-    chunk_size: int = 200_000,
 ) -> RateEstimate:
     """Monte Carlo single-step estimate of the permutation-averaged
     log-infidelity rate: each sample draws a uniform permutation of the
@@ -700,10 +667,6 @@ def mc_permuted_step_rate(
     if delta0 <= 0.0:
         raise ValueError("rate is singular for a collapsed state (Delta = 0)")
     ln0 = math.log(delta0)
-    z = z_table(n)
-    zT = z.T
-    c = 2.0 * math.sqrt(2.0 * gamma)
-    cdt = c * dt
     sqrt_dt = math.sqrt(dt)
     rng = np.random.default_rng(master_seed)
 
@@ -711,20 +674,13 @@ def mc_permuted_step_rate(
     accsq = 0.0
     done = 0
     while done < samples:
-        m = min(chunk_size, samples - done)
-        rows = np.arange(m)[:, None]
+        m = min(MC_CHUNK_ROWS, samples - done)
         img = np.argsort(rng.random((m, d)), axis=1)
         lamp = np.empty((m, d))
-        lamp[rows, img] = probs[None, :]
-        expect = lamp @ zT
-        dR = cdt * expect + rng.standard_normal((m, n)) * sqrt_dt
-        expo = c * (dR @ z)
-        expo -= expo.max(axis=1, keepdims=True)
-        w = lamp * np.exp(expo)
-        w /= w.sum(axis=1, keepdims=True)
-        amax = np.argmax(w, axis=1)
-        w[np.arange(m), amax] = 0.0
-        dl = np.log(np.maximum(w.sum(axis=1), LOG_FLOOR)) - ln0
+        lamp[np.arange(m)[:, None], img] = probs[None, :]
+        dW = rng.standard_normal((m, n)) * sqrt_dt
+        _, delta = infidelity_rows(update_rows(lamp, dW, gamma, dt, "exact"))
+        dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         acc += float(dl.sum())
         accsq += float(dl @ dl)
         done += m
@@ -735,41 +691,3 @@ def mc_permuted_step_rate(
         value=mean_dl / dt,
         stderr=math.sqrt(var_dl / samples) / dt,
     )
-
-
-@dataclass(frozen=True)
-class RunsTestResult:
-    """Wald-Wolfowitz runs test on the signs of a sequence."""
-
-    runs: int
-    positive: int
-    negative: int
-    z_score: float
-    p_value: float
-
-
-def runs_test(values) -> RunsTestResult:
-    """Two-sided runs test for randomness of the sign sequence.
-
-    Uses the normal approximation.  Values of exactly zero count as
-    positive; an all-one-sign sequence returns p = 1 (no run structure to
-    test), which for regression residuals cannot occur.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        raise ValueError("runs test needs at least 3 values")
-    signs = v >= 0.0
-    n1 = int(signs.sum())
-    n2 = int(v.size - n1)
-    runs = 1 + int(np.sum(signs[1:] != signs[:-1]))
-    if n1 == 0 or n2 == 0:
-        return RunsTestResult(runs, n1, n2, 0.0, 1.0)
-    total = n1 + n2
-    mu = 1.0 + 2.0 * n1 * n2 / total
-    var = (
-        2.0 * n1 * n2 * (2.0 * n1 * n2 - total)
-        / (total**2 * (total - 1))
-    )
-    zscore = (runs - mu) / math.sqrt(var)
-    p = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(abs(zscore) / math.sqrt(2.0))))
-    return RunsTestResult(runs, n1, n2, zscore, min(p, 1.0))

@@ -117,22 +117,15 @@ def policy_step(
     return perms[step_index % len(perms)]
 
 
-@dataclass(frozen=True)
-class ControlLog:
-    """Accumulated control frame: composition of all applied permutations,
-    most recent outermost."""
-
-    cumulative: Permutation
-
-
-def retrodict(final_index: BasisIndex, log: ControlLog) -> BasisIndex:
+def retrodict(final_index: BasisIndex, cumulative: Permutation) -> BasisIndex:
     """Undo the control frame to recover the uncontrolled outcome.
 
-    If the register ends up concentrated at final_index after the logged
-    permutations, the population started (and, absent control, would have
-    collapsed) at invert(cumulative).image[final_index].
+    cumulative is the composition of all applied permutations, most
+    recent outermost.  If the register ends up concentrated at
+    final_index after them, the population started (and, absent control,
+    would have collapsed) at invert(cumulative).image[final_index].
     """
-    return int(invert(log.cumulative).image[final_index])
+    return int(invert(cumulative).image[final_index])
 
 
 def read_cycle_file(path, dimension: int | None = None) -> list[Permutation]:

@@ -1,4 +1,4 @@
-"""Basis conventions, observable eigenvalues, Hamming geometry, and
+"""Basis conventions, z eigenvalue tables, diagonal states and
 permutation algebra for an n-qubit register measured in the logical basis.
 
 A basis index i in [0, 2^n) encodes the bit string |q1 q2 ... qn> with
@@ -18,50 +18,6 @@ import numpy as np
 BasisIndex = int
 
 NORMALIZATION_TOL = 1e-10
-
-
-def hamming_distance(a: BasisIndex, b: BasisIndex) -> int:
-    """Number of bit flips separating two basis indices."""
-    if a < 0 or b < 0:
-        raise ValueError("basis indices must be nonnegative")
-    return (a ^ b).bit_count()
-
-
-def hamming_weight(i: BasisIndex) -> int:
-    """Number of set bits (qubits in state 1)."""
-    return i.bit_count()
-
-
-@dataclass(frozen=True)
-class ZObservable:
-    """z observable of one qubit in an n-qubit register.
-
-    Unshifted eigenvalues are +1 (bit 0) and -1 (bit 1); the shifted
-    variant subtracts the identity, giving {0, -2}.  The conditional
-    dynamics are invariant under the shift, but several closed forms are
-    simplest in the shifted convention.
-    """
-
-    n: int
-    qubit: int
-    shifted: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("register needs at least one qubit")
-        if not 1 <= self.qubit <= self.n:
-            raise ValueError(
-                f"qubit {self.qubit} out of range for an n={self.n} register"
-            )
-
-
-def z_eigenvalue(obs: ZObservable, i: BasisIndex) -> float:
-    """Eigenvalue of the observable on basis index i."""
-    if not 0 <= i < (1 << obs.n):
-        raise ValueError(f"basis index {i} out of range for n={obs.n}")
-    bit = (i >> (obs.n - obs.qubit)) & 1
-    value = 1.0 - 2.0 * bit
-    return value - 1.0 if obs.shifted else value
 
 
 @lru_cache(maxsize=None)
@@ -124,14 +80,6 @@ class DiagonalState:
         rest = self.probs.copy()
         rest[int(np.argmax(rest))] = 0.0
         return float(rest.sum())
-
-
-def expectation_z(state: DiagonalState, obs: ZObservable) -> float:
-    """Expectation value of a single-qubit z observable."""
-    if obs.n != state.n:
-        raise ValueError("observable and state act on different register sizes")
-    row = z_table(state.n, obs.shifted)[obs.qubit - 1]
-    return float(row @ state.probs)
 
 
 @dataclass(frozen=True)

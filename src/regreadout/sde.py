@@ -36,6 +36,12 @@ record for that step is generated), and tracks the infidelity
 Delta = 1 - max_i lam_i together with first-passage times to a grid of
 infidelity targets, linearly interpolated in ln(Delta) between the
 bracketing steps.
+
+update_rows and infidelity_rows are the same step and the same Delta for
+many rows at once: a (rows, 2^n) population array and each row's Wiener
+increments.  The ensemble runner and the Monte Carlo rate estimator both
+step through them; exact_step, euler_step and simulate_trajectory keep
+their own single-row arithmetic as the independent reference.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ INTEGRATORS = ("exact", "euler")
 class IntegrationError(RuntimeError):
     """Raised when a step produces an invalid state (dt too large, or a
     non-finite value appeared in the update)."""
+
+
+def record_strength(gamma: float) -> float:
+    """Coupling 2*sqrt(2*gamma) of <Z^r> into the record dR[r]."""
+    return 2.0 * math.sqrt(2.0 * gamma)
 
 
 @dataclass(frozen=True)
@@ -127,8 +138,7 @@ def generate_increments(
     z = z_table(state.n)
     expect = z @ state.probs
     dw = rng.normal(0.0, math.sqrt(params.dt), size=state.n)
-    c = 2.0 * math.sqrt(2.0 * params.gamma)
-    dr = c * expect * params.dt + dw
+    dr = record_strength(params.gamma) * expect * params.dt + dw
     return StepIncrements(dW=dw, dR=dr)
 
 
@@ -140,7 +150,7 @@ def euler_step(
     z = z_table(state.n)
     probs = state.probs
     expect = z @ probs
-    c = 2.0 * math.sqrt(2.0 * params.gamma)
+    c = record_strength(params.gamma)
     dw = inc.dR - c * expect * params.dt
     # sum_r dw[r] * (z_i^r - <Z^r>); invariant under the eigenvalue shift
     coeff = dw @ z - float(dw @ expect)
@@ -163,8 +173,7 @@ def exact_step(
 ) -> DiagonalState:
     """Multiplicative closed-form update for one record increment."""
     z = z_table(state.n)
-    c = 2.0 * math.sqrt(2.0 * params.gamma)
-    expo = c * (inc.dR @ z)
+    expo = record_strength(params.gamma) * (inc.dR @ z)
     if not np.all(np.isfinite(expo)):
         raise IntegrationError("non-finite record increment")
     expo -= expo.max()  # the largest weight becomes 1; no overflow
@@ -176,6 +185,45 @@ def exact_step(
 
 
 _STEPPERS = {"euler": euler_step, "exact": exact_step}
+
+
+def update_rows(
+    lam: np.ndarray, dW: np.ndarray, gamma: float, dt: float, integrator: str
+) -> np.ndarray:
+    """One measurement step of every row of a (rows, 2^n) population
+    array, driven by the rows' (rows, n) Wiener increments.  Returns the
+    normalized posterior rows as a new array."""
+    z = z_table(dW.shape[1])
+    c = record_strength(gamma)
+    cdt = c * dt
+    expect = lam @ z.T
+    dR = cdt * expect + dW
+    if integrator == "exact":
+        expo = c * (dR @ z)
+        expo -= expo.max(axis=1, keepdims=True)
+        new = lam * np.exp(expo)
+    else:
+        dw = dR - cdt * expect
+        coeff = dw @ z - np.sum(dw * expect, axis=1, keepdims=True)
+        new = lam * (1.0 + c * coeff)
+        low = float(new.min())
+        if low < -NEGATIVITY_TOL:
+            raise IntegrationError(
+                f"population went to {low:.3e} before clamping; "
+                "reduce dt (or gamma*dt)"
+            )
+        np.clip(new, 0.0, 1.0, out=new)
+    new /= new.sum(axis=1, keepdims=True)
+    return new
+
+
+def infidelity_rows(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax and its infidelity, summed over the non-maximal
+    entries (as DiagonalState.infidelity) rather than taken as 1 - max."""
+    amax = np.argmax(lam, axis=1)
+    tail = lam.copy()
+    tail[np.arange(lam.shape[0]), amax] = 0.0
+    return amax, tail.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -215,12 +263,6 @@ def trajectory_control_rng(master_seed: int, index: int = 0) -> np.random.Genera
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(index, 1))
     )
-
-
-def _infidelity_of(probs: np.ndarray) -> float:
-    rest = probs.copy()
-    rest[int(np.argmax(rest))] = 0.0
-    return float(rest.sum())
 
 
 def simulate_trajectory(
@@ -272,7 +314,7 @@ def simulate_trajectory(
     passage: dict[float, float | None] = {e: None for e in eps}
     ptr = 0
 
-    delta = _infidelity_of(state.probs)
+    delta = state.infidelity()
     ln_prev = math.log(max(delta, LOG_FLOOR))
     while ptr < len(eps) and delta <= eps[ptr]:
         passage[eps[ptr]] = 0.0
@@ -293,7 +335,7 @@ def simulate_trajectory(
         records += inc.dR
         step += 1
 
-        delta = _infidelity_of(state.probs)
+        delta = state.infidelity()
         if not math.isfinite(delta):
             raise IntegrationError(f"non-finite infidelity at step {step}")
         ln_new = math.log(max(delta, LOG_FLOOR))

@@ -26,12 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .registers import DiagonalState, z_table
-from .sde import RecordAccumulator
+from .sde import RecordAccumulator, record_strength
 
 # Full enumeration of the permutation group is kept below 8! elements.
 ENUMERATION_MAX_QUBITS = 3
-
-RATE_MODES = ("exact_enumeration", "closed_form_bounds")
+# With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
+NOFB_RATE = 16.0
 
 
 def nofb_log_infidelity(t, n: int, gamma: float = 1.0):
@@ -41,7 +41,7 @@ def nofb_log_infidelity(t, n: int, gamma: float = 1.0):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return -16.0 * gamma * np.asarray(t, dtype=float) + math.log(n)
+    return -NOFB_RATE * gamma * np.asarray(t, dtype=float) + math.log(n)
 
 
 def mean_time_nofb(epsilon: float, gamma: float = 1.0) -> float:
@@ -49,7 +49,7 @@ def mean_time_nofb(epsilon: float, gamma: float = 1.0) -> float:
     infidelity epsilon: ln(1/epsilon) / (16*gamma)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return math.log(1.0 / epsilon) / (16.0 * gamma)
+    return math.log(1.0 / epsilon) / (NOFB_RATE * gamma)
 
 
 @dataclass(frozen=True)
@@ -241,33 +241,23 @@ def flat_tail_permuted_rate(n: int, delta: float, gamma: float = 1.0) -> float:
 
 
 def permutation_averaged_rate(
-    state: DiagonalState, gamma: float = 1.0, mode: str = "exact_enumeration"
-):
-    """Mean of log_infidelity_rate over every permutation of the state.
+    state: DiagonalState, gamma: float = 1.0
+) -> RateEstimate:
+    """Mean of log_infidelity_rate over every permutation of the state
+    (n <= 3), with no standard error.
 
-    mode "exact_enumeration" (n <= 3) averages over the full group and
-    returns a RateEstimate with no standard error.  Each permuted state's
-    observables are shifted by the eigenvalue at its own maximum, which
-    keeps every term finite however the state collapses.
-
-    mode "closed_form_bounds" returns the (two_level, flat_tail) envelope
-    pair at this state's n and infidelity: two RateEstimates ordered from
-    most to least negative.  Any state's enumeration average lies between
-    them (the average is a convex quadratic over the fixed-infidelity
-    simplex, symmetric in the tail indices, so the extremes sit at a
-    vertex and at the centroid).
+    Each permuted state's observables are shifted by the eigenvalue at its
+    own maximum, which keeps every term finite however the state
+    collapses.  The result lies between two_level_permuted_rate and
+    flat_tail_permuted_rate at the state's n and infidelity (the average
+    is a convex quadratic over the fixed-infidelity simplex, symmetric in
+    the tail indices, so the extremes sit at a vertex and at the
+    centroid); those closed forms hold for any n.
     """
-    if mode not in RATE_MODES:
-        raise ValueError(f"mode must be one of {RATE_MODES}")
     delta = state.infidelity()
     if delta <= 0.0:
         raise ValueError("rate is singular for a collapsed state (Delta = 0)")
     n = state.n
-    if mode == "closed_form_bounds":
-        return (
-            RateEstimate(two_level_permuted_rate(n, delta, gamma)),
-            RateEstimate(flat_tail_permuted_rate(n, delta, gamma)),
-        )
     if n > ENUMERATION_MAX_QUBITS:
         raise ValueError(
             f"exact enumeration limited to n <= {ENUMERATION_MAX_QUBITS}"
@@ -298,15 +288,7 @@ def linear_trajectory_state(records, n: int, gamma: float = 1.0) -> DiagonalStat
     )
     if R.shape != (n,):
         raise ValueError(f"record must have shape ({n},)")
-    expo = 2.0 * math.sqrt(2.0 * gamma) * (R @ z_table(n))
+    expo = record_strength(gamma) * (R @ z_table(n))
     expo -= expo.max()
     weights = np.exp(expo)
     return DiagonalState(n, weights / weights.sum())
-
-
-def mean_random_hamming_distance(n: int) -> float:
-    """Mean Hamming distance between two independent uniform n-bit
-    strings (with replacement): n/2."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n / 2.0

@@ -24,7 +24,6 @@ from regreadout import (
     random_permutation_policy,
     regression_mean_time,
     run_ensemble,
-    runs_test,
     simulate_trajectory,
     speedup_bounds_for_policy,
     speedup_fixed_epsilon,
@@ -74,15 +73,27 @@ def test_run_ensemble_is_deterministic():
     assert np.array_equal(a.final_indices, b.final_indices)
 
 
+BATCH_POLICIES = {
+    "none": no_control(),
+    "h_ordering": h_ordering_policy(),
+    "fixed_cycle": fixed_cycle_policy([leading_rotation(4)]),
+}
+
+
 @pytest.mark.parametrize(
-    "policy",
-    [no_control(), h_ordering_policy(), fixed_cycle_policy([leading_rotation(4)])],
-    ids=["none", "h_ordering", "fixed_cycle"],
+    "policy, integrator",
+    [
+        pytest.param(policy, integrator, id=name + suffix)
+        for integrator, suffix in (("exact", ""), ("euler", "-euler"))
+        for name, policy in BATCH_POLICIES.items()
+    ],
 )
-def test_batch_matches_single_trajectories(policy):
+def test_batch_matches_single_trajectories(policy, integrator):
     """The vectorized runner reproduces the reference single-trajectory
     integrator row for row (same noise streams, same arithmetic)."""
-    params = SimulationParams(n=2, max_time=0.6, stop_epsilon=1e-4)
+    params = SimulationParams(
+        n=2, max_time=0.6, stop_epsilon=1e-4, integrator=integrator
+    )
     seed = 99
     stats = run_ensemble(
         params,
@@ -324,19 +335,3 @@ def test_mc_permuted_step_rate_validation():
         mc_permuted_step_rate(state, 1.0, 0.0, 100, 0)
     with pytest.raises(ValueError):
         mc_permuted_step_rate(DiagonalState.pure(2, 0), 1.0, 2e-4, 100, 0)
-
-
-def test_runs_test_detects_structure():
-    alternating = np.resize([1.0, -1.0], 60)
-    res = runs_test(alternating)
-    assert res.runs == 60
-    assert res.p_value < 1e-6
-    trend = np.concatenate([np.ones(30), -np.ones(30)])
-    assert runs_test(trend).p_value < 1e-6
-    rng = np.random.default_rng(99)
-    random = rng.standard_normal(200)
-    assert runs_test(random).p_value > 0.01
-    constant = runs_test(np.ones(10))
-    assert constant.p_value == 1.0
-    with pytest.raises(ValueError):
-        runs_test([1.0, -1.0])

@@ -6,62 +6,13 @@ import pytest
 from regreadout import (
     DiagonalState,
     Permutation,
-    ZObservable,
     apply_permutation,
     compose,
-    hamming_distance,
-    hamming_weight,
     invert,
     leading_rotation,
     sample_uniform_permutation,
-    z_eigenvalue,
     z_table,
 )
-from regreadout.registers import expectation_z
-
-
-def test_hamming_basics():
-    assert hamming_distance(0b101, 0b011) == 2
-    assert hamming_distance(5, 5) == 0
-    assert hamming_weight(0) == 0
-    assert hamming_weight(0b1011) == 3
-    with pytest.raises(ValueError):
-        hamming_distance(-1, 0)
-
-
-def test_hamming_distance_is_weight_of_xor():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b = (int(v) for v in rng.integers(0, 1 << 10, size=2))
-        assert hamming_distance(a, b) == hamming_weight(a ^ b)
-
-
-def test_z_eigenvalue_msb_convention():
-    # qubit 1 is the most significant bit
-    obs = ZObservable(n=2, qubit=1)
-    assert z_eigenvalue(obs, 0b00) == 1.0
-    assert z_eigenvalue(obs, 0b01) == 1.0
-    assert z_eigenvalue(obs, 0b10) == -1.0
-    obs2 = ZObservable(n=2, qubit=2)
-    assert z_eigenvalue(obs2, 0b01) == -1.0
-    assert z_eigenvalue(obs2, 0b10) == 1.0
-
-
-def test_z_eigenvalue_shifted_range():
-    obs = ZObservable(n=3, qubit=2, shifted=True)
-    values = {z_eigenvalue(obs, i) for i in range(8)}
-    assert values == {0.0, -2.0}
-    # shifted observable vanishes on the all-zeros index
-    assert z_eigenvalue(obs, 0) == 0.0
-
-
-def test_z_observable_validation():
-    with pytest.raises(ValueError):
-        ZObservable(n=2, qubit=0)
-    with pytest.raises(ValueError):
-        ZObservable(n=2, qubit=3)
-    with pytest.raises(ValueError):
-        z_eigenvalue(ZObservable(n=1, qubit=1), 2)
 
 
 def test_z_table_matches_scalar():
@@ -70,9 +21,14 @@ def test_z_table_matches_scalar():
             table = z_table(n, shifted)
             assert table.shape == (n, 1 << n)
             for r in range(1, n + 1):
-                obs = ZObservable(n=n, qubit=r, shifted=shifted)
-                expected = [z_eigenvalue(obs, i) for i in range(1 << n)]
+                # qubit r sits at bit n - r: qubit 1 is the most significant
+                bits = (np.arange(1 << n) >> (n - r)) & 1
+                expected = 1.0 - 2.0 * bits - (1.0 if shifted else 0.0)
                 assert np.array_equal(table[r - 1], expected)
+    assert np.array_equal(z_table(2), [[1, 1, -1, -1], [1, -1, 1, -1]])
+    # the shifted observable takes values {0, -2} and vanishes on index 0
+    assert set(z_table(3, True).ravel()) == {0.0, -2.0}
+    assert np.all(z_table(3, True)[:, 0] == 0.0)
 
 
 def test_z_table_read_only():
@@ -117,17 +73,6 @@ def test_infidelity_survives_tiny_tails():
     tail = 1e-40
     state = DiagonalState(1, np.array([1.0 - tail, tail]))
     assert state.infidelity() == pytest.approx(tail, rel=1e-12)
-
-
-def test_expectation_z_known_value():
-    state = DiagonalState(2, np.array([0.4, 0.3, 0.2, 0.1]))
-    # qubit 1: (+1)(0.4 + 0.3) + (-1)(0.2 + 0.1)
-    assert expectation_z(state, ZObservable(2, 1)) == pytest.approx(0.4)
-    assert expectation_z(state, ZObservable(2, 2)) == pytest.approx(0.2)
-    shifted = expectation_z(state, ZObservable(2, 1, shifted=True))
-    assert shifted == pytest.approx(0.4 - 1.0)
-    with pytest.raises(ValueError):
-        expectation_z(state, ZObservable(3, 1))
 
 
 def test_permutation_validation():

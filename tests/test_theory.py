@@ -22,7 +22,6 @@ from regreadout import (
     h_ordering_speedup_bounds,
     linear_trajectory_state,
     log_infidelity_rate,
-    mean_random_hamming_distance,
     mean_time_nofb,
     nofb_log_infidelity,
     permutation_averaged_rate,
@@ -235,25 +234,20 @@ def test_enumeration_average_sits_inside_envelopes():
             if state.infidelity() <= 0.0:
                 continue
             avg = permutation_averaged_rate(state).value
-            fast, slow = permutation_averaged_rate(
-                state, mode="closed_form_bounds"
-            )
-            assert fast.value <= avg + 1e-12
-            assert avg <= slow.value + 1e-12
+            delta = state.infidelity()
+            assert two_level_permuted_rate(n, delta) <= avg + 1e-12
+            assert avg <= flat_tail_permuted_rate(n, delta) + 1e-12
 
 
 def test_permutation_averaged_rate_validation():
     with pytest.raises(ValueError):
-        permutation_averaged_rate(two_level_state(2, 0.1), mode="mc")
-    with pytest.raises(ValueError):
         permutation_averaged_rate(DiagonalState.pure(2, 0))
     with pytest.raises(ValueError):
         permutation_averaged_rate(two_level_state(4, 0.1))
-    # closed-form bounds stay available above the enumeration cap
-    fast, slow = permutation_averaged_rate(
-        two_level_state(4, 0.1), mode="closed_form_bounds"
-    )
-    assert fast.value < slow.value < 0.0
+    # the closed-form envelopes stay available above the enumeration cap
+    fast = two_level_permuted_rate(4, 0.1)
+    slow = flat_tail_permuted_rate(4, 0.1)
+    assert fast < slow < 0.0
 
 
 def test_gamma_scales_every_rate():
@@ -289,14 +283,3 @@ def test_linear_trajectory_state_matches_exact_integrator():
         )
         replay = linear_trajectory_state(res.records.R, 2)
         assert np.allclose(replay.probs, res.final_state.probs, atol=1e-10)
-
-
-def test_mean_random_hamming_distance():
-    assert mean_random_hamming_distance(1) == 0.5
-    assert mean_random_hamming_distance(4) == 2.0
-    rng = np.random.default_rng(2)
-    pairs = rng.integers(0, 16, size=(20000, 2))
-    sampled = np.mean([bin(a ^ b).count("1") for a, b in pairs])
-    assert sampled == pytest.approx(2.0, abs=0.05)
-    with pytest.raises(ValueError):
-        mean_random_hamming_distance(0)
