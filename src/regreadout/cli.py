@@ -428,16 +428,17 @@ def cmd_sweep(args) -> int:
         stop_epsilon=float(np.min(epsilons)),
     )
 
+    policies = [_build_policy(name, cfg.cycle_file, None) for name in policy_names]
+
     start = time.perf_counter()
     rows = []
     fits = {}
     point_dicts = []
-    for name in policy_names:
-        policy = _build_policy(name, cfg.cycle_file, None)
-        points = speedup_scaling_sweep(
-            n_values, policy, params_template, cfg.count, cfg.seed,
-            epsilons=epsilons,
-        )
+    sweeps = speedup_scaling_sweep(
+        n_values, policies, params_template, cfg.count, cfg.seed,
+        epsilons=epsilons,
+    )
+    for name, points in zip(policy_names, sweeps):
         for p in points:
             rows.append(
                 (
@@ -459,12 +460,9 @@ def cmd_sweep(args) -> int:
                     "bound_hi": p.bounds.upper,
                 }
             )
-        if len(points) >= 3:
-            try:
-                fits[name] = asdict(fit_speedup_scaling(points))
-            except ValueError:
-                fits[name] = None
-        else:
+        try:
+            fits[name] = asdict(fit_speedup_scaling(points))
+        except ValueError:
             fits[name] = None
     wall = time.perf_counter() - start
 

@@ -1,14 +1,15 @@
 """Ensemble simulation and statistics.
 
 run_ensemble integrates many trajectories at once, vectorized across a
-compressed active set: every trajectory owns the same per-index noise
-stream as the single-trajectory integrator (blocks of steps are
-pre-drawn from it), each step goes through sde.update_rows and
-sde.infidelity_rows, frozen trajectories stop contributing at the step
-they reach stop_epsilon, and fully frozen rows are dropped from the
-arrays at block boundaries.  Random-permutation controls for a batch
-come from one dedicated ensemble stream, so paired runs that share a
-master seed also share their measurement noise exactly.
+compressed active set, one trajectory per column of a (2^n, trajectories)
+array: every trajectory owns the same per-index noise stream as the
+single-trajectory integrator (blocks of steps are pre-drawn from it),
+each step goes through sde.update_columns and sde.infidelity_columns,
+frozen trajectories stop contributing at the step they reach
+stop_epsilon, and frozen columns are dropped at block boundaries.
+Random-permutation controls for a batch come from one dedicated ensemble
+stream, so paired runs that share a master seed also share their
+measurement noise exactly.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -31,9 +32,9 @@ from .sde import (
     LOG_FLOOR,
     IntegrationError,
     SimulationParams,
-    infidelity_rows,
+    infidelity_columns,
     trajectory_noise_rng,
-    update_rows,
+    update_columns,
 )
 from .theory import (
     SpeedupBounds,
@@ -149,12 +150,10 @@ def run_ensemble(
 
     n = params.n
     d = 2**n
-    if initial_state is None:
-        initial = np.full(d, 1.0 / d)
-    else:
-        if initial_state.n != n:
-            raise ValueError("initial state size does not match params.n")
-        initial = initial_state.probs.copy()
+    state0 = initial_state or DiagonalState.maximally_mixed(n)
+    if state0.n != n:
+        raise ValueError("initial state size does not match params.n")
+    initial = state0.probs
 
     kind = policy.kind
     targets = None
@@ -162,7 +161,7 @@ def run_ensemble(
     cycle_images = None
     ctrl_rng = None
     if kind == "h_ordering":
-        targets = np.asarray(h_order_targets(n), dtype=np.intp)[None, :]
+        targets = np.asarray(h_order_targets(n), dtype=np.intp)
     elif kind == "fixed_cycle":
         cycle_images = [np.asarray(p.image, dtype=np.intp) for p in policy.cycle]
         if any(im.size != d for im in cycle_images):
@@ -185,24 +184,21 @@ def run_ensemble(
     sumsq_ln = np.zeros(G)
     active_at = np.zeros(G, dtype=np.int64)
 
-    amax0 = int(np.argmax(initial))
-    tail0 = initial.copy()
-    tail0[amax0] = 0.0
-    delta0 = float(tail0.sum())
+    amax0 = state0.argmax_index()
+    delta0 = state0.infidelity()
     ln0 = math.log(max(delta0, LOG_FLOOR))
-    ln_eps = np.log(eps) if E else np.zeros(0)
+    ln_eps = np.log(eps)
     stop_ln = math.log(params.stop_epsilon)
 
     fp = np.full((count, E), np.nan)
-    ptr = np.full(count, int(np.sum(ln_eps >= ln0)) if E else 0, dtype=np.int64)
-    if E:
-        fp[:, : ptr[0]] = 0.0
+    ptr = np.full(count, int(np.sum(ln_eps >= ln0)), dtype=np.int64)
+    fp[:, : ptr[0]] = 0.0
     cur_ln = np.full(count, ln0)
     final_idx = np.full(count, amax0, dtype=np.intp)
     finals = np.tile(initial, (count, 1)) if collect_final_states else None
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
     cum = (
-        np.tile(np.arange(d, dtype=np.intp), (count, 1))
+        np.tile(np.arange(d, dtype=np.intp)[:, None], (1, count))
         if collect_retrodiction
         else None
     )
@@ -212,14 +208,18 @@ def run_ensemble(
     sum_ln[0] = count * ln0
     sumsq_ln[0] = count * ln0 * ln0
 
-    lam = np.tile(initial, (count, 1))
+    lam = np.tile(initial[:, None], (1, count))
     idx = np.arange(count)
     A = 0 if frozen_at_start else count
-    if frozen_at_start:
-        sum_ln[:] = sum_ln[0]
-        sumsq_ln[:] = sumsq_ln[0]
     alive = np.ones(A, dtype=bool)
     gens = [trajectory_noise_rng(master_seed, i) for i in range(count)] if A else []
+
+    def record_finals(w):
+        """Store the final state and retrodicted index of columns w."""
+        if finals is not None:
+            finals[idx[w]] = lam[:, w].T
+        if cum is not None:
+            retro[idx[w]] = np.argmax(cum[:, w] == final_idx[idx[w]], axis=0)
 
     step = 0
     g_next = 1
@@ -227,38 +227,43 @@ def run_ensemble(
         k_steps = min(NOISE_BLOCK_STEPS, total_steps - step)
         noise = np.empty((A, k_steps, n))
         for j in range(A):
-            noise[j] = gens[j].standard_normal((k_steps, n))
+            gens[j].standard_normal(out=noise[j])
         noise *= sqrt_dt
 
         for k in range(k_steps):
             if kind == "h_ordering":
-                order = np.argsort(-lam, axis=1, kind="stable")
-                img = np.empty_like(order)
-                np.put_along_axis(img, order, targets, axis=1)
+                order = np.argsort(-lam, axis=0, kind="stable")
                 new_lam = np.empty_like(lam)
-                np.put_along_axis(new_lam, img, lam, axis=1)
+                new_lam[targets] = np.take_along_axis(lam, order, axis=0)
                 lam = new_lam
                 if cum is not None:
-                    cum = np.take_along_axis(img, cum, axis=1)
+                    img = np.empty_like(order)
+                    np.put_along_axis(img, order, targets[:, None], axis=0)
+                    cum = np.take_along_axis(img, cum, axis=0)
             elif kind == "random_permutation":
-                img = np.argsort(ctrl_rng.random((A, d)), axis=1)
+                img = np.argsort(ctrl_rng.random((A, d)), axis=1).T
                 new_lam = np.empty_like(lam)
-                np.put_along_axis(new_lam, img, lam, axis=1)
+                np.put_along_axis(new_lam, img, lam, axis=0)
                 lam = new_lam
                 if cum is not None:
-                    cum = np.take_along_axis(img, cum, axis=1)
+                    cum = np.take_along_axis(img, cum, axis=0)
             elif kind == "fixed_cycle":
                 j = step % len(cycle_images)
-                lam = lam[:, cycle_inverse[j]]
+                lam = lam[cycle_inverse[j]]
                 if cum is not None:
                     cum = cycle_images[j][cum]
 
-            lam = update_rows(
-                lam, noise[:, k, :], params.gamma, dt, params.integrator
-            )
+            try:
+                lam = update_columns(
+                    lam, noise[:, k, :].T, params.gamma, dt, params.integrator
+                )
+            except IntegrationError as exc:
+                raise IntegrationError(
+                    f"step {step + 1}, trajectory {idx[exc.column]}: {exc}"
+                ) from None
             step += 1
 
-            amax, delta = infidelity_rows(lam)
+            amax, delta = infidelity_columns(lam)
             ln_new = np.log(np.maximum(delta, LOG_FLOOR))
             if not np.all(np.isfinite(ln_new)):
                 raise IntegrationError(f"non-finite infidelity at step {step}")
@@ -291,12 +296,7 @@ def run_ensemble(
                 newly = alive & (ln_new <= stop_ln)
                 if newly.any():
                     w = np.where(newly)[0]
-                    if finals is not None:
-                        finals[idx[w]] = lam[w]
-                    if cum is not None:
-                        retro[idx[w]] = np.argmax(
-                            cum[w] == final_idx[idx[w]][:, None], axis=1
-                        )
+                    record_finals(w)
                     alive[w] = False
 
             if g_next < G and step == grid_steps[g_next]:
@@ -307,27 +307,18 @@ def run_ensemble(
 
         if not alive.all():
             keep = alive
-            lam = lam[keep]
+            lam = lam[:, keep]
             idx = idx[keep]
             if cum is not None:
-                cum = cum[keep]
+                cum = cum[:, keep]
             gens = [g for g, kf in zip(gens, keep) if kf]
             A = idx.size
             alive = np.ones(A, dtype=bool)
 
-    if A > 0:
-        live = np.where(alive)[0]
-        if finals is not None:
-            finals[idx[live]] = lam[live]
-        if cum is not None:
-            retro[idx[live]] = np.argmax(
-                cum[live] == final_idx[idx[live]][:, None], axis=1
-            )
-    while g_next < G:
-        sum_ln[g_next] = cur_ln.sum()
-        sumsq_ln[g_next] = cur_ln @ cur_ln
-        active_at[g_next] = int(alive.sum()) if A else 0
-        g_next += 1
+    record_finals(np.where(alive)[0])
+    sum_ln[g_next:] = cur_ln.sum()
+    sumsq_ln[g_next:] = cur_ln @ cur_ln
+    active_at[g_next:] = int(alive.sum())
 
     mean_ln = sum_ln / count
     var_ln = np.maximum(sumsq_ln - count * mean_ln**2, 0.0) / (count - 1)
@@ -567,7 +558,7 @@ class SweepPoint:
 
 def speedup_scaling_sweep(
     n_values,
-    policy: ControlPolicy,
+    policies: list[ControlPolicy],
     params_template: SimulationParams,
     count: int,
     master_seed: int,
@@ -576,35 +567,37 @@ def speedup_scaling_sweep(
     eps_lo: float = 1e-6,
     eps_hi: float = 1e-4,
     record_every: int = 64,
-) -> list[SweepPoint]:
-    """Asymptotic speed-up of a policy for each register size.
+) -> list[list[SweepPoint]]:
+    """Asymptotic speed-up of each policy for each register size; one list
+    of points per policy, in the order given.
 
-    Each size runs a no-control ensemble and a controlled ensemble with
-    the same master seed, so the pair shares measurement noise; the
-    reported stderr is still the unpaired propagation (conservative).
+    Each size runs one no-control ensemble and pairs it with a controlled
+    ensemble of every policy, all with the same master seed, so each pair
+    shares measurement noise; the reported stderr is still the unpaired
+    propagation (conservative).
     """
     if epsilons is None:
         epsilons = default_epsilon_grid()
-    points: list[SweepPoint] = []
+    sweeps: list[list[SweepPoint]] = [[] for _ in policies]
     for n in n_values:
         params = replace(params_template, n=int(n))
         stats_nc = run_ensemble(
             params, no_control(), epsilons, count, master_seed,
             record_every=record_every, collect_first_passage=True,
         )
-        stats_ctrl = run_ensemble(
-            params, policy, epsilons, count, master_seed,
-            record_every=record_every, collect_first_passage=True,
-        )
-        estimate = asymptotic_speedup(stats_nc, stats_ctrl, eps_lo, eps_hi)
-        points.append(
-            SweepPoint(
-                n=int(n),
-                estimate=estimate,
-                bounds=speedup_bounds_for_policy(policy.kind, int(n)),
+        for policy, points in zip(policies, sweeps):
+            stats_ctrl = run_ensemble(
+                params, policy, epsilons, count, master_seed,
+                record_every=record_every, collect_first_passage=True,
             )
-        )
-    return points
+            points.append(
+                SweepPoint(
+                    n=int(n),
+                    estimate=asymptotic_speedup(stats_nc, stats_ctrl, eps_lo, eps_hi),
+                    bounds=speedup_bounds_for_policy(policy.kind, int(n)),
+                )
+            )
+    return sweeps
 
 
 @dataclass(frozen=True)
@@ -675,11 +668,11 @@ def mc_permuted_step_rate(
     done = 0
     while done < samples:
         m = min(MC_CHUNK_ROWS, samples - done)
-        img = np.argsort(rng.random((m, d)), axis=1)
-        lamp = np.empty((m, d))
-        lamp[np.arange(m)[:, None], img] = probs[None, :]
+        # probs under a fresh permutation per column; the index array dies here
+        lamp = np.empty((d, m))
+        lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
         dW = rng.standard_normal((m, n)) * sqrt_dt
-        _, delta = infidelity_rows(update_rows(lamp, dW, gamma, dt, "exact"))
+        _, delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt, "exact"))
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         acc += float(dl.sum())
         accsq += float(dl @ dl)

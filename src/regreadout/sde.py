@@ -37,11 +37,11 @@ Delta = 1 - max_i lam_i together with first-passage times to a grid of
 infidelity targets, linearly interpolated in ln(Delta) between the
 bracketing steps.
 
-update_rows and infidelity_rows are the same step and the same Delta for
-many rows at once: a (rows, 2^n) population array and each row's Wiener
-increments.  The ensemble runner and the Monte Carlo rate estimator both
-step through them; exact_step, euler_step and simulate_trajectory keep
-their own single-row arithmetic as the independent reference.
+update_columns and infidelity_columns are the same step and the same
+Delta for many trajectories at once, held one per column of a
+(2^n, trajectories) array.  The ensemble runner and the Monte Carlo rate
+estimator both step through them; exact_step, euler_step and
+simulate_trajectory keep their own arithmetic as the reference.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ INTEGRATORS = ("exact", "euler")
 
 class IntegrationError(RuntimeError):
     """Raised when a step produces an invalid state (dt too large, or a
-    non-finite value appeared in the update)."""
+    non-finite value appeared in the update); update_columns sets
+    `column` to the column that did."""
+    column: int | None = None
 
 
 def record_strength(gamma: float) -> float:
@@ -187,43 +189,47 @@ def exact_step(
 _STEPPERS = {"euler": euler_step, "exact": exact_step}
 
 
-def update_rows(
+def update_columns(
     lam: np.ndarray, dW: np.ndarray, gamma: float, dt: float, integrator: str
 ) -> np.ndarray:
-    """One measurement step of every row of a (rows, 2^n) population
-    array, driven by the rows' (rows, n) Wiener increments.  Returns the
-    normalized posterior rows as a new array."""
-    z = z_table(dW.shape[1])
+    """One measurement step of every column of a (2^n, trajectories)
+    population array, driven by the columns' (n, trajectories) Wiener
+    increments.  Returns the normalized posterior columns as a new array."""
+    z = z_table(dW.shape[0])
     c = record_strength(gamma)
     cdt = c * dt
-    expect = lam @ z.T
+    expect = z @ lam
     dR = cdt * expect + dW
     if integrator == "exact":
-        expo = c * (dR @ z)
-        expo -= expo.max(axis=1, keepdims=True)
-        new = lam * np.exp(expo)
+        new = z.T @ dR
+        new *= c
+        new -= new.max(axis=0)  # the largest weight becomes 1; no overflow
+        np.exp(new, out=new)
+        new *= lam
     else:
         dw = dR - cdt * expect
-        coeff = dw @ z - np.sum(dw * expect, axis=1, keepdims=True)
+        coeff = z.T @ dw - np.sum(dw * expect, axis=0)
         new = lam * (1.0 + c * coeff)
         low = float(new.min())
         if low < -NEGATIVITY_TOL:
-            raise IntegrationError(
+            err = IntegrationError(
                 f"population went to {low:.3e} before clamping; "
                 "reduce dt (or gamma*dt)"
             )
+            err.column = int(np.argmin(new.min(axis=0)))
+            raise err
         np.clip(new, 0.0, 1.0, out=new)
-    new /= new.sum(axis=1, keepdims=True)
+    new /= new.sum(axis=0)
     return new
 
 
-def infidelity_rows(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argmax and its infidelity, summed over the non-maximal
+def infidelity_columns(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's argmax and its infidelity, summed over the non-maximal
     entries (as DiagonalState.infidelity) rather than taken as 1 - max."""
-    amax = np.argmax(lam, axis=1)
+    amax = np.argmax(lam, axis=0)
     tail = lam.copy()
-    tail[np.arange(lam.shape[0]), amax] = 0.0
-    return amax, tail.sum(axis=1)
+    tail[amax, np.arange(lam.shape[1])] = 0.0
+    return amax, tail.sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,9 @@ def test_acceptance_5_random_permutation_scaling(capsys):
     value_tol = 0.15 if FULL else 0.25
     slope_tol = 0.05 if FULL else 0.15
     template = SimulationParams(n=2, max_time=4.0, stop_epsilon=STOP)
-    points = speedup_scaling_sweep(
+    [points] = speedup_scaling_sweep(
         [2, 3, 4, 5],
-        random_permutation_policy(),
+        [random_permutation_policy()],
         template,
         count,
         1000,

@@ -1,12 +1,14 @@
 """Batched ensembles, fits, speed-up estimates, and their statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from regreadout import (
     DiagonalState,
+    IntegrationError,
     SimulationParams,
     SweepPoint,
     SpeedupEstimate,
@@ -81,18 +83,20 @@ BATCH_POLICIES = {
 
 
 @pytest.mark.parametrize(
-    "policy, integrator",
+    "policy, integrator, n",
     [
-        pytest.param(policy, integrator, id=name + suffix)
+        pytest.param(policy, integrator, 2, id=name + suffix)
         for integrator, suffix in (("exact", ""), ("euler", "-euler"))
         for name, policy in BATCH_POLICIES.items()
-    ],
+    ]
+    + [pytest.param(h_ordering_policy(), "exact", 5, id="h_ordering-n5")],
 )
-def test_batch_matches_single_trajectories(policy, integrator):
+def test_batch_matches_single_trajectories(policy, integrator, n):
     """The vectorized runner reproduces the reference single-trajectory
-    integrator row for row (same noise streams, same arithmetic)."""
+    integrator trajectory for trajectory (same noise streams, same
+    arithmetic)."""
     params = SimulationParams(
-        n=2, max_time=0.6, stop_epsilon=1e-4, integrator=integrator
+        n=n, max_time=0.6, stop_epsilon=1e-4, integrator=integrator
     )
     seed = 99
     stats = run_ensemble(
@@ -117,6 +121,25 @@ def test_batch_matches_single_trajectories(policy, integrator):
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_batched_euler_error_names_step_and_trajectory():
+    """At the default dt one h_ordering trajectory's euler step goes
+    negative; the batched error names that step and trajectory, and the
+    trajectory fails there on its own too."""
+    params = SimulationParams(
+        n=3, max_time=1.0, integrator="euler", stop_epsilon=1e-5
+    )
+    grid = default_epsilon_grid()[:50]
+    with pytest.raises(
+        IntegrationError,
+        match=r"^step 685, trajectory 12: population went to -1\.223e-05 ",
+    ):
+        run_ensemble(params, h_ordering_policy(), grid, 300, 1237)
+    with pytest.raises(IntegrationError):
+        simulate_trajectory(params, h_ordering_policy(), grid, 1237, 12)
+    before = replace(params, max_time=684 * params.dt)
+    simulate_trajectory(before, h_ordering_policy(), grid, 1237, 12)
 
 
 def test_ensemble_curves_shape_and_monotonicity():
@@ -277,9 +300,9 @@ def test_speedup_bounds_for_policy():
 def test_speedup_scaling_sweep_and_fit():
     eps = np.logspace(-1, -4, 10)
     template = SimulationParams(n=1, max_time=2.5, stop_epsilon=float(eps.min()))
-    points = speedup_scaling_sweep(
+    [points] = speedup_scaling_sweep(
         [1, 2, 3],
-        random_permutation_policy(),
+        [random_permutation_policy()],
         template,
         60,
         17,
@@ -296,6 +319,36 @@ def test_speedup_scaling_sweep_and_fit():
     fit = fit_speedup_scaling(points)
     assert fit.slope > 0.0
     assert fit.slope_stderr > 0.0
+
+
+def test_sweep_runs_each_baseline_once(monkeypatch):
+    """Policies swept together share each size's no-control ensemble and
+    report what each would report when swept alone."""
+    import regreadout.ensemble as ensemble
+
+    calls = []
+    run = ensemble.run_ensemble
+
+    def counting(params, policy, *args, **kwargs):
+        calls.append((params.n, policy.kind))
+        return run(params, policy, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_ensemble", counting)
+    eps = np.logspace(-1, -4, 10)
+    template = SimulationParams(n=2, max_time=2.5, stop_epsilon=float(eps.min()))
+    policies = [random_permutation_policy(), h_ordering_policy()]
+    kw = dict(epsilons=eps, eps_lo=1e-4, eps_hi=1e-2)
+    both = speedup_scaling_sweep([2, 3], policies, template, 40, 5, **kw)
+    assert calls == [
+        (n, kind)
+        for n in (2, 3)
+        for kind in ("none", "random_permutation", "h_ordering")
+    ]
+    for policy, points in zip(policies, both):
+        [alone] = speedup_scaling_sweep([2, 3], [policy], template, 40, 5, **kw)
+        assert [p.n for p in points] == [2, 3]
+        assert [p.estimate for p in points] == [p.estimate for p in alone]
+        assert [p.bounds for p in points] == [p.bounds for p in alone]
 
 
 def test_fit_speedup_scaling_exact_line():

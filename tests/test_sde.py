@@ -16,10 +16,14 @@ from regreadout import (
     simulate_trajectory,
 )
 from regreadout.policies import no_control, random_permutation_policy
+from regreadout.registers import z_table
 from regreadout.sde import (
     DEFAULT_DT_GAMMA,
+    infidelity_columns,
+    record_strength,
     trajectory_control_rng,
     trajectory_noise_rng,
+    update_columns,
 )
 
 
@@ -133,6 +137,41 @@ def test_exact_step_rejects_nonfinite_record():
     inc = StepIncrements(dW=np.array([np.nan]), dR=np.array([np.nan]))
     with pytest.raises(IntegrationError):
         exact_step(state, inc, params)
+
+
+@pytest.mark.parametrize("integrator", ["exact", "euler"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_column_step_matches_single_steps(n, integrator):
+    """Every column of the batched step equals exact_step/euler_step on
+    that column alone, and infidelity_columns equals argmax and
+    DiagonalState.infidelity(), the first index winning a tie."""
+    d = 2**n
+    params = make_params(n=n, dt=2e-3, integrator=integrator)
+    rng = np.random.default_rng(40 + n)
+    lam = rng.random((d, 7)) ** 4
+    lam[:, 0] = 1.0 / d  # every entry tied for the maximum
+    if d > 2:
+        lam[:, 1] = 0.1
+        lam[[d - 1, 1], 1] = 0.5  # two tied maxima, the first at index 1
+    lam /= lam.sum(axis=0)
+    dW = rng.normal(0.0, math.sqrt(params.dt), size=(n, 7))
+    new = update_columns(lam, dW, params.gamma, params.dt, integrator)
+    amax, delta = infidelity_columns(new)
+    amax0, delta0 = infidelity_columns(lam)
+    assert amax0[0] == 0
+    if d > 2:
+        assert amax0[1] == 1
+    step = exact_step if integrator == "exact" else euler_step
+    c = record_strength(params.gamma)
+    for a in range(lam.shape[1]):
+        state = DiagonalState(n, lam[:, a])
+        dR = c * (z_table(n) @ state.probs) * params.dt + dW[:, a]
+        ref = step(state, StepIncrements(dW=dW[:, a], dR=dR), params)
+        assert np.allclose(new[:, a], ref.probs, rtol=1e-12, atol=1e-12)
+        assert amax[a] == np.argmax(new[:, a])
+        assert delta[a] == pytest.approx(ref.infidelity(), rel=1e-12)
+        assert amax0[a] == np.argmax(lam[:, a])
+        assert delta0[a] == pytest.approx(state.infidelity(), rel=1e-12)
 
 
 def test_step_mean_preserves_populations():
