@@ -7,10 +7,15 @@ Subcommands:
   bounds             print the analytic speed-up bands
   verify-identities  check the exact permutation sum identities
 
-Every option can also come from a plain-text config file of `key = value`
-lines (`--config`); explicit command line flags win over the file, which
-wins over built-in defaults.  The master seed defaults to
-DEFAULT_MASTER_SEED so runs are reproducible out of the box.
+Each subcommand's argparse parser is the only table of its options: every
+flag carries its own type, choices and default.  Any option can also come
+from a plain-text config file of `key = value` lines (`--config`), whose
+keys are the flag names with underscores (`max_time`, `n_values`,
+`unsafe_large_n`); `config` and `check` cannot be set from a file.  The
+subcommand's own parser coerces the file's values, explicit command line
+flags win over the file, and the file wins over the built-in defaults.
+The master seed defaults to DEFAULT_MASTER_SEED so runs are reproducible
+out of the box.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure,
 3 a requested check failed (--check, or a FAIL from verify-identities).
@@ -20,41 +25,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .ensemble import (
-    EnsembleStats,
     auto_slope_window,
     default_epsilon_grid,
     fit_ln_delta_slope,
     fit_speedup_scaling,
     regression_mean_time,
     run_ensemble,
+    speedup_bounds_for_policy,
     speedup_scaling_sweep,
 )
 from .policies import (
     POLICY_KINDS,
+    ControlPolicy,
     fixed_cycle_policy,
-    h_ordering_policy,
-    no_control,
-    random_permutation_policy,
     read_cycle_file,
 )
 from .sde import INTEGRATORS, IntegrationError, SimulationParams
-from .theory import (
-    NOFB_RATE,
-    h_ordering_speedup_bounds,
-    permutation_sum_identities,
-    random_permutation_speedup_bounds,
-)
+from .theory import NOFB_RATE, permutation_sum_identities
 
 DEFAULT_MASTER_SEED = 31415926
 # run keeps integrating well below the deepest default target so the
@@ -62,6 +58,8 @@ DEFAULT_MASTER_SEED = 31415926
 RUN_STOP_EPSILON = 1e-20
 SWEEP_MAX_N = 5
 LARGE_N_NOTE = "large n: 0.25 n <= S_RP <= 0.5 n"
+# Namespace entries that are not options a config file may set.
+NOT_CONFIG_KEYS = ("config", "check", "func", "parser")
 
 LOG_CSV = "log_infidelity.csv"
 PASSAGE_CSV = "first_passage.csv"
@@ -71,15 +69,6 @@ SUMMARY_JSON = "summary.json"
 MANIFEST_JSON = "manifest.json"
 
 
-def _choice(options):
-    def coerce(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return text
-
-    return coerce
-
-
 def _flag(text: str) -> bool:
     low = text.lower()
     if low in ("1", "true", "yes", "on"):
@@ -87,68 +76,6 @@ def _flag(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError("expected a boolean")
-
-
-_COERCERS = {
-    "n": int,
-    "count": int,
-    "seed": int,
-    "gamma": float,
-    "dt": float,
-    "max_time": float,
-    "integrator": _choice(INTEGRATORS),
-    "policy": _choice(POLICY_KINDS),
-    "cycle_file": str,
-    "epsilons": str,
-    "out": str,
-    "n_values": str,
-    "policies": str,
-    "dimensions": str,
-    "unsafe_large_n": _flag,
-}
-
-RUN_KEYS = (
-    "n", "gamma", "dt", "max_time", "integrator", "policy",
-    "cycle_file", "epsilons", "count", "seed", "out",
-)
-SWEEP_KEYS = (
-    "n_values", "policies", "gamma", "dt", "max_time", "integrator",
-    "cycle_file", "epsilons", "count", "seed", "out", "unsafe_large_n",
-)
-BOUNDS_KEYS = ("n_values", "out")
-VERIFY_KEYS = ("dimensions",)
-
-RUN_DEFAULTS = {
-    "n": 1,
-    "gamma": 1.0,
-    "dt": None,
-    "max_time": 3.0,
-    "integrator": "exact",
-    "policy": "none",
-    "cycle_file": None,
-    "epsilons": None,
-    "count": 1000,
-    "seed": DEFAULT_MASTER_SEED,
-    "out": "regreadout-run",
-}
-SWEEP_DEFAULTS = {
-    "n_values": "2,3,4,5",
-    "policies": "random_permutation",
-    "gamma": 1.0,
-    "dt": None,
-    # longer than the run default: the slowest no-control stragglers at
-    # n = 4..5 need the room to reach the deepest default target
-    "max_time": 4.0,
-    "integrator": "exact",
-    "cycle_file": None,
-    "epsilons": None,
-    "count": 1000,
-    "seed": DEFAULT_MASTER_SEED,
-    "out": "regreadout-sweep",
-    "unsafe_large_n": False,
-}
-BOUNDS_DEFAULTS = {"n_values": "1,2,3,4,5", "out": None}
-VERIFY_DEFAULTS = {"dimensions": "4,8"}
 
 
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
@@ -170,28 +97,26 @@ def read_config_file(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _resolve(args, defaults: dict, allowed: tuple[str, ...]) -> SimpleNamespace:
-    """Layer defaults, then the config file, then explicit flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, (value, lineno) in read_config_file(config_path).items():
-            if key not in allowed:
-                raise ValueError(f"{config_path}:{lineno}: unknown key {key!r}")
-            try:
-                merged[key] = _COERCERS[key](value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{config_path}:{lineno}: bad value for {key}: {exc}"
-                ) from None
-    for key in allowed:
-        given = getattr(args, key, None)
-        if isinstance(merged.get(key), bool):
-            if given:
-                merged[key] = True
-        elif given is not None:
-            merged[key] = given
-    return SimpleNamespace(**merged)
+def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values, each coerced by the parser's own flag."""
+    defaults = vars(parser.parse_args([]))
+    # a bad value raises ArgumentError, reported below as path:line
+    parser.exit_on_error = False
+    values = {}
+    for key, (text, lineno) in read_config_file(path).items():
+        if key not in defaults or key in NOT_CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if defaults[key] is False:  # a store_true flag takes no value
+                values[key] = _flag(text)
+            else:
+                flag = "--" + key.replace("_", "-")
+                values[key] = getattr(parser.parse_args([f"{flag}={text}"]), key)
+        except (ValueError, argparse.ArgumentError) as exc:
+            raise ValueError(
+                f"{path}:{lineno}: bad value for {key}: {exc}"
+            ) from None
+    return values
 
 
 def _parse_epsilons(text: str | None) -> np.ndarray:
@@ -214,12 +139,8 @@ def _parse_int_list(text: str, name: str) -> list[int]:
 
 
 def _build_policy(name: str, cycle_file: str | None, dimension: int | None):
-    if name == "none":
-        return no_control()
-    if name == "h_ordering":
-        return h_ordering_policy()
-    if name == "random_permutation":
-        return random_permutation_policy()
+    if name != "fixed_cycle":
+        return ControlPolicy(name)
     if cycle_file is None:
         raise ValueError("policy fixed_cycle requires --cycle-file")
     return fixed_cycle_policy(read_cycle_file(cycle_file, dimension=dimension))
@@ -231,15 +152,18 @@ def _out_dir(path_text: str) -> Path:
     return out
 
 
+def _cell(value) -> str:
+    """CSV text of one value: strings and ints as they are, floats by repr."""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return repr(float(value))
+
+
 def _write_rows(path: Path, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _num(value: float) -> str:
-    return repr(float(value))
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -264,40 +188,29 @@ def _write_manifest(
     _write_json(out / MANIFEST_JSON, payload)
 
 
-def _curve_rows(stats: EnsembleStats):
-    for t, m, s in zip(
-        stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta
-    ):
-        yield (_num(t), _num(m), _num(s))
-
-
-def _passage_rows(stats: EnsembleStats):
-    for e, m, s, c in zip(
-        stats.epsilons,
-        stats.mean_first_passage,
-        stats.stderr_first_passage,
-        stats.censored_fraction,
-    ):
-        yield (_num(e), _num(m), _num(s), _num(c))
+def _report_checks(failures: list[str]) -> int:
+    for f in failures:
+        print(f"check failed: {f}", file=sys.stderr)
+    if failures:
+        return 3
+    print("  checks passed")
+    return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve(args, RUN_DEFAULTS, RUN_KEYS)
-    if cfg.count < 1:
-        raise ValueError("count must be >= 1")
     params = SimulationParams(
-        n=cfg.n,
-        gamma=cfg.gamma,
-        dt=cfg.dt,
-        max_time=cfg.max_time,
-        integrator=cfg.integrator,
+        n=args.n,
+        gamma=args.gamma,
+        dt=args.dt,
+        max_time=args.max_time,
+        integrator=args.integrator,
         stop_epsilon=RUN_STOP_EPSILON,
     )
-    epsilons = _parse_epsilons(cfg.epsilons)
-    policy = _build_policy(cfg.policy, cfg.cycle_file, 2**params.n)
+    epsilons = _parse_epsilons(args.epsilons)
+    policy = _build_policy(args.policy, args.cycle_file, 2**params.n)
 
     start = time.perf_counter()
-    stats = run_ensemble(params, policy, epsilons, cfg.count, cfg.seed)
+    stats = run_ensemble(params, policy, epsilons, args.count, args.seed)
     wall = time.perf_counter() - start
 
     slope = slope_err = None
@@ -313,57 +226,58 @@ def cmd_run(args) -> int:
     except ValueError:
         pass
 
-    out = _out_dir(cfg.out)
-    _write_rows(out / LOG_CSV, "t,mean_ln_delta,stderr", _curve_rows(stats))
+    out = _out_dir(args.out)
+    _write_rows(
+        out / LOG_CSV,
+        "t,mean_ln_delta,stderr",
+        zip(stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta),
+    )
     _write_rows(
         out / PASSAGE_CSV,
         "epsilon,mean_T,stderr,censored_frac",
-        _passage_rows(stats),
+        zip(
+            stats.epsilons,
+            stats.mean_first_passage,
+            stats.stderr_first_passage,
+            stats.censored_fraction,
+        ),
     )
     max_censored = (
         float(stats.censored_fraction.max()) if stats.censored_fraction.size else 0.0
     )
-    summary = {
-        "command": "run",
-        "n": params.n,
-        "gamma": params.gamma,
-        "dt": params.dt,
-        "max_time": params.max_time,
-        "integrator": params.integrator,
-        "policy": cfg.policy,
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "slope": slope,
-        "slope_stderr": slope_err,
-        "slope_window": list(window) if window else None,
-        "nofb_theory_slope": nofb_slope,
-        "mean_time_slope": fit.slope if fit else None,
-        "mean_time_slope_stderr": fit.slope_stderr if fit else None,
-        "mean_time_intercept": fit.intercept if fit else None,
-        "mean_time_points": fit.point_count if fit else None,
-        "max_censored_fraction": max_censored,
-    }
-    _write_json(out / SUMMARY_JSON, summary)
     config_echo = {
-        "n": params.n,
-        "gamma": params.gamma,
-        "dt": params.dt,
-        "max_time": params.max_time,
-        "integrator": params.integrator,
-        "policy": cfg.policy,
-        "cycle_file": cfg.cycle_file,
+        **asdict(params),
+        "policy": args.policy,
+        "cycle_file": args.cycle_file,
         "epsilons": [float(e) for e in epsilons],
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "stop_epsilon": RUN_STOP_EPSILON,
+        "count": args.count,
+        "seed": args.seed,
     }
+    summary = {
+        key: value
+        for key, value in config_echo.items()
+        if key not in ("cycle_file", "epsilons", "stop_epsilon")
+    }
+    summary.update(
+        command="run",
+        slope=slope,
+        slope_stderr=slope_err,
+        slope_window=list(window) if window else None,
+        nofb_theory_slope=nofb_slope,
+        mean_time_slope=fit.slope if fit else None,
+        mean_time_slope_stderr=fit.slope_stderr if fit else None,
+        mean_time_intercept=fit.intercept if fit else None,
+        mean_time_points=fit.point_count if fit else None,
+        max_censored_fraction=max_censored,
+    )
+    _write_json(out / SUMMARY_JSON, summary)
     _write_manifest(
         out, "run", config_echo, wall,
         [LOG_CSV, PASSAGE_CSV, SUMMARY_JSON],
         censoring={"max": max_censored},
     )
 
-    print(f"run: policy={cfg.policy} n={params.n} count={cfg.count} seed={cfg.seed}")
+    print(f"run: policy={args.policy} n={params.n} count={args.count} seed={args.seed}")
     if slope is not None:
         print(
             f"  <ln Delta> slope over [{window[0]:.3g}, {window[1]:.3g}]: "
@@ -379,126 +293,103 @@ def cmd_run(args) -> int:
     print(f"  max censored fraction: {max_censored:g}")
     print(f"  wrote {LOG_CSV}, {PASSAGE_CSV}, {SUMMARY_JSON} -> {out}")
 
-    if args.check:
-        failures = []
-        if not np.all(np.isfinite(stats.mean_ln_delta)):
-            failures.append("non-finite mean curve")
-        if stats.epsilons.size and not np.all(
-            np.isfinite(stats.mean_first_passage)
-        ):
-            failures.append("non-finite first-passage means")
-        if max_censored > 0.10:
-            failures.append(f"censoring {max_censored:.3f} above 0.10")
-        if cfg.policy == "none":
-            if slope is None or abs(slope - nofb_slope) > 0.10 * abs(nofb_slope):
-                failures.append(
-                    f"slope {slope} outside 10% of {nofb_slope:g}"
-                )
-        if failures:
-            for f in failures:
-                print(f"check failed: {f}", file=sys.stderr)
-            return 3
-        print("  checks passed")
-    return 0
+    if not args.check:
+        return 0
+    failures = []
+    if not np.all(np.isfinite(stats.mean_ln_delta)):
+        failures.append("non-finite mean curve")
+    if stats.epsilons.size and not np.all(np.isfinite(stats.mean_first_passage)):
+        failures.append("non-finite first-passage means")
+    if max_censored > 0.10:
+        failures.append(f"censoring {max_censored:.3f} above 0.10")
+    if args.policy == "none":
+        if slope is None or abs(slope - nofb_slope) > 0.10 * abs(nofb_slope):
+            failures.append(f"slope {slope} outside 10% of {nofb_slope:g}")
+    return _report_checks(failures)
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, SWEEP_DEFAULTS, SWEEP_KEYS)
-    n_values = _parse_int_list(cfg.n_values, "n-values")
+    n_values = _parse_int_list(args.n_values, "n-values")
     if min(n_values) < 1:
         raise ValueError("register sizes must be >= 1")
-    if max(n_values) > SWEEP_MAX_N and not cfg.unsafe_large_n:
+    if max(n_values) > SWEEP_MAX_N and not args.unsafe_large_n:
         raise ValueError(
             f"n > {SWEEP_MAX_N} scales exponentially; pass --unsafe-large-n "
             "to proceed"
         )
-    policy_names = [tok.strip() for tok in cfg.policies.split(",") if tok.strip()]
+    policy_names = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not policy_names:
         raise ValueError("policies list is empty")
-    for name in policy_names:
-        if name not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {name!r}")
-    epsilons = _parse_epsilons(cfg.epsilons)
+    policies = [_build_policy(name, args.cycle_file, None) for name in policy_names]
+    epsilons = _parse_epsilons(args.epsilons)
     params_template = SimulationParams(
         n=n_values[0],
-        gamma=cfg.gamma,
-        dt=cfg.dt,
-        max_time=cfg.max_time,
-        integrator=cfg.integrator,
+        gamma=args.gamma,
+        dt=args.dt,
+        max_time=args.max_time,
+        integrator=args.integrator,
         stop_epsilon=float(np.min(epsilons)),
     )
 
-    policies = [_build_policy(name, cfg.cycle_file, None) for name in policy_names]
-
     start = time.perf_counter()
-    rows = []
-    fits = {}
-    point_dicts = []
     sweeps = speedup_scaling_sweep(
-        n_values, policies, params_template, cfg.count, cfg.seed,
+        n_values, policies, params_template, args.count, args.seed,
         epsilons=epsilons,
     )
-    for name, points in zip(policy_names, sweeps):
-        for p in points:
-            rows.append(
-                (
-                    str(p.n),
-                    name,
-                    _num(p.estimate.value),
-                    _num(p.estimate.stderr),
-                    _num(p.bounds.lower),
-                    _num(p.bounds.upper),
-                )
-            )
-            point_dicts.append(
-                {
-                    "n": p.n,
-                    "policy": name,
-                    "speedup": p.estimate.value,
-                    "stderr": p.estimate.stderr,
-                    "bound_lo": p.bounds.lower,
-                    "bound_hi": p.bounds.upper,
-                }
-            )
+    results = []
+    fits = {}
+    for name, sweep in zip(policy_names, sweeps):
+        results += [(name, p) for p in sweep]
         try:
-            fits[name] = asdict(fit_speedup_scaling(points))
+            fits[name] = asdict(fit_speedup_scaling(sweep))
         except ValueError:
             fits[name] = None
     wall = time.perf_counter() - start
 
-    out = _out_dir(cfg.out)
+    points = [
+        {
+            "n": p.n,
+            "policy": name,
+            "speedup": p.estimate.value,
+            "stderr": p.estimate.stderr,
+            "bound_lo": p.bounds.lower,
+            "bound_hi": p.bounds.upper,
+        }
+        for name, p in results
+    ]
+    out = _out_dir(args.out)
     _write_rows(
-        out / SWEEP_CSV, "n,policy,speedup,stderr,bound_lo,bound_hi", rows
+        out / SWEEP_CSV, ",".join(points[0]), (pt.values() for pt in points)
     )
     summary = {
         "command": "sweep",
         "n_values": n_values,
         "policies": policy_names,
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "points": point_dicts,
+        "count": args.count,
+        "seed": args.seed,
+        "points": points,
         "fits": fits,
     }
     _write_json(out / SUMMARY_JSON, summary)
     config_echo = {
         "n_values": n_values,
         "policies": policy_names,
-        "gamma": cfg.gamma,
+        "gamma": args.gamma,
         "dt": params_template.dt,
-        "max_time": cfg.max_time,
-        "integrator": cfg.integrator,
-        "cycle_file": cfg.cycle_file,
+        "max_time": args.max_time,
+        "integrator": args.integrator,
+        "cycle_file": args.cycle_file,
         "epsilons": [float(e) for e in epsilons],
-        "count": cfg.count,
-        "seed": cfg.seed,
+        "count": args.count,
+        "seed": args.seed,
     }
     _write_manifest(out, "sweep", config_echo, wall, [SWEEP_CSV, SUMMARY_JSON])
 
     print("n  policy                speed-up    stderr   band")
-    for row in rows:
+    for pt in points:
         print(
-            f"{row[0]:<3}{row[1]:<22}{float(row[2]):<12.4f}"
-            f"{float(row[3]):<9.4f}[{float(row[4]):.4f}, {float(row[5]):.4f}]"
+            f"{pt['n']:<3}{pt['policy']:<22}{pt['speedup']:<12.4f}"
+            f"{pt['stderr']:<9.4f}[{pt['bound_lo']:.4f}, {pt['bound_hi']:.4f}]"
         )
     for name, fit in fits.items():
         if fit:
@@ -508,46 +399,34 @@ def cmd_sweep(args) -> int:
             )
     print(f"  wrote {SWEEP_CSV}, {SUMMARY_JSON} -> {out}")
 
-    if args.check:
-        failures = []
-        for row in rows:
-            value = float(row[2])
-            err = float(row[3])
-            lo = float(row[4]) - 3.0 * err
-            hi = float(row[5]) + 3.0 * err
-            if not (lo <= value <= hi):
-                failures.append(
-                    f"n={row[0]} {row[1]}: speed-up {value:.4f} outside "
-                    f"[{lo:.4f}, {hi:.4f}]"
-                )
-        if failures:
-            for f in failures:
-                print(f"check failed: {f}", file=sys.stderr)
-            return 3
-        print("  checks passed")
-    return 0
+    if not args.check:
+        return 0
+    failures = []
+    for name, p in results:
+        slack = 3.0 * p.estimate.stderr
+        if not p.bounds.contains(p.estimate.value, slack):
+            failures.append(
+                f"n={p.n} {name}: speed-up {p.estimate.value:.4f} outside "
+                f"[{p.bounds.lower - slack:.4f}, {p.bounds.upper + slack:.4f}]"
+            )
+    return _report_checks(failures)
 
 
 def cmd_bounds(args) -> int:
-    cfg = _resolve(args, BOUNDS_DEFAULTS, BOUNDS_KEYS)
-    n_values = _parse_int_list(cfg.n_values, "n-values")
+    n_values = _parse_int_list(args.n_values, "n-values")
     if min(n_values) < 1:
         raise ValueError("register sizes must be >= 1")
     rows = []
     print("n  policy                bound_lo    bound_hi")
     for n in n_values:
-        for name, bounds in (
-            ("h_ordering", h_ordering_speedup_bounds(n)),
-            ("random_permutation", random_permutation_speedup_bounds(n)),
-        ):
+        for name in ("h_ordering", "random_permutation"):
+            bounds = speedup_bounds_for_policy(name, n)
             print(f"{n:<3}{name:<22}{bounds.lower:<12.6g}{bounds.upper:.6g}")
-            rows.append(
-                (str(n), name, _num(bounds.lower), _num(bounds.upper))
-            )
+            rows.append((n, name, bounds.lower, bounds.upper))
     print(LARGE_N_NOTE)
-    if cfg.out:
+    if args.out:
         start = time.perf_counter()
-        out = _out_dir(cfg.out)
+        out = _out_dir(args.out)
         _write_rows(out / BOUNDS_CSV, "n,policy,bound_lo,bound_hi", rows)
         _write_manifest(
             out, "bounds", {"n_values": n_values}, time.perf_counter() - start,
@@ -558,8 +437,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    cfg = _resolve(args, VERIFY_DEFAULTS, VERIFY_KEYS)
-    dims = _parse_int_list(cfg.dimensions, "dimensions")
+    dims = _parse_int_list(args.dimensions, "dimensions")
     all_passed = True
     for d in dims:
         report = permutation_sum_identities(d)
@@ -574,6 +452,24 @@ def cmd_verify_identities(args) -> int:
     return 0 if all_passed else 3
 
 
+def _add_ensemble_flags(parser, max_time: float, out: str) -> None:
+    """The nine flags run and sweep share."""
+    parser.add_argument("--gamma", type=float, default=1.0, help="measurement rate")
+    parser.add_argument("--dt", type=float, default=None, help="integration step")
+    parser.add_argument("--max-time", type=float, default=max_time)
+    parser.add_argument("--integrator", choices=INTEGRATORS, default="exact")
+    parser.add_argument("--cycle-file", default=None)
+    parser.add_argument(
+        "--epsilons", default=None,
+        help="comma-separated targets, strictly decreasing",
+    )
+    parser.add_argument("--count", type=int, default=1000, help="trajectories")
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed"
+    )
+    parser.add_argument("--out", default=out, help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regreadout",
@@ -586,72 +482,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one ensemble and write curves")
     run.add_argument("--config", default=None, help="key = value config file")
-    run.add_argument("--n", type=int, default=None, help="number of qubits")
-    run.add_argument("--gamma", type=float, default=None, help="measurement rate")
-    run.add_argument("--dt", type=float, default=None, help="integration step")
-    run.add_argument("--max-time", type=float, default=None, dest="max_time")
-    run.add_argument("--integrator", choices=list(INTEGRATORS), default=None)
-    run.add_argument("--policy", choices=list(POLICY_KINDS), default=None)
-    run.add_argument("--cycle-file", default=None, dest="cycle_file")
-    run.add_argument(
-        "--epsilons", default=None,
-        help="comma-separated targets, strictly decreasing",
-    )
-    run.add_argument("--count", type=int, default=None, help="trajectories")
-    run.add_argument("--seed", type=int, default=None, help="master seed")
-    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--n", type=int, default=1, help="number of qubits")
+    run.add_argument("--policy", choices=POLICY_KINDS, default="none")
+    _add_ensemble_flags(run, max_time=3.0, out="regreadout-run")
     run.add_argument("--check", action="store_true",
                      help="exit 3 unless sanity checks pass")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, parser=run)
 
     sweep = sub.add_parser("sweep", help="speed-up versus register size")
     sweep.add_argument("--config", default=None)
-    sweep.add_argument("--n-values", default=None, dest="n_values",
+    sweep.add_argument("--n-values", default="2,3,4,5",
                        help="comma-separated register sizes")
-    sweep.add_argument("--policies", default=None,
+    sweep.add_argument("--policies", default="random_permutation",
                        help="comma-separated policy names")
-    sweep.add_argument("--gamma", type=float, default=None)
-    sweep.add_argument("--dt", type=float, default=None)
-    sweep.add_argument("--max-time", type=float, default=None, dest="max_time")
-    sweep.add_argument("--integrator", choices=list(INTEGRATORS), default=None)
-    sweep.add_argument("--cycle-file", default=None, dest="cycle_file")
-    sweep.add_argument("--epsilons", default=None)
-    sweep.add_argument("--count", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--out", default=None)
+    # longer than the run default: the slowest no-control stragglers at
+    # n = 4..5 need the room to reach the deepest default target
+    _add_ensemble_flags(sweep, max_time=4.0, out="regreadout-sweep")
     sweep.add_argument("--unsafe-large-n", action="store_true",
-                       dest="unsafe_large_n",
                        help="allow n above the exponential-cost cap")
     sweep.add_argument("--check", action="store_true",
                        help="exit 3 unless every point sits in its band")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, parser=sweep)
 
     bounds = sub.add_parser("bounds", help="print analytic speed-up bands")
     bounds.add_argument("--config", default=None)
-    bounds.add_argument("--n-values", default=None, dest="n_values")
+    bounds.add_argument("--n-values", default="1,2,3,4,5")
     bounds.add_argument("--out", default=None)
-    bounds.set_defaults(func=cmd_bounds)
+    bounds.set_defaults(func=cmd_bounds, parser=bounds)
 
     verify = sub.add_parser(
         "verify-identities",
         help="check the exact permutation sum identities",
     )
     verify.add_argument("--config", default=None)
-    verify.add_argument("--dimensions", default=None,
+    verify.add_argument("--dimensions", default="4,8",
                         help="comma-separated dimensions (4 and/or 8)")
-    verify.set_defaults(func=cmd_verify_identities)
+    verify.set_defaults(func=cmd_verify_identities, parser=verify)
 
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line; a --config file's values replace the
+    subcommand's defaults, and explicit flags still win over them."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:
+        args.parser.set_defaults(**_config_values(args.parser, args.config))
         args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except IntegrationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

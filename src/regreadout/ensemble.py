@@ -32,6 +32,7 @@ from .sde import (
     LOG_FLOOR,
     IntegrationError,
     SimulationParams,
+    epsilon_targets,
     infidelity_columns,
     trajectory_noise_rng,
     update_columns,
@@ -138,15 +139,8 @@ def run_ensemble(
         raise ValueError("an ensemble needs at least 2 trajectories")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    eps = np.asarray([float(e) for e in epsilons], dtype=float)
+    eps = epsilon_targets(epsilons, params, run_full_time)
     E = eps.size
-    if E:
-        if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-            raise ValueError("epsilon targets must lie in (0, 1)")
-        if np.any(np.diff(eps) >= 0.0):
-            raise ValueError("epsilons must be strictly decreasing")
-        if not run_full_time and eps[-1] < params.stop_epsilon:
-            raise ValueError("epsilon targets below stop_epsilon are unreachable")
 
     n = params.n
     d = 2**n
@@ -180,8 +174,9 @@ def run_ensemble(
     if grid_steps[-1] != total_steps:
         grid_steps = np.append(grid_steps, total_steps)
     G = grid_steps.size
-    sum_ln = np.zeros(G)
-    sumsq_ln = np.zeros(G)
+    # two-pass moments of ln(Delta) over all trajectories at each grid point
+    mean_ln = np.zeros(G)
+    var_ln = np.zeros(G)
     active_at = np.zeros(G, dtype=np.int64)
 
     amax0 = state0.argmax_index()
@@ -205,8 +200,7 @@ def run_ensemble(
 
     frozen_at_start = (not run_full_time) and delta0 <= params.stop_epsilon
     active_at[0] = 0 if frozen_at_start else count
-    sum_ln[0] = count * ln0
-    sumsq_ln[0] = count * ln0 * ln0
+    mean_ln[0] = ln0
 
     lam = np.tile(initial[:, None], (1, count))
     idx = np.arange(count)
@@ -300,8 +294,8 @@ def run_ensemble(
                     alive[w] = False
 
             if g_next < G and step == grid_steps[g_next]:
-                sum_ln[g_next] = cur_ln.sum()
-                sumsq_ln[g_next] = cur_ln @ cur_ln
+                mean_ln[g_next] = cur_ln.mean()
+                var_ln[g_next] = cur_ln.var(ddof=1)
                 active_at[g_next] = int(alive.sum())
                 g_next += 1
 
@@ -316,12 +310,9 @@ def run_ensemble(
             alive = np.ones(A, dtype=bool)
 
     record_finals(np.where(alive)[0])
-    sum_ln[g_next:] = cur_ln.sum()
-    sumsq_ln[g_next:] = cur_ln @ cur_ln
+    mean_ln[g_next:] = cur_ln.mean()
+    var_ln[g_next:] = cur_ln.var(ddof=1)
     active_at[g_next:] = int(alive.sum())
-
-    mean_ln = sum_ln / count
-    var_ln = np.maximum(sumsq_ln - count * mean_ln**2, 0.0) / (count - 1)
     stderr_ln = np.sqrt(var_ln / count)
 
     filled = np.where(np.isnan(fp), params.max_time, fp)

@@ -21,6 +21,7 @@ from .registers import (
     DiagonalState,
     Permutation,
     invert,
+    sample_uniform_permutation,
 )
 
 POLICY_KINDS = ("none", "h_ordering", "random_permutation", "fixed_cycle")
@@ -110,7 +111,7 @@ def policy_step(
     if policy.kind == "h_ordering":
         return h_order(state)
     if policy.kind == "random_permutation":
-        return Permutation(rng.permutation(d))
+        return sample_uniform_permutation(rng, d)
     perms = policy.cycle
     if perms[0].dimension != d:
         raise ValueError("cycle permutation dimension does not match the state")

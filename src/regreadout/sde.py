@@ -48,12 +48,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .policies import ControlPolicy, policy_step
-from .registers import BasisIndex, DiagonalState, Permutation, compose, z_table
+from .registers import (
+    BasisIndex,
+    DiagonalState,
+    Permutation,
+    apply_permutation,
+    compose,
+    z_table,
+)
 
 DEFAULT_DT_GAMMA = 6.25e-4     # default step size in units of 1/gamma
 DEFAULT_STOP_EPSILON = 1e-6
@@ -116,36 +123,35 @@ class SimulationParams:
         return int(round(self.max_time / self.dt))
 
 
-@dataclass(frozen=True)
-class StepIncrements:
-    """One step of measurement records: raw Wiener part dW and the full
-    record dR = 2*sqrt(2*gamma)*<Z^r>*dt + dW, both of length n."""
-
-    dW: np.ndarray
-    dR: np.ndarray
-
-
-@dataclass(frozen=True)
-class RecordAccumulator:
-    """Integrated record R[r] = sum of dR[r] up to time t."""
-
-    R: np.ndarray
-    t: float
+def epsilon_targets(
+    epsilons, params: SimulationParams, run_full_time: bool
+) -> np.ndarray:
+    """The infidelity targets as a float array, after checking that each
+    lies in (0, 1), that they strictly decrease and, unless run_full_time
+    is set, that none lies below params.stop_epsilon (unreachable)."""
+    eps = np.asarray([float(e) for e in epsilons], dtype=float)
+    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+        raise ValueError("epsilon targets must lie in (0, 1)")
+    if np.any(np.diff(eps) >= 0.0):
+        raise ValueError("epsilons must be strictly decreasing")
+    if eps.size and not run_full_time and eps[-1] < params.stop_epsilon:
+        raise ValueError("epsilon targets below stop_epsilon are unreachable")
+    return eps
 
 
 def generate_increments(
     state: DiagonalState, params: SimulationParams, rng: np.random.Generator
-) -> StepIncrements:
-    """Draw the n record increments for one step from the given state."""
+) -> np.ndarray:
+    """Draw the n record increments dR = 2*sqrt(2*gamma)*<Z^r>*dt + dW for
+    one step from the given state."""
     z = z_table(state.n)
     expect = z @ state.probs
     dw = rng.normal(0.0, math.sqrt(params.dt), size=state.n)
-    dr = record_strength(params.gamma) * expect * params.dt + dw
-    return StepIncrements(dW=dw, dR=dr)
+    return record_strength(params.gamma) * expect * params.dt + dw
 
 
 def euler_step(
-    state: DiagonalState, inc: StepIncrements, params: SimulationParams
+    state: DiagonalState, dR: np.ndarray, params: SimulationParams
 ) -> DiagonalState:
     """First-order update; recovers dW from the record so that both
     integrators consume identical dR streams."""
@@ -153,7 +159,7 @@ def euler_step(
     probs = state.probs
     expect = z @ probs
     c = record_strength(params.gamma)
-    dw = inc.dR - c * expect * params.dt
+    dw = dR - c * expect * params.dt
     # sum_r dw[r] * (z_i^r - <Z^r>); invariant under the eigenvalue shift
     coeff = dw @ z - float(dw @ expect)
     new = probs * (1.0 + c * coeff)
@@ -171,11 +177,11 @@ def euler_step(
 
 
 def exact_step(
-    state: DiagonalState, inc: StepIncrements, params: SimulationParams
+    state: DiagonalState, dR: np.ndarray, params: SimulationParams
 ) -> DiagonalState:
     """Multiplicative closed-form update for one record increment."""
     z = z_table(state.n)
-    expo = record_strength(params.gamma) * (inc.dR @ z)
+    expo = record_strength(params.gamma) * (dR @ z)
     if not np.all(np.isfinite(expo)):
         raise IntegrationError("non-finite record increment")
     expo -= expo.max()  # the largest weight becomes 1; no overflow
@@ -238,7 +244,8 @@ class TrajectoryResult:
 
     first_passage maps each infidelity target to the interpolated crossing
     time, or None if the trajectory was censored at max_time before
-    reaching it.
+    reaching it.  records is the integrated record R[r], the sum of dR[r]
+    over every step taken.
     """
 
     sample_times: np.ndarray
@@ -246,7 +253,7 @@ class TrajectoryResult:
     first_passage: dict[float, float | None]
     final_index: BasisIndex
     cumulative_control: Permutation
-    records: RecordAccumulator
+    records: np.ndarray
     final_state: DiagonalState
 
     def censored(self) -> list[float]:
@@ -290,11 +297,7 @@ def simulate_trajectory(
     with Delta <= stop_epsilon, or at max_time, whichever comes first;
     run_full_time disables the early exit.
     """
-    eps = [float(e) for e in epsilons]
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
-    if eps and not run_full_time and eps[-1] < params.stop_epsilon:
-        raise ValueError("epsilon targets below stop_epsilon are unreachable")
+    eps = epsilon_targets(epsilons, params, run_full_time).tolist()
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
@@ -334,11 +337,11 @@ def simulate_trajectory(
     while not stopped and step < total_steps:
         perm = policy_step(policy, state, step, control_rng)
         if policy.kind != "none":
-            state = DiagonalState(state.n, _apply_image(state.probs, perm.image))
+            state = apply_permutation(state, perm)
             cumulative = compose(perm, cumulative)
-        inc = generate_increments(state, params, noise_rng)
-        state = step_fn(state, inc, params)
-        records += inc.dR
+        dR = generate_increments(state, params, noise_rng)
+        state = step_fn(state, dR, params)
+        records += dR
         step += 1
 
         delta = state.infidelity()
@@ -365,12 +368,6 @@ def simulate_trajectory(
         first_passage=passage,
         final_index=state.argmax_index(),
         cumulative_control=cumulative,
-        records=RecordAccumulator(R=records, t=step * dt),
+        records=records,
         final_state=state,
     )
-
-
-def _apply_image(probs: np.ndarray, image: np.ndarray) -> np.ndarray:
-    out = np.empty_like(probs)
-    out[image] = probs
-    return out

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .registers import DiagonalState, z_table
-from .sde import RecordAccumulator, record_strength
+from .sde import record_strength
 
 # Full enumeration of the permutation group is kept below 8! elements.
 ENUMERATION_MAX_QUBITS = 3
@@ -280,12 +280,10 @@ def linear_trajectory_state(records, n: int, gamma: float = 1.0) -> DiagonalStat
     maximally mixed start: lambda_i proportional to
     exp(2*sqrt(2*gamma) * sum_r z_i^r * R[r]) with unshifted z.
 
-    Accepts a RecordAccumulator or a plain length-n array.  The softmax is
-    exponent-shifted, so arbitrarily long records cannot overflow.
+    records is the length-n array R.  The softmax is exponent-shifted, so
+    arbitrarily long records cannot overflow.
     """
-    R = records.R if isinstance(records, RecordAccumulator) else np.asarray(
-        records, dtype=float
-    )
+    R = np.asarray(records, dtype=float)
     if R.shape != (n,):
         raise ValueError(f"record must have shape ({n},)")
     expo = record_strength(gamma) * (R @ z_table(n))

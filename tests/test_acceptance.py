@@ -24,7 +24,6 @@ import pytest
 from regreadout import (
     DiagonalState,
     SimulationParams,
-    StepIncrements,
     asymptotic_speedup,
     default_epsilon_grid,
     euler_step,
@@ -282,10 +281,9 @@ def _twin_integrator_gap_mse(dt, rows=1000, total_time=0.1, seed=13):
         expect = lam_x @ z.T
         dR = c * dt * expect + dW[:, k, :]
         if k == 0:
-            inc0 = StepIncrements(dW=dW[0, 0], dR=dR[0])
             state0 = DiagonalState(n, lam_x[0])
-            ref_x = exact_step(state0, inc0, params).probs
-            ref_e = euler_step(state0, inc0, params).probs
+            ref_x = exact_step(state0, dR[0], params).probs
+            ref_e = euler_step(state0, dR[0], params).probs
         expo = c * (dR @ z)
         expo -= expo.max(axis=1, keepdims=True)
         lam_x = lam_x * np.exp(expo)
@@ -316,7 +314,7 @@ def test_acceptance_8_simulator_invariants(capsys):
             dw = rng.normal(0.0, math.sqrt(params.dt), size=3)
             expect = z_table(3) @ state.probs
             dr = 2.0 * math.sqrt(2.0) * expect * params.dt + dw
-            state = stepper(state, StepIncrements(dW=dw, dR=dr), params)
+            state = stepper(state, dr, params)
             worst_norm = max(worst_norm, abs(float(state.probs.sum()) - 1.0))
     if worst_norm > 1e-10:
         failures.append(f"normalization drift {worst_norm:.2e}")

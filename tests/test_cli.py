@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from regreadout.cli import main, read_config_file
+from regreadout import SpeedupBounds, SpeedupEstimate, SweepPoint, cli
+from regreadout.cli import main, parse_args, read_config_file
 
 
 def run_main(argv):
@@ -240,3 +241,94 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "0.888889" in proc.stdout
+
+
+# one non-default value for every config key of every subcommand
+CONFIG_VALUES = {
+    "run": {
+        "n": "2", "gamma": "0.5", "dt": "1e-3", "max_time": "2.5",
+        "integrator": "euler", "policy": "h_ordering", "cycle_file": "c.txt",
+        "epsilons": "1e-1,1e-2", "count": "40", "seed": "9", "out": "some dir",
+    },
+    "sweep": {
+        "n_values": "2,3", "policies": "none,h_ordering", "gamma": "0.5",
+        "dt": "1e-3", "max_time": "2.5", "integrator": "euler",
+        "cycle_file": "c.txt", "epsilons": "1e-1,1e-2", "count": "40",
+        "seed": "9", "out": "some dir", "unsafe_large_n": "true",
+    },
+    "bounds": {"n_values": "2,4", "out": "b"},
+    "verify-identities": {"dimensions": "4"},
+}
+
+
+def _options(args):
+    options = vars(args)
+    del options["config"], options["parser"]
+    return options
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_config_keys_are_the_flag_dests(command):
+    options = _options(parse_args([command]))
+    assert set(options) - {"command", "func", "check"} == set(
+        CONFIG_VALUES[command]
+    )
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, key) for command in CONFIG_VALUES for key in CONFIG_VALUES[command]],
+)
+def test_config_key_parses_like_its_flag(tmp_path, command, key):
+    value = CONFIG_VALUES[command][key]
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = ["--" + key.replace("_", "-")] + ([] if value == "true" else [value])
+    from_file = _options(parse_args([command, "--config", str(cfg)]))
+    assert from_file == _options(parse_args([command] + flag))
+    assert from_file[key] != _options(parse_args([command]))[key]
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, "config") for command in CONFIG_VALUES]
+    + [("run", "check"), ("sweep", "check")],
+)
+def test_config_and_check_are_not_config_keys(tmp_path, capsys, command, key):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"{key} = {'true' if key == 'check' else 'x'}\n")
+    assert run_main([command, "--config", cfg]) == 1
+    assert f"a.cfg:1: unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_sweep_check_reports_points_outside_their_band(
+    tmp_path, monkeypatch, capsys
+):
+    # n=2 sits inside its band only thanks to the 3-stderr slack; n=3 is out
+    values = {2: 1.8, 3: 2.0}
+
+    def fake_sweep(n_values, policies, *args, **kwargs):
+        return [
+            [
+                SweepPoint(
+                    n=n,
+                    estimate=SpeedupEstimate(
+                        values[n], 0.1, "asymptotic_regression"
+                    ),
+                    bounds=SpeedupBounds(1.0, 1.65),
+                )
+                for n in n_values
+            ]
+            for _ in policies
+        ]
+
+    monkeypatch.setattr(cli, "speedup_scaling_sweep", fake_sweep)
+    code = run_main(
+        ["sweep", "--n-values", "2,3", "--out", tmp_path / "s", "--check"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("check failed") == 1
+    assert (
+        "n=3 random_permutation: speed-up 2.0000 outside [0.7000, 1.9500]" in err
+    )

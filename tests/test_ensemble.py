@@ -158,6 +158,22 @@ def test_ensemble_curves_shape_and_monotonicity():
     assert stats.policy_kind == "none"
 
 
+def test_stderr_ln_delta_is_two_pass():
+    """The curve's stderr is the two-pass sample spread of ln(Delta):
+    exactly 0 at t = 0, where every trajectory has the same state, and
+    at the last grid point the spread of the final states' ln(Delta)."""
+    params = small_params(n=2, max_time=0.5, stop_epsilon=1e-4)
+    stats = run_ensemble(
+        params, no_control(), [], 300, 4, collect_final_states=True
+    )
+    assert stats.stderr_ln_delta[0] == 0.0
+    tail = stats.final_states.copy()
+    tail[np.arange(300), tail.argmax(axis=1)] = 0.0
+    ln_delta = np.log(tail.sum(axis=1))
+    expected = ln_delta.std(ddof=1) / math.sqrt(300)
+    assert stats.stderr_ln_delta[-1] == pytest.approx(expected, rel=1e-12)
+
+
 def test_mean_ln_delta_decays_at_the_nofb_rate():
     # crude slope check; the acceptance suite pins this tightly
     params = SimulationParams(n=1, max_time=0.5, stop_epsilon=1e-30)

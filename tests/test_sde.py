@@ -9,7 +9,6 @@ from regreadout import (
     DiagonalState,
     IntegrationError,
     SimulationParams,
-    StepIncrements,
     euler_step,
     exact_step,
     generate_increments,
@@ -60,23 +59,25 @@ def test_params_validation():
 def test_increments_shape_and_decomposition():
     params = make_params(n=3, dt=1e-3)
     state = DiagonalState.maximally_mixed(3)
-    inc = generate_increments(state, params, np.random.default_rng(0))
-    assert inc.dW.shape == (3,)
-    assert inc.dR.shape == (3,)
+    dR = generate_increments(state, params, np.random.default_rng(0))
+    dW = np.random.default_rng(0).normal(0.0, math.sqrt(params.dt), size=3)
+    assert dR.shape == (3,)
     # dR = 2*sqrt(2*gamma)*<Z>*dt + dW; mixed state has <Z> = 0
-    assert np.allclose(inc.dR, inc.dW)
+    assert np.allclose(dR, dW)
     biased = DiagonalState(1, np.array([0.9, 0.1]))
-    inc2 = generate_increments(biased, make_params(dt=1e-3), np.random.default_rng(0))
+    dR2 = generate_increments(biased, make_params(dt=1e-3), np.random.default_rng(0))
+    dW2 = np.random.default_rng(0).normal(0.0, math.sqrt(1e-3), size=1)
     drift = 2.0 * math.sqrt(2.0) * 0.8 * 1e-3
-    assert np.allclose(inc2.dR - inc2.dW, drift)
+    assert np.allclose(dR2 - dW2, drift)
 
 
 def test_increment_statistics():
     params = make_params(n=2, dt=4e-3)
     state = DiagonalState.maximally_mixed(2)
     rng = np.random.default_rng(5)
+    # the mixed state has <Z> = 0, so each record increment is its dW
     draws = np.array(
-        [generate_increments(state, params, rng).dW for _ in range(20000)]
+        [generate_increments(state, params, rng) for _ in range(20000)]
     )
     assert abs(draws.mean()) < 4 * math.sqrt(params.dt / draws.size)
     assert draws.var() == pytest.approx(params.dt, rel=0.05)
@@ -87,7 +88,7 @@ def test_exact_step_matches_softmax_formula():
     probs = np.array([0.4, 0.3, 0.2, 0.1])
     state = DiagonalState(2, probs)
     dr = np.array([0.03, -0.02])
-    out = exact_step(state, StepIncrements(dW=dr, dR=dr), params)
+    out = exact_step(state, dr, params)
     c = 2.0 * math.sqrt(2.0 * 0.7)
     z = np.array([[1, 1, -1, -1], [1, -1, 1, -1]], dtype=float)
     weights = probs * np.exp(c * dr @ z)
@@ -99,9 +100,9 @@ def test_steppers_preserve_normalization_and_agree_at_small_dt():
     rng = np.random.default_rng(21)
     state_a = state_b = DiagonalState(3, np.full(8, 0.125))
     for _ in range(200):
-        inc = generate_increments(state_a, params, rng)
-        state_a = exact_step(state_a, inc, params)
-        state_b = euler_step(state_b, inc, params)
+        dR = generate_increments(state_a, params, rng)
+        state_a = exact_step(state_a, dR, params)
+        state_b = euler_step(state_b, dR, params)
         assert abs(state_a.probs.sum() - 1.0) <= 1e-12
         assert abs(state_b.probs.sum() - 1.0) <= 1e-12
     assert np.allclose(state_a.probs, state_b.probs, atol=1e-3)
@@ -124,19 +125,18 @@ def test_euler_flags_negative_populations():
     with pytest.warns(UserWarning):
         params = make_params(n=1, dt=0.5)
     state = DiagonalState(1, np.array([0.5, 0.5]))
-    inc = StepIncrements(dW=np.array([3.0]), dR=np.array([3.0]))
+    dR = np.array([3.0])
     with pytest.raises(IntegrationError):
-        euler_step(state, inc, params)
-    out = exact_step(state, inc, params)
+        euler_step(state, dR, params)
+    out = exact_step(state, dR, params)
     assert np.all(out.probs >= 0.0)
 
 
 def test_exact_step_rejects_nonfinite_record():
     params = make_params(n=1, dt=1e-3)
     state = DiagonalState.maximally_mixed(1)
-    inc = StepIncrements(dW=np.array([np.nan]), dR=np.array([np.nan]))
     with pytest.raises(IntegrationError):
-        exact_step(state, inc, params)
+        exact_step(state, np.array([np.nan]), params)
 
 
 @pytest.mark.parametrize("integrator", ["exact", "euler"])
@@ -166,7 +166,7 @@ def test_column_step_matches_single_steps(n, integrator):
     for a in range(lam.shape[1]):
         state = DiagonalState(n, lam[:, a])
         dR = c * (z_table(n) @ state.probs) * params.dt + dW[:, a]
-        ref = step(state, StepIncrements(dW=dW[:, a], dR=dR), params)
+        ref = step(state, dR, params)
         assert np.allclose(new[:, a], ref.probs, rtol=1e-12, atol=1e-12)
         assert amax[a] == np.argmax(new[:, a])
         assert delta[a] == pytest.approx(ref.infidelity(), rel=1e-12)
@@ -183,8 +183,8 @@ def test_step_mean_preserves_populations():
     total = np.zeros(4)
     draws = 40000
     for _ in range(draws):
-        inc = generate_increments(prior, params, rng)
-        total += exact_step(prior, inc, params).probs
+        dR = generate_increments(prior, params, rng)
+        total += exact_step(prior, dR, params).probs
     mean = total / draws
     # population scale ~0.1-0.4, fluctuation scale sqrt(8*gamma*dt/draws)
     assert np.allclose(mean, prior.probs, atol=4 * math.sqrt(8 * 2e-3 / draws))
@@ -208,6 +208,8 @@ def test_trajectory_validation():
         simulate_trajectory(params, no_control(), [1e-8], 0)
     with pytest.raises(ValueError):
         simulate_trajectory(params, no_control(), [1e-2], 0, record_every=0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        simulate_trajectory(params, no_control(), [1.5, 1e-2], 0)
     with pytest.raises(ValueError):
         simulate_trajectory(
             params,
@@ -246,7 +248,7 @@ def test_trajectory_is_deterministic():
     a = simulate_trajectory(params, random_permutation_policy(), [1e-2], 42)
     b = simulate_trajectory(params, random_permutation_policy(), [1e-2], 42)
     assert np.array_equal(a.infidelity, b.infidelity)
-    assert np.array_equal(a.records.R, b.records.R)
+    assert np.array_equal(a.records, b.records)
     assert a.final_index == b.final_index
     c = simulate_trajectory(params, random_permutation_policy(), [1e-2], 43)
     assert not np.array_equal(a.infidelity, c.infidelity)
@@ -257,9 +259,9 @@ def test_record_accumulator_integrates_dr():
     res = simulate_trajectory(
         params, no_control(), [], 5, run_full_time=True, record_every=1
     )
-    assert res.records.t == pytest.approx(0.1)
-    assert res.records.R.shape == (2,)
-    assert np.all(np.isfinite(res.records.R))
+    assert res.sample_times[-1] == pytest.approx(0.1)
+    assert res.records.shape == (2,)
+    assert np.all(np.isfinite(res.records))
 
 
 def test_run_full_time_ignores_stop():

@@ -281,5 +281,5 @@ def test_linear_trajectory_state_matches_exact_integrator():
         res = simulate_trajectory(
             params, no_control(), [], seed, run_full_time=True
         )
-        replay = linear_trajectory_state(res.records.R, 2)
+        replay = linear_trajectory_state(res.records, 2)
         assert np.allclose(replay.probs, res.final_state.probs, atol=1e-10)
