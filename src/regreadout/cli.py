@@ -321,6 +321,11 @@ def cmd_sweep(args) -> int:
     if not policy_names:
         raise ValueError("policies list is empty")
     policies = [_build_policy(name, args.cycle_file, None) for name in policy_names]
+    for d in {p.cycle[0].dimension for p in policies if p.cycle}:
+        for n in n_values:
+            if 2**n != d:
+                raise ValueError(f"the fixed_cycle permutations have dimension {d}, "
+                                 f"which does not fit n={n} (2**{n} = {2**n})")
     epsilons = _parse_epsilons(args.epsilons)
     params_template = SimulationParams(
         n=n_values[0],

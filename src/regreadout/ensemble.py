@@ -3,10 +3,12 @@
 run_ensemble integrates many trajectories at once, vectorized across a
 compressed active set, one trajectory per column of a (2^n, trajectories)
 array: every trajectory owns the same per-index noise stream as the
-single-trajectory integrator (blocks of steps are pre-drawn from it),
-each step goes through sde.update_columns and sde.infidelity_columns,
-frozen trajectories stop contributing at the step they reach
-stop_epsilon, and frozen columns are dropped at block boundaries.
+single-trajectory integrator (blocks of steps are pre-drawn from it into
+a step-major (steps, n, trajectories) block), each step goes through
+sde.update_columns and sde.infidelity_columns, frozen trajectories stop
+contributing at the step they reach stop_epsilon, and frozen columns are
+dropped at block boundaries.  The uncontrolled exact run from a uniform
+start steps n per-qubit log-odds instead, O(n) per trajectory-step.
 Random-permutation controls for a batch come from one dedicated ensemble
 stream, so paired runs that share a master seed also share their
 measurement noise exactly.
@@ -27,15 +29,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .policies import POLICY_KINDS, ControlPolicy, h_order_targets, no_control
-from .registers import DiagonalState
+from .registers import DiagonalState, z_table
 from .sde import (
     LOG_FLOOR,
     IntegrationError,
     SimulationParams,
     epsilon_targets,
     infidelity_columns,
+    infidelity_log_odds,
     trajectory_noise_rng,
     update_columns,
+    update_log_odds,
 )
 from .theory import (
     SpeedupBounds,
@@ -46,6 +50,8 @@ from .theory import (
 
 # Steps pre-drawn per trajectory between active-set compressions.
 NOISE_BLOCK_STEPS = 128
+# Trajectories whose noise blocks are drawn before one transposed copy.
+NOISE_CHUNK = 64
 # Samples per vectorized chunk of mc_permuted_step_rate.
 MC_CHUNK_ROWS = 200_000
 # Spawn key of the batch control stream: outside the per-trajectory
@@ -133,7 +139,13 @@ def run_ensemble(
     Trajectory i consumes the noise stream of trajectory_noise_rng(
     master_seed, i), so ensembles with equal seeds are paired noise-wise
     across policies, and the whole result is a deterministic function of
-    the arguments.
+    the arguments.  Chunks of NOISE_CHUNK trajectories draw their (steps,
+    n) noise blocks, transposed into one (steps, n, active) block.
+
+    When policy.kind is "none", params.integrator is "exact" and the
+    initial populations are uniform, the posterior is a product of n
+    one-qubit posteriors and the state is their (n, active) log-odds
+    (sde.update_log_odds); otherwise the (2^n, active) populations.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
@@ -150,6 +162,8 @@ def run_ensemble(
     initial = state0.probs
 
     kind = policy.kind
+    uniform = bool(np.all(initial == initial[0]))
+    factored = kind == "none" and params.integrator == "exact" and uniform
     targets = None
     cycle_inverse = None
     cycle_images = None
@@ -202,16 +216,27 @@ def run_ensemble(
     active_at[0] = 0 if frozen_at_start else count
     mean_ln[0] = ln0
 
-    lam = np.tile(initial[:, None], (1, count))
+    lam = np.zeros((n, count)) if factored else np.tile(initial[:, None], (1, count))
     idx = np.arange(count)
     A = 0 if frozen_at_start else count
     alive = np.ones(A, dtype=bool)
     gens = [trajectory_noise_rng(master_seed, i) for i in range(count)] if A else []
 
     def record_finals(w):
-        """Store the final state and retrodicted index of columns w."""
+        """Store the final index, state and retrodicted index of columns w."""
+        cols = lam[:, w]
+        if factored:
+            # qubit r's bit is L[r] < 0, first qubit most significant; a
+            # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
+            final_idx[idx[w]] = (1 << np.arange(n - 1, -1, -1)) @ (cols < 0.0)
+            if finals is not None:
+                expo = z_table(n).T @ cols
+                cols = np.exp(expo - expo.max(axis=0))
+                cols /= cols.sum(axis=0)
+        else:
+            final_idx[idx[w]] = np.argmax(cols, axis=0)
         if finals is not None:
-            finals[idx[w]] = lam[:, w].T
+            finals[idx[w]] = cols.T
         if cum is not None:
             retro[idx[w]] = np.argmax(cum[:, w] == final_idx[idx[w]], axis=0)
 
@@ -219,9 +244,13 @@ def run_ensemble(
     g_next = 1
     while A > 0 and step < total_steps:
         k_steps = min(NOISE_BLOCK_STEPS, total_steps - step)
-        noise = np.empty((A, k_steps, n))
-        for j in range(A):
-            gens[j].standard_normal(out=noise[j])
+        noise = np.empty((k_steps, n, A))
+        chunk = np.empty((min(NOISE_CHUNK, A), k_steps, n))
+        for j0 in range(0, A, NOISE_CHUNK):
+            m = min(NOISE_CHUNK, A - j0)
+            for j in range(m):
+                gens[j0 + j].standard_normal(out=chunk[j])
+            noise[:, :, j0 : j0 + m] = chunk[:m].transpose(1, 2, 0)
         noise *= sqrt_dt
 
         for k in range(k_steps):
@@ -247,17 +276,20 @@ def run_ensemble(
                 if cum is not None:
                     cum = cycle_images[j][cum]
 
-            try:
-                lam = update_columns(
-                    lam, noise[:, k, :].T, params.gamma, dt, params.integrator
-                )
-            except IntegrationError as exc:
-                raise IntegrationError(
-                    f"step {step + 1}, trajectory {idx[exc.column]}: {exc}"
-                ) from None
+            if factored:
+                update_log_odds(lam, noise[k], params.gamma, dt)
+            else:
+                try:
+                    lam = update_columns(
+                        lam, noise[k], params.gamma, dt, params.integrator
+                    )
+                except IntegrationError as exc:
+                    raise IntegrationError(
+                        f"step {step + 1}, trajectory {idx[exc.column]}: {exc}"
+                    ) from None
             step += 1
 
-            amax, delta = infidelity_columns(lam)
+            delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)[1]
             ln_new = np.log(np.maximum(delta, LOG_FLOOR))
             if not np.all(np.isfinite(ln_new)):
                 raise IntegrationError(f"non-finite infidelity at step {step}")
@@ -285,7 +317,6 @@ def run_ensemble(
 
             live = np.where(alive)[0]
             cur_ln[idx[live]] = ln_new[live]
-            final_idx[idx[live]] = amax[live]
             if not run_full_time:
                 newly = alive & (ln_new <= stop_ln)
                 if newly.any():
@@ -299,6 +330,7 @@ def run_ensemble(
                 active_at[g_next] = int(alive.sum())
                 g_next += 1
 
+        del noise  # freed before the next block is allocated: one resident
         if not alive.all():
             keep = alive
             lam = lam[:, keep]

@@ -42,6 +42,8 @@ Delta for many trajectories at once, held one per column of a
 (2^n, trajectories) array.  The ensemble runner and the Monte Carlo rate
 estimator both step through them; exact_step, euler_step and
 simulate_trajectory keep their own arithmetic as the reference.
+update_log_odds and infidelity_log_odds do the exact step on product
+states, held as (n, trajectories) per-qubit log-odds: O(n), not O(2^n).
 """
 
 from __future__ import annotations
@@ -236,6 +238,26 @@ def infidelity_columns(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail = lam.copy()
     tail[amax, np.arange(lam.shape[1])] = 0.0
     return amax, tail.sum(axis=0)
+
+
+def update_log_odds(L: np.ndarray, dW: np.ndarray, gamma: float, dt: float) -> None:
+    """The exact step of update_columns, in place, for a product state:
+    column j of the (n, trajectories) array L holds L[r] = c*R[r]
+    (c = record_strength(gamma)), half the log-odds of qubit r's z = +1,
+    so <Z^r> = tanh(L[r]), dR = c*dt*tanh(L) + dW and L += c*dR."""
+    c = record_strength(gamma)
+    L += c * (c * dt * np.tanh(L) + dW)
+
+
+def infidelity_log_odds(L: np.ndarray) -> np.ndarray:
+    """The infidelity of each product state held as a log-odds column,
+    Delta = 1 - prod_r 1/(1 + u_r) with u_r = exp(-2|L[r]|), summed
+    without cancellation: q <- q + u_r*(1 + q), Delta = q/(1 + q)."""
+    u = np.exp(-2.0 * np.abs(L))
+    q = u[0].copy()
+    for r in range(1, L.shape[0]):
+        q += u[r] * (1.0 + q)
+    return q / (1.0 + q)
 
 
 @dataclass(frozen=True)

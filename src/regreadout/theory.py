@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .registers import DiagonalState, z_table
 from .sde import record_strength
@@ -42,6 +43,33 @@ def nofb_log_infidelity(t, n: int, gamma: float = 1.0):
     if n < 1:
         raise ValueError("n must be at least 1")
     return -NOFB_RATE * gamma * np.asarray(t, dtype=float) + math.log(n)
+
+
+def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:
+    """Exact E[ln Delta(t)] with no control from the maximally mixed
+    state, n <= 3: Delta = 1 - prod_r sigma(|X_r|), sigma the logistic
+    function, X_r iid N(16*gamma*t, 32*gamma*t).  Tensor Gauss-Legendre
+    quadrature, 128 nodes per qubit, over the folded normal density of
+    |X_r| on [max(0, mean - 8 sd), mean + 8 sd], where the integrand is
+    smooth (Gauss-Hermite in X_r meets the kink of |X_r| at 0)."""
+    if not 1 <= n <= 3:
+        raise ValueError("the quadrature supports 1 <= n <= 3")
+    if t <= 0.0:
+        return math.log(1.0 - 0.5**n)
+    mu = NOFB_RATE * gamma * t
+    sd = math.sqrt(2.0 * mu)
+    lo, hi = max(0.0, mu - 8.0 * sd), mu + 8.0 * sd
+    x, w = legendre.leggauss(128)
+    y = lo + 0.5 * (hi - lo) * (x + 1.0)
+    folded = np.exp(-0.5 * ((y - mu) / sd) ** 2) + np.exp(-0.5 * ((y + mu) / sd) ** 2)
+    w *= 0.5 * (hi - lo) * folded / (sd * math.sqrt(2.0 * math.pi))
+    log_sigma = -np.log1p(np.exp(-y))
+    total, weight = log_sigma, w
+    for _ in range(n - 1):
+        total = np.add.outer(total, log_sigma)
+        weight = np.multiply.outer(weight, w)
+    # ln(1 - exp(total)) without cancellation
+    return float(np.sum(weight * np.log(-np.expm1(total))))
 
 
 def mean_time_nofb(epsilon: float, gamma: float = 1.0) -> float:

@@ -227,6 +227,24 @@ def test_sweep_single_size(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_sweep_checks_the_cycle_against_every_size(tmp_path, monkeypatch, capsys):
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("2 0 1 3\n")
+    argv = ["sweep", "--policies", "fixed_cycle", "--cycle-file", cycle,
+            "--count", 50, "--out", tmp_path / "s"]
+    assert run_main(argv + ["--n-values", "2"]) == 0
+    calls = []
+
+    def sweep(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "speedup_scaling_sweep", sweep)
+    assert run_main(argv + ["--n-values", "2,3"]) == 1
+    assert calls == []
+    assert "dimension 4, which does not fit n=3" in capsys.readouterr().err
+
+
 def test_sweep_rejects_large_n(capsys):
     assert run_main(["sweep", "--n-values", "2,7", "--count", 10]) == 1
     assert "unsafe-large-n" in capsys.readouterr().err

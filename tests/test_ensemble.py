@@ -1,14 +1,16 @@
 """Batched ensembles, fits, speed-up estimates, and their statistics."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from regreadout import (
     DiagonalState,
+    EnsembleStats,
     IntegrationError,
+    Permutation,
     SimulationParams,
     SweepPoint,
     SpeedupEstimate,
@@ -22,6 +24,7 @@ from regreadout import (
     leading_rotation,
     mc_permuted_step_rate,
     no_control,
+    nofb_mean_log_infidelity,
     permutation_averaged_rate,
     random_permutation_policy,
     regression_mean_time,
@@ -89,7 +92,8 @@ BATCH_POLICIES = {
         for integrator, suffix in (("exact", ""), ("euler", "-euler"))
         for name, policy in BATCH_POLICIES.items()
     ]
-    + [pytest.param(h_ordering_policy(), "exact", 5, id="h_ordering-n5")],
+    + [pytest.param(h_ordering_policy(), "exact", 5, id="h_ordering-n5")]
+    + [pytest.param(no_control(), "exact", n, id=f"none-n{n}") for n in (3, 5)],
 )
 def test_batch_matches_single_trajectories(policy, integrator, n):
     """The vectorized runner reproduces the reference single-trajectory
@@ -121,6 +125,56 @@ def test_batch_matches_single_trajectories(policy, integrator, n):
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+# Fields that carry per-trajectory values or the spread of ln(Delta).  The
+# record's drift feeds back on the state (a perturbation of qubit r's
+# log-odds grows like exp(8 gamma * int sech^2)), so each path's own
+# rounding reaches 1e-12 to 5e-10 relative per trajectory; against a
+# long-double integration of the same noise both paths are off by as much.
+PER_TRAJECTORY_FIELDS = ("stderr_ln_delta", "final_states", "first_passage_times")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_no_control_matches_identity_cycle(n):
+    """The factorised no-control runner (per-qubit log-odds) agrees with
+    the (2^n, trajectories) column path, reached through a cycle of
+    identity permutations; also for an ensemble shorter than one step,
+    whose log-odds all tie at 0."""
+    identity = fixed_cycle_policy([Permutation.identity(2**n)])
+    collect = dict(
+        collect_final_states=True,
+        collect_retrodiction=True,
+        collect_first_passage=True,
+    )
+    for params in (SimulationParams(n=n), SimulationParams(n=n, max_time=1e-4)):
+        grid = default_epsilon_grid()
+        a = run_ensemble(params, no_control(), grid, 300, 5, **collect)
+        b = run_ensemble(params, identity, grid, 300, 5, **collect)
+        for field in fields(EnsembleStats):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "policy_kind":
+                continue
+            if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+                rtol = 1e-9 if field.name in PER_TRAJECTORY_FIELDS else 1e-12
+                # NaN patterns must match too
+                np.testing.assert_allclose(x, y, rtol=rtol, atol=0, err_msg=field.name)
+            else:
+                assert np.array_equal(x, y), field.name
+
+
+def test_mean_ln_delta_matches_the_exact_nofb_curve():
+    """The no-control mean log-infidelity lies within 4 standard errors of
+    the exact finite-time curve at every grid point after t = 0."""
+    for n in (1, 2, 3):
+        params = SimulationParams(n=n, max_time=1.0)
+        stats = run_ensemble(
+            params, no_control(), [], 4000, 7, record_every=160, run_full_time=True
+        )
+        exact = [nofb_mean_log_infidelity(t, n) for t in stats.sample_times]
+        assert stats.mean_ln_delta[0] == pytest.approx(exact[0], rel=1e-15)
+        z = (stats.mean_ln_delta[1:] - exact[1:]) / stats.stderr_ln_delta[1:]
+        assert np.max(np.abs(z)) < 4.0, n
 
 
 def test_batched_euler_error_names_step_and_trajectory():

@@ -24,6 +24,7 @@ from regreadout import (
     log_infidelity_rate,
     mean_time_nofb,
     nofb_log_infidelity,
+    nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
     random_permutation_speedup_bounds,
@@ -283,3 +284,28 @@ def test_linear_trajectory_state_matches_exact_integrator():
         )
         replay = linear_trajectory_state(res.records, 2)
         assert np.allclose(replay.probs, res.final_state.probs, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("t", [0.02, 0.3, 2.0])
+def test_nofb_mean_log_infidelity_matches_a_dense_integral(n, t):
+    """Against a 2001-point rectangle rule over each X_r ~ N(m, 2m),
+    m = 16*gamma*t, of ln(1 - prod_r sigma(|X_r|))."""
+    gamma = 1.5
+    m = 16.0 * gamma * t
+    sd = math.sqrt(2.0 * m)
+    x = np.linspace(m - 12.0 * sd, m + 12.0 * sd, 2001)
+    p = np.exp(-0.5 * ((x - m) / sd) ** 2) * (x[1] - x[0]) / math.sqrt(4 * math.pi * m)
+    log_sigma = -np.log1p(np.exp(-np.abs(x)))
+    total = log_sigma if n == 1 else np.add.outer(log_sigma, log_sigma)
+    weight = p if n == 1 else np.outer(p, p)
+    expected = float(np.sum(weight * np.log(-np.expm1(total))))
+    assert nofb_mean_log_infidelity(t, n, gamma) == pytest.approx(expected, rel=1e-5)
+
+
+def test_nofb_mean_log_infidelity_limits():
+    assert nofb_mean_log_infidelity(0.0, 3) == pytest.approx(math.log(7 / 8))
+    # one qubit, late: E ln(1 - sigma(|X|)) -> -E|X| = -16 gamma t
+    assert nofb_mean_log_infidelity(4.0, 1, 0.5) == pytest.approx(-32.0, rel=1e-4)
+    with pytest.raises(ValueError):
+        nofb_mean_log_infidelity(1.0, 4)
