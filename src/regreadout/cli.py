@@ -49,7 +49,7 @@ from .policies import (
     fixed_cycle_policy,
     read_cycle_file,
 )
-from .sde import INTEGRATORS, IntegrationError, SimulationParams
+from .sde import IntegrationError, SimulationParams
 from .theory import NOFB_RATE, permutation_sum_identities
 
 DEFAULT_MASTER_SEED = 31415926
@@ -203,7 +203,6 @@ def cmd_run(args) -> int:
         gamma=args.gamma,
         dt=args.dt,
         max_time=args.max_time,
-        integrator=args.integrator,
         stop_epsilon=RUN_STOP_EPSILON,
     )
     epsilons = _parse_epsilons(args.epsilons)
@@ -332,7 +331,6 @@ def cmd_sweep(args) -> int:
         gamma=args.gamma,
         dt=args.dt,
         max_time=args.max_time,
-        integrator=args.integrator,
         stop_epsilon=float(np.min(epsilons)),
     )
 
@@ -382,7 +380,6 @@ def cmd_sweep(args) -> int:
         "gamma": args.gamma,
         "dt": params_template.dt,
         "max_time": args.max_time,
-        "integrator": args.integrator,
         "cycle_file": args.cycle_file,
         "epsilons": [float(e) for e in epsilons],
         "count": args.count,
@@ -458,11 +455,10 @@ def cmd_verify_identities(args) -> int:
 
 
 def _add_ensemble_flags(parser, max_time: float, out: str) -> None:
-    """The nine flags run and sweep share."""
+    """The eight flags run and sweep share."""
     parser.add_argument("--gamma", type=float, default=1.0, help="measurement rate")
     parser.add_argument("--dt", type=float, default=None, help="integration step")
     parser.add_argument("--max-time", type=float, default=max_time)
-    parser.add_argument("--integrator", choices=INTEGRATORS, default="exact")
     parser.add_argument("--cycle-file", default=None)
     parser.add_argument(
         "--epsilons", default=None,

@@ -2,22 +2,23 @@
 
 run_ensemble integrates many trajectories at once, vectorized across a
 compressed active set, one trajectory per column of a (2^n, trajectories)
-array: every trajectory owns the same per-index noise stream as the
-single-trajectory integrator (blocks of steps are pre-drawn from it into
+array: every trajectory owns the same per-index noise stream as
+sde.simulate_trajectory (blocks of steps are pre-drawn from it into
 a step-major (steps, n, trajectories) block), each step goes through
 sde.update_columns and sde.infidelity_columns, frozen trajectories stop
 contributing at the step they reach stop_epsilon, and frozen columns are
-dropped at block boundaries.  The uncontrolled exact run from a uniform
-start steps n per-qubit log-odds instead, O(n) per trajectory-step.
+dropped at block boundaries.  The uncontrolled run from a uniform start
+steps n per-qubit log-odds instead, O(n) per trajectory-step.
 Random-permutation controls for a batch come from one dedicated ensemble
 stream, so paired runs that share a master seed also share their
 measurement noise exactly.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
-fractions, fixed-target and asymptotic speed-ups, scaling sweeps over
-register sizes, a sampled single-step collapse rate under random
-permutations, and the small regressions used by the above.
+fractions, the asymptotic speed-up (the ratio of the slopes of mean
+first-passage time against ln(1/epsilon)), scaling sweeps over register
+sizes, a sampled single-step collapse rate under random permutations,
+and the small regressions used by the above.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ BATCH_CONTROL_KEY = (0xFFFFFFFF, 2)
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
 
-SPEEDUP_METHODS = ("fixed_epsilon", "asymptotic_regression")
-
 
 def default_epsilon_grid() -> np.ndarray:
     """Standard first-passage target grid: 13 points per decade from
@@ -104,21 +103,6 @@ class EnsembleStats:
             np.any(self.censored_fraction > 0.10)
         )
 
-    def epsilon_index(self, epsilon: float) -> int:
-        hits = np.where(np.isclose(self.epsilons, epsilon, rtol=1e-9, atol=0.0))[0]
-        if hits.size == 0:
-            raise ValueError(f"epsilon {epsilon!r} is not in this ensemble's grid")
-        return int(hits[0])
-
-    def mean_time(self, epsilon: float) -> tuple[float, float, float]:
-        """(mean, stderr, censored fraction) of the first-passage time."""
-        j = self.epsilon_index(epsilon)
-        return (
-            float(self.mean_first_passage[j]),
-            float(self.stderr_first_passage[j]),
-            float(self.censored_fraction[j]),
-        )
-
 
 def run_ensemble(
     params: SimulationParams,
@@ -142,10 +126,10 @@ def run_ensemble(
     the arguments.  Chunks of NOISE_CHUNK trajectories draw their (steps,
     n) noise blocks, transposed into one (steps, n, active) block.
 
-    When policy.kind is "none", params.integrator is "exact" and the
-    initial populations are uniform, the posterior is a product of n
-    one-qubit posteriors and the state is their (n, active) log-odds
-    (sde.update_log_odds); otherwise the (2^n, active) populations.
+    When policy.kind is "none" and the initial populations are uniform,
+    the posterior is a product of n one-qubit posteriors and the state is
+    their (n, active) log-odds (sde.update_log_odds); otherwise the
+    (2^n, active) populations.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
@@ -163,7 +147,7 @@ def run_ensemble(
 
     kind = policy.kind
     uniform = bool(np.all(initial == initial[0]))
-    factored = kind == "none" and params.integrator == "exact" and uniform
+    factored = kind == "none" and uniform
     targets = None
     cycle_inverse = None
     cycle_images = None
@@ -279,14 +263,7 @@ def run_ensemble(
             if factored:
                 update_log_odds(lam, noise[k], params.gamma, dt)
             else:
-                try:
-                    lam = update_columns(
-                        lam, noise[k], params.gamma, dt, params.integrator
-                    )
-                except IntegrationError as exc:
-                    raise IntegrationError(
-                        f"step {step + 1}, trajectory {idx[exc.column]}: {exc}"
-                    ) from None
+                lam = update_columns(lam, noise[k], params.gamma, dt)
             step += 1
 
             delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)[1]
@@ -504,35 +481,10 @@ class SpeedupEstimate:
 
     value: float
     stderr: float
-    method: str
-    epsilon_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in SPEEDUP_METHODS:
-            raise ValueError(f"method must be one of {SPEEDUP_METHODS}")
         if not self.value > 0.0:
             raise ValueError("speed-up must be positive")
-
-
-def speedup_fixed_epsilon(
-    stats_nc: EnsembleStats, stats_ctrl: EnsembleStats, epsilon: float
-) -> SpeedupEstimate:
-    """Ratio of mean first-passage times at one target infidelity."""
-    t_nc, e_nc, c_nc = stats_nc.mean_time(epsilon)
-    t_ct, e_ct, c_ct = stats_ctrl.mean_time(epsilon)
-    if c_nc > CENSOR_LIMIT or c_ct > CENSOR_LIMIT:
-        raise ValueError(
-            f"censoring above {CENSOR_LIMIT:g} at epsilon {epsilon:g}; "
-            "increase max_time"
-        )
-    value = t_nc / t_ct
-    stderr = value * math.hypot(e_nc / t_nc, e_ct / t_ct)
-    return SpeedupEstimate(
-        value=value,
-        stderr=stderr,
-        method="fixed_epsilon",
-        epsilon_range=(epsilon, epsilon),
-    )
 
 
 def asymptotic_speedup(
@@ -551,12 +503,7 @@ def asymptotic_speedup(
     s_ct, v_ct = _slope_variance(stats_ctrl, eps_lo, eps_hi)
     value = s_nc / s_ct
     stderr = abs(value) * math.sqrt(v_nc / s_nc**2 + v_ct / s_ct**2)
-    return SpeedupEstimate(
-        value=value,
-        stderr=stderr,
-        method="asymptotic_regression",
-        epsilon_range=(eps_lo, eps_hi),
-    )
+    return SpeedupEstimate(value=value, stderr=stderr)
 
 
 def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
@@ -686,8 +633,8 @@ def mc_permuted_step_rate(
     sqrt_dt = math.sqrt(dt)
     rng = np.random.default_rng(master_seed)
 
-    acc = 0.0
-    accsq = 0.0
+    acc = 0.0  # sum of the ln(Delta) changes
+    m2 = 0.0  # sum of their squared deviations from the mean
     done = 0
     while done < samples:
         m = min(MC_CHUNK_ROWS, samples - done)
@@ -695,14 +642,20 @@ def mc_permuted_step_rate(
         lamp = np.empty((d, m))
         lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
         dW = rng.standard_normal((m, n)) * sqrt_dt
-        _, delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt, "exact"))
+        _, delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt))
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
-        acc += float(dl.sum())
-        accsq += float(dl @ dl)
+        # two-pass within the chunk, merged across chunks (Chan et al.)
+        chunk_sum = float(dl.sum())
+        dev = dl - chunk_sum / m
+        m2 += float(dev @ dev)
+        if done:
+            shift = chunk_sum / m - acc / done
+            m2 += shift * shift * done * m / (done + m)
+        acc += chunk_sum
         done += m
 
     mean_dl = acc / samples
-    var_dl = max(accsq - samples * mean_dl**2, 0.0) / (samples - 1)
+    var_dl = m2 / (samples - 1)
     return RateEstimate(
         value=mean_dl / dt,
         stderr=math.sqrt(var_dl / samples) / dt,

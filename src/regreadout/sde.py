@@ -7,28 +7,24 @@ Each qubit r produces a measurement record increment
 
 with independent Wiener increments dW[r] ~ Normal(0, dt) and <Z^r> the
 unshifted (+1/-1) expectation in the current state.  Because the state
-stays diagonal, the conditional update only reweights populations.  Two
-interchangeable integrators consume the same record stream:
+stays diagonal, the conditional update only reweights populations.  The
+simulator integrates it with the multiplicative update (exact_step)
 
-``euler``
-    The explicit first-order update
+    lam_i *= exp(2*sqrt(2*gamma) * sum_r z_i^r * dR[r]),
 
-        lam_i += 2*sqrt(2*gamma) * sum_r dW[r] * (z_i^r - <Z^r>) * lam_i,
+then normalization.  Composed over steps this equals the closed-form
+conditional state given the accumulated record, so it is unconditionally
+positive and remains valid for arbitrarily collapsed states.
 
-    with dW recovered from the record as dR - 2*sqrt(2*gamma)*<Z^r>*dt,
-    followed by clamping to [0, 1] and renormalization.  A negative
-    excursion beyond -1e-6 before clamping aborts the step: the time step
-    is too large for the requested strength.
+euler_step is the explicit first-order update
 
-``exact``
-    The multiplicative update
+    lam_i += 2*sqrt(2*gamma) * sum_r dW[r] * (z_i^r - <Z^r>) * lam_i,
 
-        lam_i *= exp(2*sqrt(2*gamma) * sum_r z_i^r * dR[r]),
-
-    then normalization.  Composed over steps this equals the closed-form
-    conditional state given the accumulated record, so it is
-    unconditionally positive and remains valid for arbitrarily collapsed
-    states.
+with dW recovered from the record as dR - 2*sqrt(2*gamma)*<Z^r>*dt,
+followed by clamping to [0, 1] and renormalization; a negative excursion
+beyond -1e-6 before clamping aborts the step.  It is a one-step
+reference only: the acceptance checks compare it with exact_step on a
+shared record stream, and no runner steps with it.
 
 A trajectory starts from the maximally mixed state unless told otherwise,
 applies its control permutation at the start of every step (before the
@@ -40,10 +36,10 @@ bracketing steps.
 update_columns and infidelity_columns are the same step and the same
 Delta for many trajectories at once, held one per column of a
 (2^n, trajectories) array.  The ensemble runner and the Monte Carlo rate
-estimator both step through them; exact_step, euler_step and
-simulate_trajectory keep their own arithmetic as the reference.
-update_log_odds and infidelity_log_odds do the exact step on product
-states, held as (n, trajectories) per-qubit log-odds: O(n), not O(2^n).
+estimator both step through them; exact_step and simulate_trajectory
+keep their own arithmetic as the reference.  update_log_odds and
+infidelity_log_odds do the step on product states, held as
+(n, trajectories) per-qubit log-odds: O(n), not O(2^n).
 """
 
 from __future__ import annotations
@@ -72,14 +68,10 @@ NEGATIVITY_TOL = 1e-6
 # collapses beyond floating-point resolution.
 LOG_FLOOR = 5e-324
 
-INTEGRATORS = ("exact", "euler")
-
 
 class IntegrationError(RuntimeError):
     """Raised when a step produces an invalid state (dt too large, or a
-    non-finite value appeared in the update); update_columns sets
-    `column` to the column that did."""
-    column: int | None = None
+    non-finite value appeared in the update)."""
 
 
 def record_strength(gamma: float) -> float:
@@ -95,7 +87,6 @@ class SimulationParams:
     gamma: float = 1.0
     dt: float | None = None
     max_time: float = 3.0
-    integrator: str = "exact"
     stop_epsilon: float = DEFAULT_STOP_EPSILON
 
     def __post_init__(self) -> None:
@@ -115,8 +106,6 @@ class SimulationParams:
             )
         if not (self.max_time > 0.0 and math.isfinite(self.max_time)):
             raise ValueError("max_time must be positive and finite")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if not 0.0 < self.stop_epsilon < 1.0:
             raise ValueError("stop_epsilon must lie in (0, 1)")
 
@@ -155,8 +144,8 @@ def generate_increments(
 def euler_step(
     state: DiagonalState, dR: np.ndarray, params: SimulationParams
 ) -> DiagonalState:
-    """First-order update; recovers dW from the record so that both
-    integrators consume identical dR streams."""
+    """First-order update, the reference for exact_step; recovers dW from
+    the record so that both steppers consume identical dR streams."""
     z = z_table(state.n)
     probs = state.probs
     expect = z @ probs
@@ -194,39 +183,20 @@ def exact_step(
     return DiagonalState(state.n, new / total)
 
 
-_STEPPERS = {"euler": euler_step, "exact": exact_step}
-
-
 def update_columns(
-    lam: np.ndarray, dW: np.ndarray, gamma: float, dt: float, integrator: str
+    lam: np.ndarray, dW: np.ndarray, gamma: float, dt: float
 ) -> np.ndarray:
-    """One measurement step of every column of a (2^n, trajectories)
-    population array, driven by the columns' (n, trajectories) Wiener
-    increments.  Returns the normalized posterior columns as a new array."""
+    """exact_step for every column of a (2^n, trajectories) population
+    array, driven by the columns' (n, trajectories) Wiener increments.
+    Returns the normalized posterior columns as a new array."""
     z = z_table(dW.shape[0])
     c = record_strength(gamma)
-    cdt = c * dt
-    expect = z @ lam
-    dR = cdt * expect + dW
-    if integrator == "exact":
-        new = z.T @ dR
-        new *= c
-        new -= new.max(axis=0)  # the largest weight becomes 1; no overflow
-        np.exp(new, out=new)
-        new *= lam
-    else:
-        dw = dR - cdt * expect
-        coeff = z.T @ dw - np.sum(dw * expect, axis=0)
-        new = lam * (1.0 + c * coeff)
-        low = float(new.min())
-        if low < -NEGATIVITY_TOL:
-            err = IntegrationError(
-                f"population went to {low:.3e} before clamping; "
-                "reduce dt (or gamma*dt)"
-            )
-            err.column = int(np.argmin(new.min(axis=0)))
-            raise err
-        np.clip(new, 0.0, 1.0, out=new)
+    dR = c * dt * (z @ lam) + dW
+    new = z.T @ dR
+    new *= c
+    new -= new.max(axis=0)  # the largest weight becomes 1; no overflow
+    np.exp(new, out=new)
+    new *= lam
     new /= new.sum(axis=0)
     return new
 
@@ -241,7 +211,7 @@ def infidelity_columns(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def update_log_odds(L: np.ndarray, dW: np.ndarray, gamma: float, dt: float) -> None:
-    """The exact step of update_columns, in place, for a product state:
+    """The step of update_columns, in place, for a product state:
     column j of the (n, trajectories) array L holds L[r] = c*R[r]
     (c = record_strength(gamma)), half the log-odds of qubit r's z = +1,
     so <Z^r> = tanh(L[r]), dR = c*dt*tanh(L) + dW and L += c*dR."""
@@ -336,7 +306,6 @@ def simulate_trajectory(
 
     d = state.probs.size
     cumulative = Permutation.identity(d)
-    step_fn = _STEPPERS[params.integrator]
     total_steps = params.total_steps
     dt = params.dt
 
@@ -362,7 +331,7 @@ def simulate_trajectory(
             state = apply_permutation(state, perm)
             cumulative = compose(perm, cumulative)
         dR = generate_increments(state, params, noise_rng)
-        state = step_fn(state, dR, params)
+        state = exact_step(state, dR, params)
         records += dR
         step += 1
 

@@ -1,12 +1,13 @@
 """Closed-form predictions and exact permutation-group results.
 
-Covers the asymptotic no-control collapse laws, the instantaneous
-log-infidelity decay rate of an arbitrary diagonal state, the analytic
-bounds on that rate and on the protocol speed-ups, the exact average of
-the rate over the full permutation group (brute-force enumeration for
-small registers), the integer sum identities that the bounds rest on,
-and the closed-form conditional state reached from a given accumulated
-record.
+Covers the no-control collapse laws (the asymptotic rate and mean
+passage time, and the exact finite-time mean log-infidelity), the
+instantaneous log-infidelity decay rate of an arbitrary diagonal state,
+the analytic bounds on that rate and on the protocol speed-ups, the
+exact average of the rate over the full permutation group (brute-force
+enumeration for small registers), the integer sum identities that the
+bounds rest on, and the closed-form conditional state reached from a
+given accumulated record.
 
 Rates are d<ln Delta>/dt values and are negative for valid states.  The
 two extremal tail shapes appear throughout: the two-level state puts the
@@ -33,16 +34,6 @@ from .sde import record_strength
 ENUMERATION_MAX_QUBITS = 3
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
 NOFB_RATE = 16.0
-
-
-def nofb_log_infidelity(t, n: int, gamma: float = 1.0):
-    """Asymptotic mean log-infidelity -16*gamma*t + ln(n) with no control.
-
-    Accepts scalar or array t.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return -NOFB_RATE * gamma * np.asarray(t, dtype=float) + math.log(n)
 
 
 def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:

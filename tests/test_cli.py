@@ -119,10 +119,15 @@ def test_invalid_parameters_exit_1(capsys):
     assert run_main(["run", "--n", 1, "--count", 5, "--epsilons", "1e-3,1e-2"]) == 1
 
 
-def test_argparse_errors_map_to_1():
+def test_argparse_errors_map_to_1(tmp_path, capsys):
     assert run_main(["run", "--integrator", "heun"]) == 1
+    assert run_main(["run", "--integrator", "euler"]) == 1
     assert run_main(["frobnicate"]) == 1
     assert run_main([]) == 1
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("integrator = exact\n")
+    assert run_main(["run", "--config", cfg]) == 1
+    assert f"{cfg}:1: unknown key 'integrator'" in capsys.readouterr().err
 
 
 def test_help_exits_0():
@@ -134,11 +139,12 @@ def test_integration_failure_exits_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = run_main(
-            ["run", "--n", 1, "--integrator", "euler", "--dt", 0.2,
-             "--count", 5, "--max-time", 1.0, "--out", tmp_path / "x"]
+            ["run", "--n", 2, "--policy", "h_ordering", "--gamma", 1e300,
+             "--dt", 1e10, "--max-time", 1e11, "--count", 5,
+             "--out", tmp_path / "x"]
         )
     assert code == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error: non-finite infidelity at step 2" in capsys.readouterr().err
 
 
 def test_run_check_detects_censoring(tmp_path, capsys):
@@ -265,14 +271,14 @@ def test_module_entrypoint_runs():
 CONFIG_VALUES = {
     "run": {
         "n": "2", "gamma": "0.5", "dt": "1e-3", "max_time": "2.5",
-        "integrator": "euler", "policy": "h_ordering", "cycle_file": "c.txt",
+        "policy": "h_ordering", "cycle_file": "c.txt",
         "epsilons": "1e-1,1e-2", "count": "40", "seed": "9", "out": "some dir",
     },
     "sweep": {
         "n_values": "2,3", "policies": "none,h_ordering", "gamma": "0.5",
-        "dt": "1e-3", "max_time": "2.5", "integrator": "euler",
-        "cycle_file": "c.txt", "epsilons": "1e-1,1e-2", "count": "40",
-        "seed": "9", "out": "some dir", "unsafe_large_n": "true",
+        "dt": "1e-3", "max_time": "2.5", "cycle_file": "c.txt",
+        "epsilons": "1e-1,1e-2", "count": "40", "seed": "9", "out": "some dir",
+        "unsafe_large_n": "true",
     },
     "bounds": {"n_values": "2,4", "out": "b"},
     "verify-identities": {"dimensions": "4"},
@@ -330,9 +336,7 @@ def test_sweep_check_reports_points_outside_their_band(
             [
                 SweepPoint(
                     n=n,
-                    estimate=SpeedupEstimate(
-                        values[n], 0.1, "asymptotic_regression"
-                    ),
+                    estimate=SpeedupEstimate(values[n], 0.1),
                     bounds=SpeedupBounds(1.0, 1.65),
                 )
                 for n in n_values

@@ -1,4 +1,4 @@
-"""Record generation, the two integrators, and single trajectories."""
+"""Record generation, the exact and euler steps, and single trajectories."""
 
 import math
 
@@ -34,7 +34,6 @@ def make_params(**kw):
 def test_params_defaults_and_total_steps():
     p = make_params(gamma=2.0)
     assert p.dt == pytest.approx(DEFAULT_DT_GAMMA / 2.0)
-    assert p.integrator == "exact"
     q = make_params(dt=0.01, max_time=1.0)
     assert q.total_steps == 100
 
@@ -48,8 +47,8 @@ def test_params_validation():
         make_params(dt=-1e-3)
     with pytest.raises(ValueError):
         make_params(max_time=0.0)
-    with pytest.raises(ValueError):
-        make_params(integrator="heun")
+    with pytest.raises(TypeError):
+        make_params(integrator="exact")
     with pytest.raises(ValueError):
         make_params(stop_epsilon=0.0)
     with pytest.warns(UserWarning):
@@ -139,14 +138,13 @@ def test_exact_step_rejects_nonfinite_record():
         exact_step(state, np.array([np.nan]), params)
 
 
-@pytest.mark.parametrize("integrator", ["exact", "euler"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_column_step_matches_single_steps(n, integrator):
-    """Every column of the batched step equals exact_step/euler_step on
-    that column alone, and infidelity_columns equals argmax and
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=lambda n: f"{n}-exact")
+def test_column_step_matches_single_steps(n):
+    """Every column of the batched step equals exact_step on that column
+    alone, and infidelity_columns equals argmax and
     DiagonalState.infidelity(), the first index winning a tie."""
     d = 2**n
-    params = make_params(n=n, dt=2e-3, integrator=integrator)
+    params = make_params(n=n, dt=2e-3)
     rng = np.random.default_rng(40 + n)
     lam = rng.random((d, 7)) ** 4
     lam[:, 0] = 1.0 / d  # every entry tied for the maximum
@@ -155,18 +153,17 @@ def test_column_step_matches_single_steps(n, integrator):
         lam[[d - 1, 1], 1] = 0.5  # two tied maxima, the first at index 1
     lam /= lam.sum(axis=0)
     dW = rng.normal(0.0, math.sqrt(params.dt), size=(n, 7))
-    new = update_columns(lam, dW, params.gamma, params.dt, integrator)
+    new = update_columns(lam, dW, params.gamma, params.dt)
     amax, delta = infidelity_columns(new)
     amax0, delta0 = infidelity_columns(lam)
     assert amax0[0] == 0
     if d > 2:
         assert amax0[1] == 1
-    step = exact_step if integrator == "exact" else euler_step
     c = record_strength(params.gamma)
     for a in range(lam.shape[1]):
         state = DiagonalState(n, lam[:, a])
         dR = c * (z_table(n) @ state.probs) * params.dt + dW[:, a]
-        ref = step(state, dR, params)
+        ref = exact_step(state, dR, params)
         assert np.allclose(new[:, a], ref.probs, rtol=1e-12, atol=1e-12)
         assert amax[a] == np.argmax(new[:, a])
         assert delta[a] == pytest.approx(ref.infidelity(), rel=1e-12)

@@ -23,7 +23,6 @@ from regreadout import (
     linear_trajectory_state,
     log_infidelity_rate,
     mean_time_nofb,
-    nofb_log_infidelity,
     nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
@@ -35,18 +34,6 @@ from regreadout import (
     zsum_bounds,
 )
 from regreadout.policies import no_control
-
-
-def test_nofb_curve_values():
-    assert nofb_log_infidelity(0.0, 1) == pytest.approx(0.0)
-    assert nofb_log_infidelity(0.5, 2) == pytest.approx(-8.0 + math.log(2.0))
-    assert nofb_log_infidelity(1.0, 3, gamma=0.5) == pytest.approx(
-        -8.0 + math.log(3.0)
-    )
-    arr = nofb_log_infidelity(np.array([0.0, 1.0]), 1)
-    assert np.allclose(arr, [0.0, -16.0])
-    with pytest.raises(ValueError):
-        nofb_log_infidelity(1.0, 0)
 
 
 def test_mean_time_nofb_values():
