@@ -209,7 +209,9 @@ def cmd_run(args) -> int:
     policy = _build_policy(args.policy, args.cycle_file, 2**params.n)
 
     start = time.perf_counter()
-    stats = run_ensemble(params, policy, epsilons, args.count, args.seed)
+    stats = run_ensemble(
+        params, policy, epsilons, args.count, args.seed, collect_first_passage=True
+    )
     wall = time.perf_counter() - start
 
     slope = slope_err = None

@@ -308,6 +308,9 @@ def run_ensemble(
                 g_next += 1
 
         del noise  # freed before the next block is allocated: one resident
+        # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
+        if factored and not np.isfinite(lam).all():
+            raise IntegrationError(f"non-finite log-odds by step {step}")
         if not alive.all():
             keep = alive
             lam = lam[:, keep]
@@ -406,9 +409,30 @@ class MeanTimeFit:
     point_count: int
 
 
-def _fit_selection(
-    stats: EnsembleStats, eps_lo: float, eps_hi: float, max_censored: float
-) -> np.ndarray:
+def regression_mean_time(
+    stats: EnsembleStats,
+    eps_lo: float = 1e-6,
+    eps_hi: float = 1e-4,
+    max_censored: float = CENSOR_LIMIT,
+) -> MeanTimeFit:
+    """Fit mean_T = slope * ln(1/epsilon) + intercept over a target range.
+
+    Points with censoring above max_censored are dropped.  Fewer than 3
+    usable points is an error; fewer than 5 draws a warning.  The slope is
+    linear in the passage times: it is the mean over trajectories of
+    b_i = T_i . dx / (dx . dx), where T_i holds trajectory i's passage
+    times at the fitted targets (max_time where censored) and dx is
+    ln(1/epsilon) minus its mean.  slope_stderr = std(b) / sqrt(N) is
+    therefore the delete-one jackknife stderr, exact for this statistic,
+    and it carries the correlation between targets that share
+    trajectories.  Needs stats.first_passage_times.
+    """
+    fp = stats.first_passage_times
+    if fp is None:
+        raise ValueError(
+            "the mean-time fit needs per-trajectory passage times: "
+            "run_ensemble(..., collect_first_passage=True)"
+        )
     sel = (
         (stats.epsilons >= eps_lo)
         & (stats.epsilons <= eps_hi)
@@ -419,60 +443,17 @@ def _fit_selection(
         raise ValueError("fewer than 3 usable epsilon points in the fit range")
     if m < 5:
         warnings.warn(
-            f"only {m} epsilon points in the regression range", stacklevel=3
+            f"only {m} epsilon points in the regression range", stacklevel=2
         )
-    return sel
-
-
-def regression_mean_time(
-    stats: EnsembleStats,
-    eps_lo: float = 1e-6,
-    eps_hi: float = 1e-4,
-    max_censored: float = CENSOR_LIMIT,
-) -> MeanTimeFit:
-    """Fit mean_T = slope * ln(1/epsilon) + intercept over a target range.
-
-    Points with censoring above max_censored are dropped.  Fewer than 3
-    usable points is an error; fewer than 5 draws a warning.  The quoted
-    slope_stderr is the plain regression value; it understates the truth
-    somewhat because neighboring targets share trajectories.
-    """
-    sel = _fit_selection(stats, eps_lo, eps_hi, max_censored)
     x = np.log(1.0 / stats.epsilons[sel])
-    y = stats.mean_first_passage[sel]
-    slope, intercept, err = _ols(x, y)
+    slope, intercept, _ = _ols(x, stats.mean_first_passage[sel])
+    dx = x - x.mean()
+    filled = np.where(np.isnan(fp[:, sel]), stats.params.max_time, fp[:, sel])
+    b = filled @ (dx / (dx @ dx))
     return MeanTimeFit(
-        slope=slope, slope_stderr=err, intercept=intercept,
-        point_count=int(sel.sum()),
+        slope=slope, slope_stderr=float(b.std(ddof=1)) / math.sqrt(b.size),
+        intercept=intercept, point_count=m,
     )
-
-
-def _slope_variance(
-    stats: EnsembleStats, eps_lo: float, eps_hi: float, groups: int = 20
-) -> tuple[float, float]:
-    """Mean-time slope and an honest variance for it.
-
-    With per-trajectory passage times available, uses a delete-group
-    jackknife over trajectories, which captures the correlation between
-    targets that share trajectories; otherwise falls back to the plain
-    regression variance.
-    """
-    fit = regression_mean_time(stats, eps_lo, eps_hi)
-    fp = stats.first_passage_times
-    if fp is None:
-        return fit.slope, fit.slope_stderr**2
-    sel = _fit_selection(stats, eps_lo, eps_hi, CENSOR_LIMIT)
-    x = np.log(1.0 / stats.epsilons[sel])
-    filled = np.where(np.isnan(fp), stats.params.max_time, fp)[:, sel]
-    count = filled.shape[0]
-    g = min(groups, count)
-    reps = np.empty(g)
-    for k in range(g):
-        mask = np.ones(count, dtype=bool)
-        mask[k::g] = False
-        reps[k] = _ols(x, filled[mask].mean(axis=0))[0]
-    var = (g - 1) / g * float(np.sum((reps - reps.mean()) ** 2))
-    return fit.slope, var
 
 
 @dataclass(frozen=True)
@@ -493,17 +474,17 @@ def asymptotic_speedup(
     eps_lo: float = 1e-6,
     eps_hi: float = 1e-4,
 ) -> SpeedupEstimate:
-    """Small-epsilon speed-up: ratio of the regression slopes of mean
-    first-passage time against ln(1/epsilon).
+    """Small-epsilon speed-up: the ratio of the two regression_mean_time
+    slopes, no-control over controlled.
 
-    The stderr combines the two slope variances without a covariance
-    term, which stays conservative when the ensembles share seeds.
+    The stderr combines the two slope stderrs without a covariance term,
+    which stays conservative when the ensembles share seeds.
     """
-    s_nc, v_nc = _slope_variance(stats_nc, eps_lo, eps_hi)
-    s_ct, v_ct = _slope_variance(stats_ctrl, eps_lo, eps_hi)
-    value = s_nc / s_ct
-    stderr = abs(value) * math.sqrt(v_nc / s_nc**2 + v_ct / s_ct**2)
-    return SpeedupEstimate(value=value, stderr=stderr)
+    nc = regression_mean_time(stats_nc, eps_lo, eps_hi)
+    ct = regression_mean_time(stats_ctrl, eps_lo, eps_hi)
+    value = nc.slope / ct.slope
+    rel = math.hypot(nc.slope_stderr / nc.slope, ct.slope_stderr / ct.slope)
+    return SpeedupEstimate(value=value, stderr=abs(value) * rel)
 
 
 def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:

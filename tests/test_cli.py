@@ -1,13 +1,25 @@
 """Command line interface: subcommands, config files, exit codes, files."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from regreadout import SpeedupBounds, SpeedupEstimate, SweepPoint, cli
+from regreadout import (
+    SimulationParams,
+    SpeedupBounds,
+    SpeedupEstimate,
+    SweepPoint,
+    cli,
+    default_epsilon_grid,
+    no_control,
+    regression_mean_time,
+    run_ensemble,
+)
 from regreadout.cli import main, parse_args, read_config_file
 
 
@@ -135,6 +147,32 @@ def test_help_exits_0():
     assert run_main(["run", "--help"]) == 0
 
 
+def test_run_reports_the_mean_time_fit_of_its_ensemble(tmp_path, capsys):
+    out = tmp_path / "fit"
+    code = run_main(["run", "--n", 2, "--count", 60, "--seed", 3, "--out", out])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    params = SimulationParams(
+        n=2, max_time=summary["max_time"], stop_epsilon=cli.RUN_STOP_EPSILON
+    )
+    stats = run_ensemble(
+        params, no_control(), default_epsilon_grid(), 60, 3,
+        collect_first_passage=True,
+    )
+    fit = regression_mean_time(stats)
+    assert summary["mean_time_slope"] == fit.slope
+    assert summary["mean_time_slope_stderr"] == fit.slope_stderr
+    # the stderr of the per-trajectory slopes, not of the 27-point line
+    assert not stats.censored_fraction.any()
+    sel = (stats.epsilons >= 1e-6) & (stats.epsilons <= 1e-4)
+    assert fit.point_count == int(sel.sum())
+    x = np.log(1.0 / stats.epsilons[sel])
+    dx = x - x.mean()
+    b = stats.first_passage_times[:, sel] @ dx / (dx @ dx)
+    assert fit.slope_stderr == pytest.approx(b.std(ddof=1) / math.sqrt(60), rel=1e-12)
+    assert f"+/- {fit.slope_stderr:.5f}" in capsys.readouterr().out
+
+
 def test_integration_failure_exits_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -145,6 +183,16 @@ def test_integration_failure_exits_2(tmp_path, capsys):
         )
     assert code == 2
     assert "runtime error: non-finite infidelity at step 2" in capsys.readouterr().err
+    # the no-control log-odds overflow too, where Delta underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_main(
+            ["run", "--n", 2, "--policy", "none", "--gamma", 1e300,
+             "--dt", 1e10, "--max-time", 1e11, "--count", 5,
+             "--out", tmp_path / "y"]
+        )
+    assert code == 2
+    assert "runtime error: non-finite" in capsys.readouterr().err
 
 
 def test_run_check_detects_censoring(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Batched ensembles, fits, speed-up estimates, and their statistics."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -286,6 +286,60 @@ def test_asymptotic_speedup_of_identical_ensembles_is_one():
     est = asymptotic_speedup(stats, stats, eps_lo=1e-4, eps_hi=1e-2)
     assert est.value == pytest.approx(1.0)
     assert est.stderr > 0.0
+
+
+def _passage_ensemble(count, max_time, seed):
+    params = SimulationParams(n=1, max_time=max_time, stop_epsilon=1e-4)
+    eps = np.logspace(-1, -4, 10)
+    return run_ensemble(
+        params, no_control(), eps, count, seed, collect_first_passage=True
+    )
+
+
+def test_mean_time_stderr_is_the_delete_one_jackknife():
+    stats = _passage_ensemble(40, 2.5, 29)
+    assert not stats.censored_fraction.any()
+    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+    fp = stats.first_passage_times
+    reps = []
+    for i in range(stats.trajectory_count):
+        keep = np.arange(stats.trajectory_count) != i
+        masked = replace(
+            stats,
+            mean_first_passage=fp[keep].mean(axis=0),
+            first_passage_times=fp[keep],
+            trajectory_count=stats.trajectory_count - 1,
+        )
+        reps.append(regression_mean_time(masked, eps_lo=1e-4, eps_hi=1e-2).slope)
+    reps = np.array(reps)
+    m = reps.size
+    jackknife = math.sqrt((m - 1) / m * np.sum((reps - reps.mean()) ** 2))
+    assert fit.slope_stderr == pytest.approx(jackknife, rel=1e-10)
+
+
+def test_mean_time_stderr_from_per_trajectory_slopes():
+    """Censored passages count as max_time in the per-trajectory slopes."""
+    stats = _passage_ensemble(60, 0.6, 41)
+    assert 0.0 < stats.censored_fraction.max() < 0.5
+    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2, max_censored=0.5)
+    sel = (stats.epsilons >= 1e-4) & (stats.epsilons <= 1e-2)
+    assert fit.point_count == int(sel.sum())
+    x = np.log(1.0 / stats.epsilons[sel])
+    dx = x - x.mean()
+    times = np.nan_to_num(stats.first_passage_times[:, sel], nan=0.6)
+    b = times @ dx / (dx @ dx)
+    assert fit.slope == pytest.approx(b.mean(), rel=1e-12)
+    expected = b.std(ddof=1) / math.sqrt(b.size)
+    assert fit.slope_stderr == pytest.approx(expected, rel=1e-12)
+
+
+def test_mean_time_fit_needs_passage_times():
+    params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
+    stats = run_ensemble(params, no_control(), np.logspace(-1, -4, 10), 40, 29)
+    with pytest.raises(ValueError, match="collect_first_passage=True"):
+        regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+    with pytest.raises(ValueError, match="collect_first_passage=True"):
+        asymptotic_speedup(stats, stats, eps_lo=1e-4, eps_hi=1e-2)
 
 
 def test_speedup_estimate_validation():
