@@ -1,12 +1,13 @@
 """Ensemble simulation and statistics.
 
-run_ensemble integrates many trajectories at once, vectorized across a
-compressed active set, one trajectory per column of a (2^n, trajectories)
-array: every trajectory owns the same per-index noise stream as
-sde.simulate_trajectory (blocks of steps are pre-drawn from it into
-a step-major (steps, n, trajectories) block), each step goes through
-sde.update_columns and sde.infidelity_columns, frozen trajectories stop
-contributing at the step they reach stop_epsilon, and frozen columns are
+run_ensemble integrates many trajectories at once, one per column of a
+(2^n, trajectories) array over a compressed active set: every trajectory
+owns the same per-index noise stream as sde.simulate_trajectory (blocks
+of steps are pre-drawn from it into a step-major (steps, n, trajectories)
+block) and each step goes through sde.update_columns and
+sde.infidelity_columns.  Each column carries the ln(Delta) of its next
+event, a first-passage target or the stop, so one comparison per step
+finds the few columns that pass a target or freeze; frozen columns are
 dropped at block boundaries.  The uncontrolled run from a uniform start
 steps n per-qubit log-odds instead, O(n) per trajectory-step.
 Random-permutation controls for a batch come from one dedicated ensemble
@@ -104,6 +105,13 @@ class EnsembleStats:
         )
 
 
+def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Copy of x with row j of each column c moved to row img[j, c]."""
+    out = np.empty_like(x)
+    np.put_along_axis(out, img, x, axis=0)
+    return out
+
+
 def run_ensemble(
     params: SimulationParams,
     policy: ControlPolicy,
@@ -127,16 +135,24 @@ def run_ensemble(
     n) noise blocks, transposed into one (steps, n, active) block.
 
     When policy.kind is "none" and the initial populations are uniform,
-    the posterior is a product of n one-qubit posteriors and the state is
-    their (n, active) log-odds (sde.update_log_odds); otherwise the
-    (2^n, active) populations.
+    the state is the (n, active) per-qubit log-odds (sde.update_log_odds);
+    otherwise the (2^n, active) populations.
+
+    Every active column carries its next target and the ln(Delta) of its
+    next event: that target, the stop once no target above it is left, or
+    -inf when the column is frozen or has nothing left (run_full_time
+    puts the stop at -inf).  One comparison per step finds the columns at
+    or below their event level; only those record passages (several if
+    they crossed several targets) and freeze.  The per-trajectory
+    ln(Delta) is written at freezes and at grid points.  For retrodiction
+    an origin label moves with each population, and the retrodicted index
+    is the label that ends at the final index.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     eps = epsilon_targets(epsilons, params, run_full_time)
-    E = eps.size
 
     n = params.n
     d = 2**n
@@ -146,19 +162,14 @@ def run_ensemble(
     initial = state0.probs
 
     kind = policy.kind
-    uniform = bool(np.all(initial == initial[0]))
-    factored = kind == "none" and uniform
-    targets = None
-    cycle_inverse = None
-    cycle_images = None
-    ctrl_rng = None
+    factored = kind == "none" and bool(np.all(initial == initial[0]))
     if kind == "h_ordering":
-        targets = np.asarray(h_order_targets(n), dtype=np.intp)
+        # row targets[k] takes the k-th largest population
+        h_source = np.argsort(h_order_targets(n))
     elif kind == "fixed_cycle":
-        cycle_images = [np.asarray(p.image, dtype=np.intp) for p in policy.cycle]
-        if any(im.size != d for im in cycle_images):
+        cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
+        if any(inv.size != d for inv in cycle_inverse):
             raise ValueError("cycle permutation dimension does not match 2**n")
-        cycle_inverse = [np.argsort(im) for im in cycle_images]
     elif kind == "random_permutation":
         ctrl_rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=BATCH_CONTROL_KEY)
@@ -178,33 +189,30 @@ def run_ensemble(
     active_at = np.zeros(G, dtype=np.int64)
 
     amax0 = state0.argmax_index()
-    delta0 = state0.infidelity()
-    ln0 = math.log(max(delta0, LOG_FLOOR))
-    ln_eps = np.log(eps)
-    stop_ln = math.log(params.stop_epsilon)
+    ln0 = math.log(max(state0.infidelity(), LOG_FLOOR))
+    ln_tgt = np.append(np.log(eps), -np.inf)  # -inf: no target left
+    stop_ln = -math.inf if run_full_time else math.log(params.stop_epsilon)
 
-    fp = np.full((count, E), np.nan)
-    ptr = np.full(count, int(np.sum(ln_eps >= ln0)), dtype=np.int64)
-    fp[:, : ptr[0]] = 0.0
+    fp = np.full((count, eps.size), np.nan)
+    ptr0 = int(np.sum(ln_tgt >= ln0))
+    fp[:, :ptr0] = 0.0
     cur_ln = np.full(count, ln0)
     final_idx = np.full(count, amax0, dtype=np.intp)
     finals = np.tile(initial, (count, 1)) if collect_final_states else None
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
-    cum = (
-        np.tile(np.arange(d, dtype=np.intp)[:, None], (1, count))
-        if collect_retrodiction
-        else None
-    )
 
-    frozen_at_start = (not run_full_time) and delta0 <= params.stop_epsilon
-    active_at[0] = 0 if frozen_at_start else count
+    A = count if ln0 > stop_ln else 0  # a start at the stop is frozen
+    active_at[0] = A
     mean_ln[0] = ln0
 
-    lam = np.zeros((n, count)) if factored else np.tile(initial[:, None], (1, count))
-    idx = np.arange(count)
-    A = 0 if frozen_at_start else count
+    lam = np.zeros((n, A)) if factored else np.tile(initial[:, None], (1, A))
+    origin = np.tile(np.arange(d)[:, None], (1, A)) if collect_retrodiction else None
+    idx = np.arange(A)
     alive = np.ones(A, dtype=bool)
-    gens = [trajectory_noise_rng(master_seed, i) for i in range(count)] if A else []
+    ptr = np.full(A, ptr0, dtype=np.intp)
+    event_ln = np.full(A, max(ln_tgt[ptr0], stop_ln))
+    ln_prev = np.full(A, ln0)
+    gens = [trajectory_noise_rng(master_seed, i) for i in range(A)]
 
     def record_finals(w):
         """Store the final index, state and retrodicted index of columns w."""
@@ -221,8 +229,8 @@ def run_ensemble(
             final_idx[idx[w]] = np.argmax(cols, axis=0)
         if finals is not None:
             finals[idx[w]] = cols.T
-        if cum is not None:
-            retro[idx[w]] = np.argmax(cum[:, w] == final_idx[idx[w]], axis=0)
+        if origin is not None:
+            retro[idx[w]] = origin[final_idx[idx[w]], w]
 
     step = 0
     g_next = 1
@@ -238,27 +246,22 @@ def run_ensemble(
         noise *= sqrt_dt
 
         for k in range(k_steps):
+            # the control moves each population, with its origin label
             if kind == "h_ordering":
-                order = np.argsort(-lam, axis=0, kind="stable")
-                new_lam = np.empty_like(lam)
-                new_lam[targets] = np.take_along_axis(lam, order, axis=0)
-                lam = new_lam
-                if cum is not None:
-                    img = np.empty_like(order)
-                    np.put_along_axis(img, order, targets[:, None], axis=0)
-                    cum = np.take_along_axis(img, cum, axis=0)
+                src = np.argsort(-lam, axis=0, kind="stable")[h_source]
+                lam = np.take_along_axis(lam, src, axis=0)
+                if origin is not None:
+                    origin = np.take_along_axis(origin, src, axis=0)
             elif kind == "random_permutation":
                 img = np.argsort(ctrl_rng.random((A, d)), axis=1).T
-                new_lam = np.empty_like(lam)
-                np.put_along_axis(new_lam, img, lam, axis=0)
-                lam = new_lam
-                if cum is not None:
-                    cum = np.take_along_axis(img, cum, axis=0)
+                lam = _scatter_rows(lam, img)
+                if origin is not None:
+                    origin = _scatter_rows(origin, img)
             elif kind == "fixed_cycle":
-                j = step % len(cycle_images)
-                lam = lam[cycle_inverse[j]]
-                if cum is not None:
-                    cum = cycle_images[j][cum]
+                src = cycle_inverse[step % len(cycle_inverse)]
+                lam = lam[src]
+                if origin is not None:
+                    origin = origin[src]
 
             if factored:
                 update_log_odds(lam, noise[k], params.gamma, dt)
@@ -271,67 +274,64 @@ def run_ensemble(
             if not np.all(np.isfinite(ln_new)):
                 raise IntegrationError(f"non-finite infidelity at step {step}")
 
-            if E:
-                while True:
-                    p = ptr[idx]
-                    can = alive & (p < E)
-                    if not can.any():
-                        break
-                    pc = np.minimum(p, E - 1)
-                    hit = can & (ln_new <= ln_eps[pc])
-                    if not hit.any():
-                        break
-                    h = np.where(hit)[0]
-                    prev = cur_ln[idx[h]]
-                    tgt = ln_eps[pc[h]]
-                    denom = ln_new[h] - prev
-                    frac = np.ones(h.size)
+            hit = np.flatnonzero(ln_new <= event_ln)
+            if hit.size:
+                # passages, interpolated linearly in ln(Delta) over the step
+                c = hit[ln_new[hit] <= ln_tgt[ptr[hit]]]
+                while c.size:
+                    prev = ln_prev[c]
+                    tgt = ln_tgt[ptr[c]]
+                    denom = ln_new[c] - prev
+                    frac = np.ones(c.size)
                     strict = denom < 0.0
                     frac[strict] = (tgt[strict] - prev[strict]) / denom[strict]
                     np.clip(frac, 0.0, 1.0, out=frac)
-                    fp[idx[h], pc[h]] = (step - 1) * dt + frac * dt
-                    ptr[idx[h]] += 1
-
-            live = np.where(alive)[0]
-            cur_ln[idx[live]] = ln_new[live]
-            if not run_full_time:
-                newly = alive & (ln_new <= stop_ln)
-                if newly.any():
-                    w = np.where(newly)[0]
+                    fp[idx[c], ptr[c]] = (step - 1) * dt + frac * dt
+                    ptr[c] += 1
+                    c = c[ln_new[c] <= ln_tgt[ptr[c]]]
+                w = hit[ln_new[hit] <= stop_ln]
+                if w.size:
                     record_finals(w)
+                    cur_ln[idx[w]] = ln_new[w]
                     alive[w] = False
+                event_ln[hit] = np.where(
+                    alive[hit], np.maximum(ln_tgt[ptr[hit]], stop_ln), -np.inf
+                )
 
             if g_next < G and step == grid_steps[g_next]:
+                live = np.flatnonzero(alive)
+                cur_ln[idx[live]] = ln_new[live]
                 mean_ln[g_next] = cur_ln.mean()
                 var_ln[g_next] = cur_ln.var(ddof=1)
-                active_at[g_next] = int(alive.sum())
+                active_at[g_next] = live.size
                 g_next += 1
+            ln_prev = ln_new
 
         del noise  # freed before the next block is allocated: one resident
         # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
         if factored and not np.isfinite(lam).all():
             raise IntegrationError(f"non-finite log-odds by step {step}")
         if not alive.all():
-            keep = alive
-            lam = lam[:, keep]
-            idx = idx[keep]
-            if cum is not None:
-                cum = cum[:, keep]
-            gens = [g for g, kf in zip(gens, keep) if kf]
+            keep = np.flatnonzero(alive)
+            lam, idx, ptr = lam[:, keep], idx[keep], ptr[keep]
+            event_ln, ln_prev = event_ln[keep], ln_prev[keep]
+            if origin is not None:
+                origin = origin[:, keep]
+            gens = [gens[j] for j in keep]
             A = idx.size
             alive = np.ones(A, dtype=bool)
 
-    record_finals(np.where(alive)[0])
+    record_finals(np.flatnonzero(alive))
     mean_ln[g_next:] = cur_ln.mean()
     var_ln[g_next:] = cur_ln.var(ddof=1)
     active_at[g_next:] = int(alive.sum())
     stderr_ln = np.sqrt(var_ln / count)
 
     filled = np.where(np.isnan(fp), params.max_time, fp)
-    mean_fp = filled.mean(axis=0) if E else np.zeros(0)
-    std_fp = filled.std(axis=0, ddof=1) if E else np.zeros(0)
+    mean_fp = filled.mean(axis=0) if eps.size else np.zeros(0)
+    std_fp = filled.std(axis=0, ddof=1) if eps.size else np.zeros(0)
     stderr_fp = std_fp / math.sqrt(count)
-    censored = np.isnan(fp).mean(axis=0) if E else np.zeros(0)
+    censored = np.isnan(fp).mean(axis=0) if eps.size else np.zeros(0)
 
     return EnsembleStats(
         sample_times=grid_steps * dt,

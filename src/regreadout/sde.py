@@ -121,7 +121,7 @@ def epsilon_targets(
     lies in (0, 1), that they strictly decrease and, unless run_full_time
     is set, that none lies below params.stop_epsilon (unreachable)."""
     eps = np.asarray([float(e) for e in epsilons], dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+    if not np.all((eps > 0.0) & (eps < 1.0)):  # NaN fails too
         raise ValueError("epsilon targets must lie in (0, 1)")
     if np.any(np.diff(eps) >= 0.0):
         raise ValueError("epsilons must be strictly decreasing")

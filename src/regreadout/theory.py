@@ -1,13 +1,13 @@
 """Closed-form predictions and exact permutation-group results.
 
-Covers the no-control collapse laws (the asymptotic rate and mean
-passage time, and the exact finite-time mean log-infidelity), the
-instantaneous log-infidelity decay rate of an arbitrary diagonal state,
-the analytic bounds on that rate and on the protocol speed-ups, the
-exact average of the rate over the full permutation group (brute-force
-enumeration for small registers), the integer sum identities that the
-bounds rest on, and the closed-form conditional state reached from a
-given accumulated record.
+Covers the no-control collapse laws (the asymptotic rate, the exact
+one-qubit mean passage time and the exact finite-time mean
+log-infidelity), the instantaneous log-infidelity decay rate of an
+arbitrary diagonal state, the analytic bounds on that rate and on the
+protocol speed-ups, the exact average of the rate over the full
+permutation group (brute-force enumeration for small registers), the
+integer sum identities that the bounds rest on, and the closed-form
+conditional state reached from a given accumulated record.
 
 Rates are d<ln Delta>/dt values and are negative for valid states.  The
 two extremal tail shapes appear throughout: the two-level state puts the
@@ -63,12 +63,22 @@ def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:
     return float(np.sum(weight * np.log(-np.expm1(total))))
 
 
-def mean_time_nofb(epsilon: float, gamma: float = 1.0) -> float:
-    """Asymptotic mean time for an uncontrolled register to reach
-    infidelity epsilon: ln(1/epsilon) / (16*gamma)."""
+def nofb_mean_first_passage(epsilon: float, gamma: float = 1.0) -> float:
+    """Exact mean time for one uncontrolled qubit, started maximally
+    mixed, to reach infidelity epsilon:
+    (1 - 2*epsilon) * ln((1 - epsilon)/epsilon) / (16*gamma).
+
+    Its log-odds X moves as 16*gamma*t + sqrt(32*gamma)*B towards the true
+    outcome, and Delta <= epsilon once |X| >= a = ln((1 - epsilon)/epsilon);
+    the mean exit time from (-a, a) is a*tanh(a/2)/(16*gamma).  It tends
+    to ln(1/epsilon)/(16*gamma) as epsilon -> 0, and is 0 from
+    epsilon = 1/2 on, where the start already qualifies."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return math.log(1.0 / epsilon) / (NOFB_RATE * gamma)
+    if epsilon >= 0.5:
+        return 0.0
+    a = math.log((1.0 - epsilon) / epsilon)
+    return (1.0 - 2.0 * epsilon) * a / (NOFB_RATE * gamma)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from regreadout import (
     leading_rotation,
     mc_permuted_step_rate,
     no_control,
+    nofb_mean_first_passage,
     nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
@@ -132,9 +133,18 @@ def test_acceptance_1_collapse_slope(capsys):
     _verdict(capsys, 1, ok, detail)
 
 
+# Siegmund's corrected diffusion approximation: a walk monitored every dt
+# overshoots its boundary by about -zeta(1/2)/sqrt(2 pi) = 0.5826 step
+# standard deviations, which delays the mean passage by that much / drift.
+OVERSHOOT = 0.5826
+
+
 def test_acceptance_2_mean_time_scaling(capsys):
     """Mean first-passage time grows as ln(1/epsilon)/(16*gamma).
-    Tolerance: 5% on the regression slope over [1e-6, 1e-4]."""
+    Tolerance: 5% on the regression slope over [1e-6, 1e-4].  The mean
+    times at epsilon = 1e-2, 1e-4, 1e-6 must also lie within 3 stderr of
+    the exact n = 1 value plus the discrete-monitoring overshoot
+    0.5826*sqrt(32*gamma*dt)/(16*gamma)."""
     params = SimulationParams(n=1, max_time=3.0, stop_epsilon=STOP)
     stats = run_ensemble(
         params,
@@ -149,9 +159,21 @@ def test_acceptance_2_mean_time_scaling(capsys):
     fit = regression_mean_time(stats)
     expected = 1.0 / 16.0
     ok = abs(fit.slope - expected) <= 0.05 * expected
+    gamma = params.gamma
+    shift = OVERSHOOT * math.sqrt(32.0 * gamma * params.dt) / (16.0 * gamma)
+    zs = []
+    for eps in (1e-2, 1e-4, 1e-6):
+        j = int(np.argmin(np.abs(np.log(stats.epsilons / eps))))
+        exact = nofb_mean_first_passage(float(stats.epsilons[j]), gamma)
+        excess = stats.mean_first_passage[j] - exact - shift
+        zs.append(excess / stats.stderr_first_passage[j])
+    ok = ok and max(abs(z) for z in zs) <= 3.0
     detail = (
         f"mean-T slope {fit.slope:.5f} vs 1/16 = {expected:.5f} "
-        f"({fit.point_count} epsilon points, tolerance 5%)"
+        f"({fit.point_count} epsilon points, tolerance 5%); "
+        f"exact mean-T z at 1e-2/1e-4/1e-6 after the {shift:.5f} overshoot: "
+        + ", ".join(f"{z:+.2f}" for z in zs)
+        + " (tolerance 3)"
     )
     _verdict(capsys, 2, ok, detail)
 

@@ -125,10 +125,14 @@ def test_missing_config_file():
     assert run_main(["run", "--config", "/nonexistent/x.cfg"]) == 1
 
 
-def test_invalid_parameters_exit_1(capsys):
+def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert run_main(["run", "--n", 0, "--count", 5]) == 1
     assert "at least one qubit" in capsys.readouterr().err
     assert run_main(["run", "--n", 1, "--count", 5, "--epsilons", "1e-3,1e-2"]) == 1
+    argv = ["run", "--n", 1, "--count", 20, "--max-time", 2,
+            "--epsilons", "1e-2,nan,1e-4", "--out", tmp_path]
+    assert run_main(argv) == 1
+    assert "epsilon targets must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_argparse_errors_map_to_1(tmp_path, capsys):

@@ -27,6 +27,7 @@ from regreadout import (
     permutation_averaged_rate,
     random_permutation_policy,
     regression_mean_time,
+    retrodict,
     run_ensemble,
     simulate_trajectory,
     speedup_bounds_for_policy,
@@ -64,6 +65,8 @@ def test_run_ensemble_validation():
         run_ensemble(params, no_control(), [1e-1, 1e-8], 4, 0)
     with pytest.raises(ValueError):
         run_ensemble(params, no_control(), [2.0], 4, 0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        run_ensemble(params, no_control(), [1e-2, math.nan], 4, 0)
     with pytest.raises(ValueError):
         run_ensemble(params, no_control(), EPS3, 4, 0, record_every=0)
 
@@ -84,22 +87,30 @@ BATCH_POLICIES = {
 }
 
 
+DENSE = np.logspace(-1.0, -4.0, 301)
+
+
 @pytest.mark.parametrize(
-    "policy, n",
-    [pytest.param(policy, 2, id=name) for name, policy in BATCH_POLICIES.items()]
-    + [pytest.param(h_ordering_policy(), 5, id="h_ordering-n5")]
-    + [pytest.param(no_control(), n, id=f"none-n{n}") for n in (3, 5)],
+    "policy, n, epsilons",
+    [pytest.param(policy, 2, EPS3, id=name) for name, policy in BATCH_POLICIES.items()]
+    + [pytest.param(h_ordering_policy(), 5, EPS3, id="h_ordering-n5")]
+    + [pytest.param(no_control(), n, EPS3, id=f"none-n{n}") for n in (3, 5)]
+    + [
+        pytest.param(BATCH_POLICIES[name], 3, DENSE, id=f"{name}-n3-dense")
+        for name in ("none", "h_ordering")
+    ],
 )
-def test_batch_matches_single_trajectories(policy, n):
+def test_batch_matches_single_trajectories(policy, n, epsilons):
     """The vectorized runner reproduces the reference single-trajectory
     integrator trajectory for trajectory (same noise streams, same
-    arithmetic)."""
+    arithmetic), retrodiction included.  On the dense grid many steps
+    cross several targets at once."""
     params = SimulationParams(n=n, max_time=0.6, stop_epsilon=1e-4)
     seed = 99
     stats = run_ensemble(
         params,
         policy,
-        EPS3,
+        epsilons,
         5,
         seed,
         record_every=4,
@@ -107,17 +118,25 @@ def test_batch_matches_single_trajectories(policy, n):
         collect_first_passage=True,
         collect_retrodiction=True,
     )
+    same_step_pairs = 0
     for i in range(5):
-        ref = simulate_trajectory(params, policy, EPS3, seed, i, record_every=4)
+        ref = simulate_trajectory(params, policy, epsilons, seed, i, record_every=4)
         assert np.allclose(stats.final_states[i], ref.final_state.probs, atol=1e-12)
         assert stats.final_indices[i] == ref.final_index
-        for j, eps in enumerate(EPS3):
+        assert stats.retrodicted_indices[i] == retrodict(
+            ref.final_index, ref.cumulative_control
+        )
+        for j, eps in enumerate(epsilons):
             want = ref.first_passage[eps]
             got = stats.first_passage_times[i, j]
             if want is None:
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+        steps = np.floor(stats.first_passage_times[i] / params.dt)
+        same_step_pairs += int(np.sum((steps[1:] == steps[:-1]) & (steps[1:] > 0)))
+    if len(epsilons) > len(EPS3):
+        assert same_step_pairs > 0
 
 
 # Fields that carry per-trajectory values or the spread of ln(Delta).  The

@@ -207,6 +207,8 @@ def test_trajectory_validation():
         simulate_trajectory(params, no_control(), [1e-2], 0, record_every=0)
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         simulate_trajectory(params, no_control(), [1.5, 1e-2], 0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        simulate_trajectory(params, no_control(), [1e-2, math.nan], 0)
     with pytest.raises(ValueError):
         simulate_trajectory(
             params,

@@ -22,7 +22,7 @@ from regreadout import (
     h_ordering_speedup_bounds,
     linear_trajectory_state,
     log_infidelity_rate,
-    mean_time_nofb,
+    nofb_mean_first_passage,
     nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
@@ -36,16 +36,26 @@ from regreadout import (
 from regreadout.policies import no_control
 
 
-def test_mean_time_nofb_values():
-    assert mean_time_nofb(1e-6) == pytest.approx(6.0 * math.log(10.0) / 16.0)
-    assert mean_time_nofb(math.exp(-16.0)) == pytest.approx(1.0)
-    assert mean_time_nofb(1e-2, gamma=2.0) == pytest.approx(
-        mean_time_nofb(1e-2) / 2.0
+def test_nofb_mean_first_passage_values():
+    # the epsilon -> 0 limit is ln(1/epsilon) / (16 gamma)
+    assert nofb_mean_first_passage(1e-12) == pytest.approx(
+        12.0 * math.log(10.0) / 16.0, rel=1e-11
     )
+    a = math.log(99.0)
+    assert nofb_mean_first_passage(1e-2) == pytest.approx(0.98 * a / 16.0, rel=1e-15)
+    # a * tanh(a/2) / (16 gamma), the two-sided exit time from (-a, a)
+    assert nofb_mean_first_passage(1e-2) == pytest.approx(
+        a * math.tanh(a / 2.0) / 16.0, rel=1e-13
+    )
+    assert nofb_mean_first_passage(1e-2, gamma=2.0) == pytest.approx(
+        nofb_mean_first_passage(1e-2) / 2.0
+    )
+    assert nofb_mean_first_passage(0.5) == 0.0
+    assert nofb_mean_first_passage(0.7) == 0.0
     with pytest.raises(ValueError):
-        mean_time_nofb(0.0)
+        nofb_mean_first_passage(0.0)
     with pytest.raises(ValueError):
-        mean_time_nofb(1.0)
+        nofb_mean_first_passage(1.0)
 
 
 def test_zsum_bounds_frozen_example():
