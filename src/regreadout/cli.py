@@ -49,7 +49,7 @@ from .policies import (
     fixed_cycle_policy,
     read_cycle_file,
 )
-from .sde import IntegrationError, SimulationParams
+from .sde import IntegrationError, SimulationParams, epsilon_targets
 from .theory import NOFB_RATE, permutation_sum_identities
 
 DEFAULT_MASTER_SEED = 31415926
@@ -327,7 +327,11 @@ def cmd_sweep(args) -> int:
             if 2**n != d:
                 raise ValueError(f"the fixed_cycle permutations have dimension {d}, "
                                  f"which does not fit n={n} (2**{n} = {2**n})")
-    epsilons = _parse_epsilons(args.epsilons)
+    # checked before the stop is derived from them; that stop is the
+    # smallest target, so there is no stop to check them against
+    epsilons = epsilon_targets(
+        _parse_epsilons(args.epsilons), params=None, run_full_time=True
+    )
     params_template = SimulationParams(
         n=n_values[0],
         gamma=args.gamma,

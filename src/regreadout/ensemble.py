@@ -7,12 +7,14 @@ of steps are pre-drawn from it into a step-major (steps, n, trajectories)
 block) and each step goes through sde.update_columns and
 sde.infidelity_columns.  Each column carries the ln(Delta) of its next
 event, a first-passage target or the stop, so one comparison per step
-finds the few columns that pass a target or freeze; frozen columns are
-dropped at block boundaries.  The uncontrolled run from a uniform start
-steps n per-qubit log-odds instead, O(n) per trajectory-step.
-Random-permutation controls for a batch come from one dedicated ensemble
-stream, so paired runs that share a master seed also share their
-measurement noise exactly.
+finds the few columns that pass a target or freeze; their passages are
+logged per step and interpolated once per block, and frozen columns are
+dropped at block boundaries.  H-ordering sorts population values rather
+than indices: tied populations are interchangeable.  The uncontrolled
+run from a uniform start steps n per-qubit log-odds instead, O(n) per
+trajectory-step.  Random-permutation controls for a batch come from one
+dedicated ensemble stream, so paired runs that share a master seed also
+share their measurement noise exactly.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -142,11 +144,15 @@ def run_ensemble(
     next event: that target, the stop once no target above it is left, or
     -inf when the column is frozen or has nothing left (run_full_time
     puts the stop at -inf).  One comparison per step finds the columns at
-    or below their event level; only those record passages (several if
-    they crossed several targets) and freeze.  The per-trajectory
-    ln(Delta) is written at freezes and at grid points.  For retrodiction
-    an origin label moves with each population, and the retrodicted index
-    is the label that ends at the final index.
+    or below their event level; only those pass targets and freeze.  Such
+    a column has passed every target at or above its new ln(Delta); the
+    step is logged, and at each block end all logged passages are
+    interpolated linearly in ln(Delta) over their steps at once.  The
+    per-trajectory ln(Delta) is written at freezes and at grid points.
+    H-ordering sorts population values, since tied populations are
+    interchangeable.  For retrodiction an origin label moves with each
+    population (under H-ordering by the stable index sort), and the
+    retrodicted index is the label that ends at the final index.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
@@ -164,8 +170,10 @@ def run_ensemble(
     kind = policy.kind
     factored = kind == "none" and bool(np.all(initial == initial[0]))
     if kind == "h_ordering":
-        # row targets[k] takes the k-th largest population
+        # row targets[k] takes the k-th largest population, which an
+        # ascending value sort leaves in row d - 1 - k
         h_source = np.argsort(h_order_targets(n))
+        h_rows = d - 1 - h_source
     elif kind == "fixed_cycle":
         cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
         if any(inv.size != d for inv in cycle_inverse):
@@ -191,6 +199,7 @@ def run_ensemble(
     amax0 = state0.argmax_index()
     ln0 = math.log(max(state0.infidelity(), LOG_FLOOR))
     ln_tgt = np.append(np.log(eps), -np.inf)  # -inf: no target left
+    neg_tgt = -ln_tgt  # ascending, for searchsorted
     stop_ln = -math.inf if run_full_time else math.log(params.stop_epsilon)
 
     fp = np.full((count, eps.size), np.nan)
@@ -236,6 +245,9 @@ def run_ensemble(
     g_next = 1
     while A > 0 and step < total_steps:
         k_steps = min(NOISE_BLOCK_STEPS, total_steps - step)
+        # per step, one row per event column: (trajectory, step, ln_prev,
+        # ln_new, old ptr, new ptr)
+        log = []
         noise = np.empty((k_steps, n, A))
         chunk = np.empty((min(NOISE_CHUNK, A), k_steps, n))
         for j0 in range(0, A, NOISE_CHUNK):
@@ -248,10 +260,12 @@ def run_ensemble(
         for k in range(k_steps):
             # the control moves each population, with its origin label
             if kind == "h_ordering":
-                src = np.argsort(-lam, axis=0, kind="stable")[h_source]
-                lam = np.take_along_axis(lam, src, axis=0)
+                # tied populations are interchangeable, so lam needs only
+                # its values sorted; the labels follow the stable index sort
                 if origin is not None:
+                    src = np.argsort(-lam, axis=0, kind="stable")[h_source]
                     origin = np.take_along_axis(origin, src, axis=0)
+                lam = np.sort(lam, axis=0)[h_rows]
             elif kind == "random_permutation":
                 img = np.argsort(ctrl_rng.random((A, d)), axis=1).T
                 lam = _scatter_rows(lam, img)
@@ -276,20 +290,13 @@ def run_ensemble(
 
             hit = np.flatnonzero(ln_new <= event_ln)
             if hit.size:
-                # passages, interpolated linearly in ln(Delta) over the step
-                c = hit[ln_new[hit] <= ln_tgt[ptr[hit]]]
-                while c.size:
-                    prev = ln_prev[c]
-                    tgt = ln_tgt[ptr[c]]
-                    denom = ln_new[c] - prev
-                    frac = np.ones(c.size)
-                    strict = denom < 0.0
-                    frac[strict] = (tgt[strict] - prev[strict]) / denom[strict]
-                    np.clip(frac, 0.0, 1.0, out=frac)
-                    fp[idx[c], ptr[c]] = (step - 1) * dt + frac * dt
-                    ptr[c] += 1
-                    c = c[ln_new[c] <= ln_tgt[ptr[c]]]
-                w = hit[ln_new[hit] <= stop_ln]
+                # every target at or above ln_new is passed; the passages
+                # are interpolated from the log at the block end
+                ln_hit, old = ln_new[hit], ptr[hit]
+                ptr[hit] = np.maximum(old, np.searchsorted(neg_tgt, -ln_hit, "right"))
+                at = np.full(hit.size, step)
+                log.append((idx[hit], at, ln_prev[hit], ln_hit, old, ptr[hit]))
+                w = hit[ln_hit <= stop_ln]
                 if w.size:
                     record_finals(w)
                     cur_ln[idx[w]] = ln_new[w]
@@ -308,6 +315,19 @@ def run_ensemble(
             ln_prev = ln_new
 
         del noise  # freed before the next block is allocated: one resident
+        if log:
+            # each passage, interpolated linearly in ln(Delta) over its step
+            rows, steps, prev, new, p0, p1 = map(np.concatenate, zip(*log))
+            counts = p1 - p0
+            e = np.repeat(np.arange(counts.size), counts)  # log row of each passage
+            p = np.arange(e.size) - (np.cumsum(counts) - counts - p0)[e]
+            prev = prev[e]
+            denom = new[e] - prev
+            frac = np.ones(e.size)
+            strict = denom < 0.0
+            frac[strict] = (ln_tgt[p[strict]] - prev[strict]) / denom[strict]
+            np.clip(frac, 0.0, 1.0, out=frac)
+            fp[rows[e], p] = (steps[e] - 1) * dt + frac * dt
         # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
         if factored and not np.isfinite(lam).all():
             raise IntegrationError(f"non-finite log-odds by step {step}")

@@ -133,6 +133,12 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
             "--epsilons", "1e-2,nan,1e-4", "--out", tmp_path]
     assert run_main(argv) == 1
     assert "epsilon targets must lie in (0, 1)" in capsys.readouterr().err
+    # sweep derives its stop from the targets, after checking them
+    for bad in ("nan", "0", "2"):
+        argv = ["sweep", "--n-values", "2,3", "--count", 20, "--max-time", 2,
+                "--epsilons", f"1e-2,{bad},1e-4", "--out", tmp_path]
+        assert run_main(argv) == 1
+        assert "epsilon targets must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_argparse_errors_map_to_1(tmp_path, capsys):

@@ -34,6 +34,7 @@ from regreadout import (
     speedup_scaling_sweep,
     two_level_state,
 )
+from regreadout.ensemble import NOISE_BLOCK_STEPS
 from regreadout.sde import infidelity_columns, update_columns
 
 
@@ -91,20 +92,26 @@ DENSE = np.logspace(-1.0, -4.0, 301)
 
 
 @pytest.mark.parametrize(
-    "policy, n, epsilons",
-    [pytest.param(policy, 2, EPS3, id=name) for name, policy in BATCH_POLICIES.items()]
-    + [pytest.param(h_ordering_policy(), 5, EPS3, id="h_ordering-n5")]
-    + [pytest.param(no_control(), n, EPS3, id=f"none-n{n}") for n in (3, 5)]
+    "policy, n, epsilons, retro",
+    [
+        pytest.param(policy, 2, EPS3, True, id=name)
+        for name, policy in BATCH_POLICIES.items()
+    ]
+    + [pytest.param(h_ordering_policy(), 2, EPS3, False, id="h_ordering-noretro")]
+    + [pytest.param(h_ordering_policy(), 5, EPS3, True, id="h_ordering-n5")]
+    + [pytest.param(no_control(), n, EPS3, True, id=f"none-n{n}") for n in (3, 5)]
     + [
-        pytest.param(BATCH_POLICIES[name], 3, DENSE, id=f"{name}-n3-dense")
+        pytest.param(BATCH_POLICIES[name], 3, DENSE, True, id=f"{name}-n3-dense")
         for name in ("none", "h_ordering")
     ],
 )
-def test_batch_matches_single_trajectories(policy, n, epsilons):
+def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
     """The vectorized runner reproduces the reference single-trajectory
     integrator trajectory for trajectory (same noise streams, same
     arithmetic), retrodiction included.  On the dense grid many steps
-    cross several targets at once."""
+    cross several targets at once, and passages fall in the final,
+    partial noise block (under h_ordering also on a block's last step):
+    the runner writes them at block ends."""
     params = SimulationParams(n=n, max_time=0.6, stop_epsilon=1e-4)
     seed = 99
     stats = run_ensemble(
@@ -116,16 +123,19 @@ def test_batch_matches_single_trajectories(policy, n, epsilons):
         record_every=4,
         collect_final_states=True,
         collect_first_passage=True,
-        collect_retrodiction=True,
+        collect_retrodiction=retro,
     )
     same_step_pairs = 0
     for i in range(5):
         ref = simulate_trajectory(params, policy, epsilons, seed, i, record_every=4)
         assert np.allclose(stats.final_states[i], ref.final_state.probs, atol=1e-12)
         assert stats.final_indices[i] == ref.final_index
-        assert stats.retrodicted_indices[i] == retrodict(
-            ref.final_index, ref.cumulative_control
-        )
+        if retro:
+            assert stats.retrodicted_indices[i] == retrodict(
+                ref.final_index, ref.cumulative_control
+            )
+        else:
+            assert stats.retrodicted_indices is None
         for j, eps in enumerate(epsilons):
             want = ref.first_passage[eps]
             got = stats.first_passage_times[i, j]
@@ -137,6 +147,51 @@ def test_batch_matches_single_trajectories(policy, n, epsilons):
         same_step_pairs += int(np.sum((steps[1:] == steps[:-1]) & (steps[1:] > 0)))
     if len(epsilons) > len(EPS3):
         assert same_step_pairs > 0
+        # a passage at time t lies on step ceil(t / dt)
+        fp = stats.first_passage_times
+        passage_steps = np.ceil(fp[np.isfinite(fp) & (fp > 0)] / params.dt - 1e-9)
+        last_block = (params.total_steps - 1) // NOISE_BLOCK_STEPS * NOISE_BLOCK_STEPS
+        assert params.total_steps % NOISE_BLOCK_STEPS  # a partial last block
+        assert np.any(passage_steps > last_block)
+        if policy.kind == "h_ordering":  # no control passes too few targets
+            assert np.any(passage_steps % NOISE_BLOCK_STEPS == 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_h_ordering_retrodiction_leaves_trajectories_unchanged(n):
+    """Collecting retrodiction changes only retrodicted_indices, also from
+    starts whose populations tie: the uniform start (all tie on the first
+    ordering), a pure start (its zeros tie; run for the full time, since it
+    starts at the stop) and a two-level start.  The retrodicted indices
+    match the reference trajectories'."""
+    params = SimulationParams(n=n, max_time=0.5, stop_epsilon=1e-5)
+    starts = (
+        (DiagonalState.maximally_mixed(n), False),
+        (DiagonalState.pure(n, 1), True),
+        (two_level_state(n, 0.2), False),
+    )
+    for state, full in starts:
+        kw = dict(initial_state=state, run_full_time=full)
+        runs = [
+            run_ensemble(
+                params, h_ordering_policy(), EPS3, 40, 17,
+                collect_final_states=True, collect_first_passage=True,
+                collect_retrodiction=retro, **kw,
+            )
+            for retro in (False, True)
+        ]
+        for f in fields(EnsembleStats):
+            a, b = (getattr(r, f.name) for r in runs)
+            if f.name == "retrodicted_indices":
+                assert a is None and b.shape == (40,)
+            elif isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=True), f.name
+        for i in range(2):
+            ref = simulate_trajectory(params, h_ordering_policy(), EPS3, 17, i, **kw)
+            assert runs[1].retrodicted_indices[i] == retrodict(
+                ref.final_index, ref.cumulative_control
+            )
 
 
 # Fields that carry per-trajectory values or the spread of ln(Delta).  The
