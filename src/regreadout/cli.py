@@ -301,7 +301,7 @@ def cmd_run(args) -> int:
         failures.append("non-finite mean curve")
     if stats.epsilons.size and not np.all(np.isfinite(stats.mean_first_passage)):
         failures.append("non-finite first-passage means")
-    if max_censored > 0.10:
+    if stats.has_excessive_censoring:
         failures.append(f"censoring {max_censored:.3f} above 0.10")
     if args.policy == "none":
         if slope is None or abs(slope - nofb_slope) > 0.10 * abs(nofb_slope):
@@ -329,9 +329,7 @@ def cmd_sweep(args) -> int:
                                  f"which does not fit n={n} (2**{n} = {2**n})")
     # checked before the stop is derived from them; that stop is the
     # smallest target, so there is no stop to check them against
-    epsilons = epsilon_targets(
-        _parse_epsilons(args.epsilons), params=None, run_full_time=True
-    )
+    epsilons = epsilon_targets(_parse_epsilons(args.epsilons), 0.0)
     params_template = SimulationParams(
         n=n_values[0],
         gamma=args.gamma,

@@ -64,6 +64,10 @@ MC_CHUNK_ROWS = 200_000
 BATCH_CONTROL_KEY = (0xFFFFFFFF, 2)
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
+# auto_slope_window fits where at least this fraction is still evolving.
+SLOPE_ACTIVE_FRACTION = 0.999
+# Grid spacing, in steps, of the mean curves of speedup_scaling_sweep.
+SWEEP_RECORD_EVERY = 64
 
 
 def default_epsilon_grid() -> np.ndarray:
@@ -80,7 +84,9 @@ class EnsembleStats:
     that reached stop_epsilon keeps contributing its final value, and
     active_fraction records how many were still evolving.  First-passage
     entries are per target epsilon; censored trajectories contribute
-    max_time to the mean and to the censored fraction.
+    max_time to the mean and to the censored fraction.  final_states is
+    the (count, 2^n) array of each trajectory's populations where it
+    froze or at max_time.
     """
 
     sample_times: np.ndarray
@@ -95,8 +101,8 @@ class EnsembleStats:
     params: SimulationParams
     policy_kind: str
     final_indices: np.ndarray
+    final_states: np.ndarray
     retrodicted_indices: np.ndarray | None = None
-    final_states: np.ndarray | None = None
     first_passage_times: np.ndarray | None = None
 
     @property
@@ -123,8 +129,6 @@ def run_ensemble(
     *,
     record_every: int = 8,
     initial_state: DiagonalState | None = None,
-    run_full_time: bool = False,
-    collect_final_states: bool = False,
     collect_retrodiction: bool = False,
     collect_first_passage: bool = False,
 ) -> EnsembleStats:
@@ -142,9 +146,11 @@ def run_ensemble(
 
     Every active column carries its next target and the ln(Delta) of its
     next event: that target, the stop once no target above it is left, or
-    -inf when the column is frozen or has nothing left (run_full_time
-    puts the stop at -inf).  One comparison per step finds the columns at
-    or below their event level; only those pass targets and freeze.  Such
+    -inf when the column is frozen or has nothing left.  The stop is
+    params.stop_ln, which is -inf for stop_epsilon = 0: nothing freezes,
+    and a pure start (Delta = 0) runs to max_time.  One comparison per
+    step finds the columns at or below their event level; only those pass
+    targets and freeze.  Such
     a column has passed every target at or above its new ln(Delta); the
     step is logged, and at each block end all logged passages are
     interpolated linearly in ln(Delta) over their steps at once.  The
@@ -158,7 +164,7 @@ def run_ensemble(
         raise ValueError("an ensemble needs at least 2 trajectories")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    eps = epsilon_targets(epsilons, params, run_full_time)
+    eps = epsilon_targets(epsilons, params.stop_epsilon)
 
     n = params.n
     d = 2**n
@@ -200,14 +206,14 @@ def run_ensemble(
     ln0 = math.log(max(state0.infidelity(), LOG_FLOOR))
     ln_tgt = np.append(np.log(eps), -np.inf)  # -inf: no target left
     neg_tgt = -ln_tgt  # ascending, for searchsorted
-    stop_ln = -math.inf if run_full_time else math.log(params.stop_epsilon)
+    stop_ln = params.stop_ln
 
     fp = np.full((count, eps.size), np.nan)
     ptr0 = int(np.sum(ln_tgt >= ln0))
     fp[:, :ptr0] = 0.0
     cur_ln = np.full(count, ln0)
     final_idx = np.full(count, amax0, dtype=np.intp)
-    finals = np.tile(initial, (count, 1)) if collect_final_states else None
+    finals = np.tile(initial, (count, 1))
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
 
     A = count if ln0 > stop_ln else 0  # a start at the stop is frozen
@@ -230,14 +236,12 @@ def run_ensemble(
             # qubit r's bit is L[r] < 0, first qubit most significant; a
             # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
             final_idx[idx[w]] = (1 << np.arange(n - 1, -1, -1)) @ (cols < 0.0)
-            if finals is not None:
-                expo = z_table(n).T @ cols
-                cols = np.exp(expo - expo.max(axis=0))
-                cols /= cols.sum(axis=0)
+            expo = z_table(n).T @ cols
+            cols = np.exp(expo - expo.max(axis=0))
+            cols /= cols.sum(axis=0)
         else:
             final_idx[idx[w]] = np.argmax(cols, axis=0)
-        if finals is not None:
-            finals[idx[w]] = cols.T
+        finals[idx[w]] = cols.T
         if origin is not None:
             retro[idx[w]] = origin[final_idx[idx[w]], w]
 
@@ -283,7 +287,7 @@ def run_ensemble(
                 lam = update_columns(lam, noise[k], params.gamma, dt)
             step += 1
 
-            delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)[1]
+            delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)
             ln_new = np.log(np.maximum(delta, LOG_FLOOR))
             if not np.all(np.isfinite(ln_new)):
                 raise IntegrationError(f"non-finite infidelity at step {step}")
@@ -348,10 +352,9 @@ def run_ensemble(
     stderr_ln = np.sqrt(var_ln / count)
 
     filled = np.where(np.isnan(fp), params.max_time, fp)
-    mean_fp = filled.mean(axis=0) if eps.size else np.zeros(0)
-    std_fp = filled.std(axis=0, ddof=1) if eps.size else np.zeros(0)
-    stderr_fp = std_fp / math.sqrt(count)
-    censored = np.isnan(fp).mean(axis=0) if eps.size else np.zeros(0)
+    mean_fp = filled.mean(axis=0)
+    stderr_fp = filled.std(axis=0, ddof=1) / math.sqrt(count)
+    censored = np.isnan(fp).mean(axis=0)
 
     return EnsembleStats(
         sample_times=grid_steps * dt,
@@ -366,8 +369,8 @@ def run_ensemble(
         params=params,
         policy_kind=kind,
         final_indices=final_idx,
-        retrodicted_indices=retro,
         final_states=finals,
+        retrodicted_indices=retro,
         first_passage_times=fp if collect_first_passage else None,
     )
 
@@ -406,13 +409,11 @@ def fit_ln_delta_slope(
     return slope, err
 
 
-def auto_slope_window(
-    stats: EnsembleStats, min_active_fraction: float = 0.999
-) -> tuple[float, float]:
-    """Latter half of the time range where at least the given fraction of
-    trajectories was still evolving; falls back to the latter half of the
-    whole run when freezing starts immediately."""
-    good = np.where(stats.active_fraction >= min_active_fraction)[0]
+def auto_slope_window(stats: EnsembleStats) -> tuple[float, float]:
+    """Latter half of the time range where at least SLOPE_ACTIVE_FRACTION
+    of the trajectories was still evolving; falls back to the latter half
+    of the whole run when freezing starts immediately."""
+    good = np.where(stats.active_fraction >= SLOPE_ACTIVE_FRACTION)[0]
     t_end = stats.sample_times[good[-1]] if good.size else stats.sample_times[-1]
     if t_end <= 0.0:
         t_end = stats.sample_times[-1]
@@ -537,7 +538,6 @@ def speedup_scaling_sweep(
     epsilons=None,
     eps_lo: float = 1e-6,
     eps_hi: float = 1e-4,
-    record_every: int = 64,
 ) -> list[list[SweepPoint]]:
     """Asymptotic speed-up of each policy for each register size; one list
     of points per policy, in the order given.
@@ -554,12 +554,12 @@ def speedup_scaling_sweep(
         params = replace(params_template, n=int(n))
         stats_nc = run_ensemble(
             params, no_control(), epsilons, count, master_seed,
-            record_every=record_every, collect_first_passage=True,
+            record_every=SWEEP_RECORD_EVERY, collect_first_passage=True,
         )
         for policy, points in zip(policies, sweeps):
             stats_ctrl = run_ensemble(
                 params, policy, epsilons, count, master_seed,
-                record_every=record_every, collect_first_passage=True,
+                record_every=SWEEP_RECORD_EVERY, collect_first_passage=True,
             )
             points.append(
                 SweepPoint(
@@ -643,7 +643,7 @@ def mc_permuted_step_rate(
         lamp = np.empty((d, m))
         lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
         dW = rng.standard_normal((m, n)) * sqrt_dt
-        _, delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt))
+        delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt))
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         # two-pass within the chunk, merged across chunks (Chan et al.)
         chunk_sum = float(dl.sum())

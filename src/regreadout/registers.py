@@ -142,15 +142,16 @@ def sample_uniform_permutation(rng: np.random.Generator, d: int) -> Permutation:
     return Permutation(rng.permutation(d))
 
 
-def leading_rotation(d: int, k: int = 3) -> Permutation:
-    """Cycle the populations of the first k basis slots, identity elsewhere.
+def leading_rotation(d: int) -> Permutation:
+    """Cycle the populations of the first three basis slots, identity
+    elsewhere.
 
-    The population at slot j moves to slot j - 1 (mod k) for j < k, so for
-    d=4, k=3 the image array is [2, 0, 1, 3]: a state diag(a, b, c, e)
-    becomes diag(b, c, a, e).
+    The population at slot j moves to slot j - 1 (mod 3) for j < 3, so for
+    d=4 the image array is [2, 0, 1, 3]: a state diag(a, b, c, e) becomes
+    diag(b, c, a, e).
     """
-    if not 2 <= k <= d:
-        raise ValueError("need 2 <= k <= d")
+    if d < 3:
+        raise ValueError("need d >= 3")
     image = np.arange(d)
-    image[:k] = (image[:k] - 1) % k
+    image[:3] = (image[:3] - 1) % 3
     return Permutation(image)

@@ -181,7 +181,8 @@ class IdentityReport:
     """Brute-force verification of the permutation sum identities.
 
     For a single-qubit shifted observable (diagonal entries in {0, -2})
-    conjugated by every permutation s of the D basis indices:
+    conjugated by every permutation s of the D basis indices (qubit 1's;
+    by symmetry the sums are the same for every qubit):
 
         sum_s (Z_s)_{ii}^2        = 2 * D!          for every i
         sum_s (Z_s)_{ii} (Z_s)_{jj} = [1 - 1/(D-1)] * D!  for every i != j
@@ -192,7 +193,6 @@ class IdentityReport:
     """
 
     dimension: int
-    qubit: int
     permutation_count: int
     square_sum: int
     cross_sum: int
@@ -201,14 +201,11 @@ class IdentityReport:
     passed: bool
 
 
-def permutation_sum_identities(d: int, qubit: int = 1) -> IdentityReport:
+def permutation_sum_identities(d: int) -> IdentityReport:
     """Enumerate all d! permutations and verify the two sum identities."""
     if d not in (4, 8):
         raise ValueError("identity enumeration supports d = 4 or 8")
-    n = d.bit_length() - 1
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit must lie in [1, {n}]")
-    zrow = z_table(n, shifted=True)[qubit - 1].astype(np.int64)
+    zrow = z_table(d.bit_length() - 1, shifted=True)[0].astype(np.int64)
     values = zrow[all_permutation_images(d)]
     cross = values.T @ values  # exact: |entries| <= 4 * d!
     fact = math.factorial(d)
@@ -219,7 +216,6 @@ def permutation_sum_identities(d: int, qubit: int = 1) -> IdentityReport:
     passed = bool(np.all(diag == expected_square) and np.all(off == expected_cross))
     return IdentityReport(
         dimension=d,
-        qubit=qubit,
         permutation_count=fact,
         square_sum=int(cross[0, 0]),
         cross_sum=int(cross[0, 1]),

@@ -357,15 +357,13 @@ def test_acceptance_8_simulator_invariants(capsys):
     # equals the initial state within 3 stderr, 10^4 trajectories
     initial = DiagonalState(2, np.array([0.4, 0.3, 0.2, 0.1]))
     stats = run_ensemble(
-        SimulationParams(n=2, max_time=0.5, stop_epsilon=1e-30),
+        SimulationParams(n=2, max_time=0.5, stop_epsilon=0.0),
         no_control(),
         [],
         10_000,
         555,
         record_every=100,
         initial_state=initial,
-        run_full_time=True,
-        collect_final_states=True,
     )
     finals = stats.final_states
     se = finals.std(axis=0, ddof=1) / math.sqrt(finals.shape[0])
@@ -380,14 +378,13 @@ def test_acceptance_8_simulator_invariants(capsys):
         ("none", "h_ordering", "random_permutation", "fixed_cycle")
     ):
         rstats = run_ensemble(
-            SimulationParams(n=2, max_time=0.05),
+            SimulationParams(n=2, max_time=0.05, stop_epsilon=0.0),
             _policy(kind),
             [],
             10_000,
             8100 + j,
             record_every=50,
             initial_state=DiagonalState.pure(2, 2),
-            run_full_time=True,
             collect_retrodiction=True,
         )
         bad_retro += int(np.sum(rstats.retrodicted_indices != 2))

@@ -64,6 +64,9 @@ def test_run_ensemble_validation():
         run_ensemble(params, no_control(), [1e-2, 1e-1], 4, 0)
     with pytest.raises(ValueError):
         run_ensemble(params, no_control(), [1e-1, 1e-8], 4, 0)
+    # with stop_epsilon = 0 nothing freezes, so every depth is reachable
+    never = replace(params, stop_epsilon=0.0)
+    run_ensemble(never, no_control(), [1e-1, 1e-8, 1e-300], 4, 0)
     with pytest.raises(ValueError):
         run_ensemble(params, no_control(), [2.0], 4, 0)
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
@@ -121,7 +124,6 @@ def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
         5,
         seed,
         record_every=4,
-        collect_final_states=True,
         collect_first_passage=True,
         collect_retrodiction=retro,
     )
@@ -161,22 +163,21 @@ def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
 def test_h_ordering_retrodiction_leaves_trajectories_unchanged(n):
     """Collecting retrodiction changes only retrodicted_indices, also from
     starts whose populations tie: the uniform start (all tie on the first
-    ordering), a pure start (its zeros tie; run for the full time, since it
-    starts at the stop) and a two-level start.  The retrodicted indices
+    ordering), a pure start (its zeros tie; with stop_epsilon = 0, since it
+    starts below any positive stop) and a two-level start.  The retrodicted indices
     match the reference trajectories'."""
-    params = SimulationParams(n=n, max_time=0.5, stop_epsilon=1e-5)
+    stop = SimulationParams(n=n, max_time=0.5, stop_epsilon=1e-5)
     starts = (
-        (DiagonalState.maximally_mixed(n), False),
-        (DiagonalState.pure(n, 1), True),
-        (two_level_state(n, 0.2), False),
+        (DiagonalState.maximally_mixed(n), stop),
+        (DiagonalState.pure(n, 1), replace(stop, stop_epsilon=0.0)),
+        (two_level_state(n, 0.2), stop),
     )
-    for state, full in starts:
-        kw = dict(initial_state=state, run_full_time=full)
+    for state, params in starts:
+        kw = dict(initial_state=state)
         runs = [
             run_ensemble(
                 params, h_ordering_policy(), EPS3, 40, 17,
-                collect_final_states=True, collect_first_passage=True,
-                collect_retrodiction=retro, **kw,
+                collect_first_passage=True, collect_retrodiction=retro, **kw,
             )
             for retro in (False, True)
         ]
@@ -209,11 +210,7 @@ def test_no_control_matches_identity_cycle(n):
     identity permutations; also for an ensemble shorter than one step,
     whose log-odds all tie at 0."""
     identity = fixed_cycle_policy([Permutation.identity(2**n)])
-    collect = dict(
-        collect_final_states=True,
-        collect_retrodiction=True,
-        collect_first_passage=True,
-    )
+    collect = dict(collect_retrodiction=True, collect_first_passage=True)
     for params in (SimulationParams(n=n), SimulationParams(n=n, max_time=1e-4)):
         grid = default_epsilon_grid()
         a = run_ensemble(params, no_control(), grid, 300, 5, **collect)
@@ -234,10 +231,8 @@ def test_mean_ln_delta_matches_the_exact_nofb_curve():
     """The no-control mean log-infidelity lies within 4 standard errors of
     the exact finite-time curve at every grid point after t = 0."""
     for n in (1, 2, 3):
-        params = SimulationParams(n=n, max_time=1.0)
-        stats = run_ensemble(
-            params, no_control(), [], 4000, 7, record_every=160, run_full_time=True
-        )
+        params = SimulationParams(n=n, max_time=1.0, stop_epsilon=0.0)
+        stats = run_ensemble(params, no_control(), [], 4000, 7, record_every=160)
         exact = [nofb_mean_log_infidelity(t, n) for t in stats.sample_times]
         assert stats.mean_ln_delta[0] == pytest.approx(exact[0], rel=1e-15)
         z = (stats.mean_ln_delta[1:] - exact[1:]) / stats.stderr_ln_delta[1:]
@@ -265,9 +260,7 @@ def test_stderr_ln_delta_is_two_pass():
     exactly 0 at t = 0, where every trajectory has the same state, and
     at the last grid point the spread of the final states' ln(Delta)."""
     params = small_params(n=2, max_time=0.5, stop_epsilon=1e-4)
-    stats = run_ensemble(
-        params, no_control(), [], 300, 4, collect_final_states=True
-    )
+    stats = run_ensemble(params, no_control(), [], 300, 4)
     assert stats.stderr_ln_delta[0] == 0.0
     tail = stats.final_states.copy()
     tail[np.arange(300), tail.argmax(axis=1)] = 0.0
@@ -322,7 +315,7 @@ def test_censoring_is_reported():
 
 
 def test_retrodiction_collection():
-    params = SimulationParams(n=2, max_time=0.02)
+    params = SimulationParams(n=2, max_time=0.02, stop_epsilon=0.0)
     for k in (0, 3):
         stats = run_ensemble(
             params,
@@ -331,7 +324,6 @@ def test_retrodiction_collection():
             50,
             31 + k,
             initial_state=DiagonalState.pure(2, k),
-            run_full_time=True,
             collect_retrodiction=True,
         )
         assert np.all(stats.retrodicted_indices == k)
@@ -548,7 +540,7 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
             state.probs[:, None]
         )
         dW = rng.standard_normal((m, state.n)) * math.sqrt(dt)
-        _, delta = infidelity_columns(update_columns(lam, dW.T, gamma, dt))
+        delta = infidelity_columns(update_columns(lam, dW.T, gamma, dt))
         changes.append(np.log(delta) - math.log(state.infidelity()))
     dl = np.concatenate(changes)
     assert est.value == pytest.approx(dl.mean() / dt, rel=1e-12)

@@ -142,7 +142,7 @@ def test_retrodict_inverts_control_frame():
 def test_trajectory_retrodiction_recovers_prepared_index(policy):
     """A register prepared in a basis state stays there in the control
     frame, so undoing the frame names the prepared index exactly."""
-    params = SimulationParams(n=2, max_time=0.03)
+    params = SimulationParams(n=2, max_time=0.03, stop_epsilon=0.0)
     for k in range(4):
         res = simulate_trajectory(
             params,
@@ -150,7 +150,6 @@ def test_trajectory_retrodiction_recovers_prepared_index(policy):
             [],
             master_seed=50 + k,
             initial_state=DiagonalState.pure(2, k),
-            run_full_time=True,
         )
         assert retrodict(res.final_index, res.cumulative_control) == k
 

@@ -140,7 +140,7 @@ def test_sample_uniform_permutation_coverage():
 
 
 def test_leading_rotation_two_qubits():
-    # on 4 slots the default rotation sends populations 0->2, 1->0, 2->1
+    # on 4 slots the rotation sends populations 0->2, 1->0, 2->1
     p = leading_rotation(4)
     assert np.array_equal(p.image, [2, 0, 1, 3])
     state = DiagonalState(2, np.array([0.4, 0.3, 0.2, 0.1]))
@@ -155,8 +155,6 @@ def test_leading_rotation_two_qubits():
 
 def test_leading_rotation_validation():
     with pytest.raises(ValueError):
-        leading_rotation(4, k=1)
-    with pytest.raises(ValueError):
-        leading_rotation(2, k=3)
-    p = leading_rotation(8, k=4)
-    assert np.array_equal(p.image[4:], np.arange(4, 8))
+        leading_rotation(2)
+    p = leading_rotation(8)
+    assert np.array_equal(p.image[3:], np.arange(3, 8))

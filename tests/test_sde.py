@@ -12,7 +12,10 @@ from regreadout import (
     euler_step,
     exact_step,
     generate_increments,
+    h_ordering_policy,
+    run_ensemble,
     simulate_trajectory,
+    two_level_state,
 )
 from regreadout.policies import no_control, random_permutation_policy
 from regreadout.registers import z_table
@@ -49,10 +52,17 @@ def test_params_validation():
         make_params(max_time=0.0)
     with pytest.raises(TypeError):
         make_params(integrator="exact")
-    with pytest.raises(ValueError):
-        make_params(stop_epsilon=0.0)
+    for stop in (-1e-3, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            make_params(stop_epsilon=stop)
     with pytest.warns(UserWarning):
         make_params(dt=0.05)
+
+
+def test_dt_warning_names_the_caller():
+    with pytest.warns(UserWarning) as record:
+        SimulationParams(n=1, dt=0.05)
+    assert record[0].filename == __file__
 
 
 def test_increments_shape_and_decomposition():
@@ -141,8 +151,8 @@ def test_exact_step_rejects_nonfinite_record():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=lambda n: f"{n}-exact")
 def test_column_step_matches_single_steps(n):
     """Every column of the batched step equals exact_step on that column
-    alone, and infidelity_columns equals argmax and
-    DiagonalState.infidelity(), the first index winning a tie."""
+    alone, and infidelity_columns equals DiagonalState.infidelity(), also
+    for columns whose maximum is tied."""
     d = 2**n
     params = make_params(n=n, dt=2e-3)
     rng = np.random.default_rng(40 + n)
@@ -154,20 +164,15 @@ def test_column_step_matches_single_steps(n):
     lam /= lam.sum(axis=0)
     dW = rng.normal(0.0, math.sqrt(params.dt), size=(n, 7))
     new = update_columns(lam, dW, params.gamma, params.dt)
-    amax, delta = infidelity_columns(new)
-    amax0, delta0 = infidelity_columns(lam)
-    assert amax0[0] == 0
-    if d > 2:
-        assert amax0[1] == 1
+    delta = infidelity_columns(new)
+    delta0 = infidelity_columns(lam)
     c = record_strength(params.gamma)
     for a in range(lam.shape[1]):
         state = DiagonalState(n, lam[:, a])
         dR = c * (z_table(n) @ state.probs) * params.dt + dW[:, a]
         ref = exact_step(state, dR, params)
         assert np.allclose(new[:, a], ref.probs, rtol=1e-12, atol=1e-12)
-        assert amax[a] == np.argmax(new[:, a])
         assert delta[a] == pytest.approx(ref.infidelity(), rel=1e-12)
-        assert amax0[a] == np.argmax(lam[:, a])
         assert delta0[a] == pytest.approx(state.infidelity(), rel=1e-12)
 
 
@@ -254,27 +259,51 @@ def test_trajectory_is_deterministic():
 
 
 def test_record_accumulator_integrates_dr():
-    params = make_params(n=2, max_time=0.1, stop_epsilon=1e-9)
-    res = simulate_trajectory(
-        params, no_control(), [], 5, run_full_time=True, record_every=1
-    )
+    params = make_params(n=2, max_time=0.1, stop_epsilon=0.0)
+    res = simulate_trajectory(params, no_control(), [], 5, record_every=1)
     assert res.sample_times[-1] == pytest.approx(0.1)
     assert res.records.shape == (2,)
     assert np.all(np.isfinite(res.records))
 
 
-def test_run_full_time_ignores_stop():
-    params = make_params(n=1, max_time=0.4, stop_epsilon=1e-2)
-    res = simulate_trajectory(params, no_control(), [], 11, run_full_time=True)
+def test_stop_zero_runs_to_max_time():
+    """stop_epsilon = 0 never freezes: a mixed start, a pure start
+    (Delta = 0 from the first step) and a two-level start all run to
+    max_time, targets of any depth are accepted, and the batch runner
+    reproduces the reference trajectories."""
+    res = simulate_trajectory(
+        make_params(n=1, max_time=0.4, stop_epsilon=0.0), no_control(), [], 11
+    )
     assert res.sample_times[-1] == pytest.approx(0.4)
+    params = make_params(n=2, max_time=0.1, stop_epsilon=0.0)
+    deep = [1e-1, 1e-30, 1e-300]
+    for policy in (no_control(), h_ordering_policy()):
+        for state in (DiagonalState.pure(2, 3), two_level_state(2, 0.2)):
+            kw = dict(initial_state=state, record_every=4)
+            stats = run_ensemble(
+                params, policy, deep, 3, 8, collect_first_passage=True, **kw
+            )
+            assert np.all(stats.active_fraction == 1.0)
+            for i in range(3):
+                ref = simulate_trajectory(params, policy, deep, 8, i, **kw)
+                assert ref.sample_times[-1] == pytest.approx(0.1)
+                assert np.allclose(
+                    stats.final_states[i], ref.final_state.probs, atol=1e-12
+                )
+                assert stats.final_indices[i] == ref.final_index
+                for j, eps in enumerate(deep):
+                    want = ref.first_passage[eps]
+                    got = stats.first_passage_times[i, j]
+                    if want is None:
+                        assert np.isnan(got)
+                    else:
+                        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_record_every_thins_samples():
-    params = make_params(n=1, max_time=0.02, dt=1e-3)
-    full = simulate_trajectory(params, no_control(), [], 2, run_full_time=True)
-    thin = simulate_trajectory(
-        params, no_control(), [], 2, run_full_time=True, record_every=5
-    )
+    params = make_params(n=1, max_time=0.02, dt=1e-3, stop_epsilon=0.0)
+    full = simulate_trajectory(params, no_control(), [], 2)
+    thin = simulate_trajectory(params, no_control(), [], 2, record_every=5)
     assert full.sample_times.size == 21
     assert thin.sample_times.size == 5
     assert np.allclose(thin.sample_times, [0.0, 0.005, 0.01, 0.015, 0.02])
@@ -287,13 +316,9 @@ def test_open_loop_record_independence():
     """Open-loop control sequences never depend on the record, so the
     same seed gives an identical permutation log whatever the noise does.
     """
-    params = make_params(n=2, max_time=0.1)
-    first = simulate_trajectory(
-        params, random_permutation_policy(), [], 17, run_full_time=True
-    )
-    again = simulate_trajectory(
-        params, random_permutation_policy(), [], 17, run_full_time=True
-    )
+    params = make_params(n=2, max_time=0.1, stop_epsilon=0.0)
+    first = simulate_trajectory(params, random_permutation_policy(), [], 17)
+    again = simulate_trajectory(params, random_permutation_policy(), [], 17)
     assert np.array_equal(
         first.cumulative_control.image, again.cumulative_control.image
     )

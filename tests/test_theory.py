@@ -274,11 +274,9 @@ def test_linear_trajectory_state_matches_exact_integrator():
     """From the maximally mixed start with no control, the exact
     integrator's final state is a function of the accumulated record
     alone.  Strong cross-check between the two implementations."""
-    params = SimulationParams(n=2, max_time=0.3, stop_epsilon=1e-9)
+    params = SimulationParams(n=2, max_time=0.3, stop_epsilon=0.0)
     for seed in (1, 2, 3):
-        res = simulate_trajectory(
-            params, no_control(), [], seed, run_full_time=True
-        )
+        res = simulate_trajectory(params, no_control(), [], seed)
         replay = linear_trajectory_state(res.records, 2)
         assert np.allclose(replay.probs, res.final_state.probs, atol=1e-10)
 
