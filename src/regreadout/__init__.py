@@ -13,21 +13,12 @@ __version__ = "0.1.0"
 from .registers import (
     DiagonalState,
     Permutation,
-    apply_permutation,
-    compose,
-    invert,
     leading_rotation,
-    sample_uniform_permutation,
     z_table,
 )
 from .sde import (
     IntegrationError,
     SimulationParams,
-    TrajectoryResult,
-    euler_step,
-    exact_step,
-    generate_increments,
-    simulate_trajectory,
     trajectory_control_rng,
     trajectory_noise_rng,
 )
@@ -35,14 +26,11 @@ from .policies import (
     POLICY_KINDS,
     ControlPolicy,
     fixed_cycle_policy,
-    h_order,
     h_order_targets,
     h_ordering_policy,
     no_control,
-    policy_step,
     random_permutation_policy,
     read_cycle_file,
-    retrodict,
 )
 from .theory import (
     IdentityReport,
@@ -85,32 +73,20 @@ __all__ = [
     "__version__",
     "DiagonalState",
     "Permutation",
-    "apply_permutation",
-    "compose",
-    "invert",
     "leading_rotation",
-    "sample_uniform_permutation",
     "z_table",
     "IntegrationError",
     "SimulationParams",
-    "TrajectoryResult",
-    "euler_step",
-    "exact_step",
-    "generate_increments",
-    "simulate_trajectory",
     "trajectory_control_rng",
     "trajectory_noise_rng",
     "POLICY_KINDS",
     "ControlPolicy",
     "fixed_cycle_policy",
-    "h_order",
     "h_order_targets",
     "h_ordering_policy",
     "no_control",
-    "policy_step",
     "random_permutation_policy",
     "read_cycle_file",
-    "retrodict",
     "IdentityReport",
     "RateEstimate",
     "SpeedupBounds",

@@ -198,14 +198,15 @@ def _report_checks(failures: list[str]) -> int:
 
 
 def cmd_run(args) -> int:
+    # checked before the stop is derived from them, as in cmd_sweep
+    epsilons = epsilon_targets(_parse_epsilons(args.epsilons), 0.0)
     params = SimulationParams(
         n=args.n,
         gamma=args.gamma,
         dt=args.dt,
         max_time=args.max_time,
-        stop_epsilon=RUN_STOP_EPSILON,
+        stop_epsilon=min(RUN_STOP_EPSILON, float(epsilons[-1])),
     )
-    epsilons = _parse_epsilons(args.epsilons)
     policy = _build_policy(args.policy, args.cycle_file, 2**params.n)
 
     start = time.perf_counter()

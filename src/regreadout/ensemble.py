@@ -2,9 +2,9 @@
 
 run_ensemble integrates many trajectories at once, one per column of a
 (2^n, trajectories) array over a compressed active set: every trajectory
-owns the same per-index noise stream as sde.simulate_trajectory (blocks
-of steps are pre-drawn from it into a step-major (steps, n, trajectories)
-block) and each step goes through sde.update_columns and
+owns its per-index noise stream, sde.trajectory_noise_rng(seed, index)
+(blocks of steps are pre-drawn from it into a step-major (steps, n,
+trajectories) block) and each step goes through sde.update_columns and
 sde.infidelity_columns.  Each column carries the ln(Delta) of its next
 event, a first-passage target or the stop, so one comparison per step
 finds the few columns that pass a target or freeze; their passages are

@@ -4,9 +4,10 @@ Three families of permutation control are supported on top of the trivial
 no-control baseline: closed-loop Hamming ordering (sort the populations
 onto the hypercube so measurement distinguishes the leading candidates as
 fast as possible), open-loop uniformly random permutations resampled every
-step, and user-supplied deterministic cycles.  The module also provides
-retrodiction: undoing the accumulated control frame to name the basis
-state the uncontrolled register would have collapsed to.
+step, and user-supplied deterministic cycles.  A ControlPolicy names the
+protocol; run_ensemble applies it.  The module also holds the Hamming
+ordering's vertex visit order (h_order_targets) and the cycle file
+reader.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .registers import (
-    BasisIndex,
-    DiagonalState,
-    Permutation,
-    invert,
-    sample_uniform_permutation,
-)
+from .registers import Permutation
 
 POLICY_KINDS = ("none", "h_ordering", "random_permutation", "fixed_cycle")
 
@@ -76,57 +71,6 @@ def h_order_targets(n: int) -> np.ndarray:
     targets = np.array([0] + rest, dtype=np.int64)
     targets.setflags(write=False)
     return targets
-
-
-def h_order(state: DiagonalState) -> Permutation:
-    """Permutation that Hamming-orders the state.
-
-    Populations are ranked in descending order (ties by current index,
-    ascending) and sent to h_order_targets(n) in rank order.  A state that
-    is already Hamming-ordered with distinct populations maps to the
-    identity.
-    """
-    order = np.argsort(-state.probs, kind="stable")
-    image = np.empty_like(order)
-    image[order] = h_order_targets(state.n)
-    return Permutation(image)
-
-
-def policy_step(
-    policy: ControlPolicy,
-    state: DiagonalState,
-    step_index: int,
-    rng: np.random.Generator,
-) -> Permutation:
-    """Permutation the policy applies at the start of this step.
-
-    Only 'h_ordering' looks at the state; 'random_permutation' consumes
-    the control stream; 'fixed_cycle' indexes its cycle by step number.
-    The permutation sequence of the open-loop policies is therefore
-    independent of the measurement record.
-    """
-    d = state.probs.size
-    if policy.kind == "none":
-        return Permutation.identity(d)
-    if policy.kind == "h_ordering":
-        return h_order(state)
-    if policy.kind == "random_permutation":
-        return sample_uniform_permutation(rng, d)
-    perms = policy.cycle
-    if perms[0].dimension != d:
-        raise ValueError("cycle permutation dimension does not match the state")
-    return perms[step_index % len(perms)]
-
-
-def retrodict(final_index: BasisIndex, cumulative: Permutation) -> BasisIndex:
-    """Undo the control frame to recover the uncontrolled outcome.
-
-    cumulative is the composition of all applied permutations, most
-    recent outermost.  If the register ends up concentrated at
-    final_index after them, the population started (and, absent control,
-    would have collapsed) at invert(cumulative).image[final_index].
-    """
-    return int(invert(cumulative).image[final_index])
 
 
 def read_cycle_file(path, dimension: int | None = None) -> list[Permutation]:

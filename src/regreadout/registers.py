@@ -1,5 +1,5 @@
 """Basis conventions, z eigenvalue tables, diagonal states and
-permutation algebra for an n-qubit register measured in the logical basis.
+permutations for an n-qubit register measured in the logical basis.
 
 A basis index i in [0, 2^n) encodes the bit string |q1 q2 ... qn> with
 qubit 1 stored in the most significant bit, so qubit r sits at bit
@@ -111,35 +111,6 @@ class Permutation:
     @classmethod
     def identity(cls, d: int) -> "Permutation":
         return cls(np.arange(d))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Permutation acting as q first, then p."""
-    if p.dimension != q.dimension:
-        raise ValueError("cannot compose permutations of different dimensions")
-    return Permutation(p.image[q.image])
-
-
-def invert(p: Permutation) -> Permutation:
-    inv = np.empty(p.dimension, dtype=np.int64)
-    inv[p.image] = np.arange(p.dimension)
-    return Permutation(inv)
-
-
-def apply_permutation(state: DiagonalState, p: Permutation) -> DiagonalState:
-    """Relabel the register populations according to p."""
-    if p.dimension != state.probs.size:
-        raise ValueError("permutation dimension does not match the state")
-    out = np.empty_like(state.probs)
-    out[p.image] = state.probs
-    return DiagonalState(state.n, out)
-
-
-def sample_uniform_permutation(rng: np.random.Generator, d: int) -> Permutation:
-    """Uniformly random permutation of d slots (Fisher-Yates, unbiased)."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return Permutation(rng.permutation(d))
 
 
 def leading_rotation(d: int) -> Permutation:

@@ -26,15 +26,11 @@ from regreadout import (
     SimulationParams,
     asymptotic_speedup,
     default_epsilon_grid,
-    euler_step,
-    exact_step,
     fit_ln_delta_slope,
     fit_speedup_scaling,
     fixed_cycle_policy,
     flat_tail_state,
-    h_order,
     h_ordering_policy,
-    apply_permutation,
     leading_rotation,
     mc_permuted_step_rate,
     no_control,
@@ -51,6 +47,8 @@ from regreadout import (
     z_table,
     zsum_bounds,
 )
+from regreadout.sde import update_columns
+from oracle import apply_permutation, euler_step, exact_step, h_order
 PROFILE = os.environ.get("ACCEPTANCE_PROFILE", "ci").lower()
 if PROFILE not in ("ci", "full"):
     raise ValueError(f"ACCEPTANCE_PROFILE must be 'ci' or 'full', got {PROFILE!r}")
@@ -338,7 +336,7 @@ def test_acceptance_8_simulator_invariants(capsys):
     """Five structural invariants of the simulator itself."""
     failures = []
 
-    # (a) normalization: both steppers hold |sum - 1| <= 1e-10 per step
+    # (a) normalization: every stepper holds |sum - 1| <= 1e-10 per step
     params = SimulationParams(n=3, stop_epsilon=1e-300, max_time=2000 * 6.25e-4)
     worst_norm = 0.0
     for stepper, seed in ((exact_step, 888), (euler_step, 889)):
@@ -350,6 +348,13 @@ def test_acceptance_8_simulator_invariants(capsys):
             dr = 2.0 * math.sqrt(2.0) * expect * params.dt + dw
             state = stepper(state, dr, params)
             worst_norm = max(worst_norm, abs(float(state.probs.sum()) - 1.0))
+    # and the production kernel every runner steps through, on its own stream
+    rng = trajectory_noise_rng(890)
+    lam = np.full((8, 1), 1.0 / 8)
+    for _ in range(2000):
+        dw = rng.normal(0.0, math.sqrt(params.dt), size=(3, 1))
+        lam = update_columns(lam, dw, params.gamma, params.dt)
+        worst_norm = max(worst_norm, abs(float(lam.sum()) - 1.0))
     if worst_norm > 1e-10:
         failures.append(f"normalization drift {worst_norm:.2e}")
 

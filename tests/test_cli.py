@@ -81,6 +81,21 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert "policy=none" in captured.out
 
 
+def test_run_stops_at_its_deepest_target(tmp_path):
+    """A target below run's default stop lowers the stop to that target
+    instead of being rejected as unreachable."""
+    out = tmp_path / "deep"
+    code = run_main(
+        ["run", "--count", 5, "--max-time", 0.1,
+         "--epsilons", "1e-1,1e-30", "--out", out]
+    )
+    assert code == 0
+    passage = (out / "first_passage.csv").read_text().splitlines()
+    assert len(passage) == 3  # the header and 2 data rows
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["stop_epsilon"] == 1e-30
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     args = ["run", "--n", 2, "--policy", "random_permutation", "--count", 15,
             "--max-time", 0.4, "--epsilons", "1e-1,1e-2", "--seed", 11]

@@ -27,15 +27,14 @@ from regreadout import (
     permutation_averaged_rate,
     random_permutation_policy,
     regression_mean_time,
-    retrodict,
     run_ensemble,
-    simulate_trajectory,
     speedup_bounds_for_policy,
     speedup_scaling_sweep,
     two_level_state,
 )
 from regreadout.ensemble import NOISE_BLOCK_STEPS
 from regreadout.sde import infidelity_columns, update_columns
+from oracle import retrodict, simulate_trajectory
 
 
 EPS3 = [1e-1, 1e-2, 1e-3]

@@ -8,17 +8,19 @@ from regreadout import (
     DiagonalState,
     Permutation,
     SimulationParams,
-    apply_permutation,
-    compose,
     fixed_cycle_policy,
-    h_order,
     h_order_targets,
     h_ordering_policy,
     leading_rotation,
     no_control,
-    policy_step,
     random_permutation_policy,
     read_cycle_file,
+)
+from oracle import (
+    apply_permutation,
+    compose,
+    h_order,
+    policy_step,
     retrodict,
     simulate_trajectory,
 )

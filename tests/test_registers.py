@@ -6,12 +6,14 @@ import pytest
 from regreadout import (
     DiagonalState,
     Permutation,
+    leading_rotation,
+    z_table,
+)
+from oracle import (
     apply_permutation,
     compose,
     invert,
-    leading_rotation,
     sample_uniform_permutation,
-    z_table,
 )
 
 

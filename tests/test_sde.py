@@ -9,12 +9,8 @@ from regreadout import (
     DiagonalState,
     IntegrationError,
     SimulationParams,
-    euler_step,
-    exact_step,
-    generate_increments,
     h_ordering_policy,
     run_ensemble,
-    simulate_trajectory,
     two_level_state,
 )
 from regreadout.policies import no_control, random_permutation_policy
@@ -26,6 +22,12 @@ from regreadout.sde import (
     trajectory_control_rng,
     trajectory_noise_rng,
     update_columns,
+)
+from oracle import (
+    euler_step,
+    exact_step,
+    generate_increments,
+    simulate_trajectory,
 )
 
 

@@ -8,14 +8,12 @@ from regreadout.sde import epsilon_targets
 
 PUBLIC_NAMES = [
     "__version__",
-    "DiagonalState", "Permutation", "apply_permutation", "compose", "invert",
-    "leading_rotation", "sample_uniform_permutation", "z_table",
-    "IntegrationError", "SimulationParams", "TrajectoryResult", "euler_step",
-    "exact_step", "generate_increments", "simulate_trajectory",
-    "trajectory_control_rng", "trajectory_noise_rng",
-    "POLICY_KINDS", "ControlPolicy", "fixed_cycle_policy", "h_order",
-    "h_order_targets", "h_ordering_policy", "no_control", "policy_step",
-    "random_permutation_policy", "read_cycle_file", "retrodict",
+    "DiagonalState", "Permutation", "leading_rotation", "z_table",
+    "IntegrationError", "SimulationParams", "trajectory_control_rng",
+    "trajectory_noise_rng",
+    "POLICY_KINDS", "ControlPolicy", "fixed_cycle_policy", "h_order_targets",
+    "h_ordering_policy", "no_control", "random_permutation_policy",
+    "read_cycle_file",
     "IdentityReport", "RateEstimate", "SpeedupBounds", "all_permutation_images",
     "flat_tail_permuted_rate", "flat_tail_state", "h_ordering_speedup_bounds",
     "linear_trajectory_state", "log_infidelity_rate", "nofb_mean_first_passage",
@@ -29,15 +27,18 @@ PUBLIC_NAMES = [
     "speedup_bounds_for_policy", "speedup_scaling_sweep",
 ]
 
+# The scalar reference simulator lives in tests/oracle.py, not the library.
+ORACLE_NAMES = [
+    "simulate_trajectory", "TrajectoryResult", "generate_increments",
+    "exact_step", "euler_step", "policy_step", "h_order", "retrodict",
+    "compose", "invert", "apply_permutation", "sample_uniform_permutation",
+]
+
 SIGNATURES = {
     regreadout.run_ensemble: [
         "params", "policy", "epsilons", "count", "master_seed",
         "record_every", "initial_state", "collect_retrodiction",
         "collect_first_passage",
-    ],
-    regreadout.simulate_trajectory: [
-        "params", "policy", "epsilons", "master_seed", "trajectory_index",
-        "initial_state", "record_every",
     ],
     epsilon_targets: ["epsilons", "stop_epsilon"],
     regreadout.speedup_scaling_sweep: [
@@ -51,6 +52,9 @@ def test_public_names():
     assert regreadout.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(regreadout, name), name
+    for module in (regreadout.sde, regreadout.policies, regreadout.registers):
+        for name in ORACLE_NAMES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_run_signatures():

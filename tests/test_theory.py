@@ -16,7 +16,6 @@ from regreadout import (
     SimulationParams,
     SpeedupBounds,
     all_permutation_images,
-    apply_permutation,
     flat_tail_permuted_rate,
     flat_tail_state,
     h_ordering_speedup_bounds,
@@ -27,13 +26,12 @@ from regreadout import (
     permutation_averaged_rate,
     permutation_sum_identities,
     random_permutation_speedup_bounds,
-    sample_uniform_permutation,
-    simulate_trajectory,
     two_level_permuted_rate,
     two_level_state,
     zsum_bounds,
 )
 from regreadout.policies import no_control
+from oracle import apply_permutation, sample_uniform_permutation, simulate_trajectory
 
 
 def test_nofb_mean_first_passage_values():
