@@ -37,7 +37,6 @@ from .theory import (
     RateEstimate,
     SpeedupBounds,
     all_permutation_images,
-    flat_tail_permuted_rate,
     flat_tail_state,
     h_ordering_speedup_bounds,
     linear_trajectory_state,
@@ -47,7 +46,6 @@ from .theory import (
     permutation_averaged_rate,
     permutation_sum_identities,
     random_permutation_speedup_bounds,
-    two_level_permuted_rate,
     two_level_state,
     zsum_bounds,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "RateEstimate",
     "SpeedupBounds",
     "all_permutation_images",
-    "flat_tail_permuted_rate",
     "flat_tail_state",
     "h_ordering_speedup_bounds",
     "linear_trajectory_state",
@@ -101,7 +98,6 @@ __all__ = [
     "permutation_averaged_rate",
     "permutation_sum_identities",
     "random_permutation_speedup_bounds",
-    "two_level_permuted_rate",
     "two_level_state",
     "zsum_bounds",
     "EnsembleStats",

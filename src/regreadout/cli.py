@@ -222,11 +222,11 @@ def cmd_run(args) -> int:
     except ValueError:
         window = None
     nofb_slope = -NOFB_RATE * params.gamma
-    fit = None
+    fit = fit_error = None
     try:
         fit = regression_mean_time(stats)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        fit_error = exc
 
     out = _out_dir(args.out)
     _write_rows(
@@ -292,6 +292,8 @@ def cmd_run(args) -> int:
             f"{fit.slope_stderr:.5f} (no-control theory: "
             f"{1.0 / (NOFB_RATE * params.gamma):.5f})"
         )
+    else:
+        print(f"  mean-time fit skipped: {fit_error}")
     print(f"  max censored fraction: {max_censored:g}")
     print(f"  wrote {LOG_CSV}, {PASSAGE_CSV}, {SUMMARY_JSON} -> {out}")
 

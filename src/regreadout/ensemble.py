@@ -454,14 +454,15 @@ def regression_mean_time(
             "the mean-time fit needs per-trajectory passage times: "
             "run_ensemble(..., collect_first_passage=True)"
         )
-    sel = (
-        (stats.epsilons >= eps_lo)
-        & (stats.epsilons <= eps_hi)
-        & (stats.censored_fraction <= max_censored)
-    )
-    m = int(sel.sum())
+    in_range = (stats.epsilons >= eps_lo) & (stats.epsilons <= eps_hi)
+    sel = in_range & (stats.censored_fraction <= max_censored)
+    m, inside = int(sel.sum()), int(in_range.sum())
     if m < 3:
-        raise ValueError("fewer than 3 usable epsilon points in the fit range")
+        raise ValueError(
+            f"fewer than 3 usable epsilon points in the fit range [{eps_lo:g}, "
+            f"{eps_hi:g}]: {inside} targets inside it, {inside - m} dropped for "
+            f"censoring above {max_censored:g} (max_time {stats.params.max_time:g})"
+        )
     if m < 5:
         warnings.warn(
             f"only {m} epsilon points in the regression range", stacklevel=2

@@ -5,9 +5,9 @@ one-qubit mean passage time and the exact finite-time mean
 log-infidelity), the instantaneous log-infidelity decay rate of an
 arbitrary diagonal state, the analytic bounds on that rate and on the
 protocol speed-ups, the exact average of the rate over the full
-permutation group (brute-force enumeration for small registers), the
-integer sum identities that the bounds rest on, and the closed-form
-conditional state reached from a given accumulated record.
+permutation group (a closed form at every n), the integer sum identities
+that it rests on (checked by enumeration for D = 4 and 8), and the
+closed-form conditional state reached from a given accumulated record.
 
 Rates are d<ln Delta>/dt values and are negative for valid states.  The
 two extremal tail shapes appear throughout: the two-level state puts the
@@ -30,8 +30,6 @@ from numpy.polynomial import legendre
 from .registers import DiagonalState, z_table
 from .sde import record_strength
 
-# Full enumeration of the permutation group is kept below 8! elements.
-ENUMERATION_MAX_QUBITS = 3
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
 NOFB_RATE = 16.0
 
@@ -153,15 +151,15 @@ def h_ordering_speedup_bounds(n: int) -> SpeedupBounds:
 def random_permutation_speedup_bounds(n: int) -> SpeedupBounds:
     """Speed-up bounds for the open-loop random-permutation protocol.
 
-    Shares the H-ordering lower bound; the upper bound approaches 0.5*n
-    from above as n grows (large-n band 0.25*n to 0.5*n).
+    The edges are zsum / (4*Delta^2) of permutation_averaged_rate's
+    closed form as Delta -> 0: the flat-tail state gives the lower edge,
+    which the H-ordering bound shares, and the two-level state the upper,
+    which approaches 0.5*n from above as n grows (large-n band 0.25*n to
+    0.5*n).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    lower = h_ordering_speedup_bounds(n).lower  # rejects n < 1
     d = 2**n
-    lower = d**2 / (d - 1) ** 2 * n / 4.0
-    upper = n * (d / 2) / (d - 1)
-    return SpeedupBounds(lower=lower, upper=upper)
+    return SpeedupBounds(lower=lower, upper=n * (d / 2) / (d - 1))
 
 
 @lru_cache(maxsize=None)
@@ -251,52 +249,29 @@ def flat_tail_state(n: int, delta: float) -> DiagonalState:
     return DiagonalState(n, probs)
 
 
-def two_level_permuted_rate(n: int, delta: float, gamma: float = 1.0) -> float:
-    """Group-averaged collapse rate of the two-level state: the fastest
-    (most negative) envelope, -8*gamma*n*D/(D-1) * (1-delta)^2."""
-    d = 2**n
-    return -8.0 * gamma * n * d / (d - 1) * (1.0 - delta) ** 2
-
-
-def flat_tail_permuted_rate(n: int, delta: float, gamma: float = 1.0) -> float:
-    """Group-averaged collapse rate of the flat-tail state: the slowest
-    (least negative) envelope, -4*gamma*n*D^2/(D-1)^2 * (1-delta)^2."""
-    d = 2**n
-    return -4.0 * gamma * n * d**2 / (d - 1) ** 2 * (1.0 - delta) ** 2
-
-
 def permutation_averaged_rate(
     state: DiagonalState, gamma: float = 1.0
 ) -> RateEstimate:
-    """Mean of log_infidelity_rate over every permutation of the state
-    (n <= 3), with no standard error.
+    """Mean of log_infidelity_rate over every permutation of the state,
+    in closed form at any n (no standard error):
 
-    Each permuted state's observables are shifted by the eigenvalue at its
-    own maximum, which keeps every term finite however the state
-    collapses.  The result lies between two_level_permuted_rate and
-    flat_tail_permuted_rate at the state's n and infidelity (the average
-    is a convex quadratic over the fixed-infidelity simplex, symmetric in
-    the tail indices, so the extremes sit at a vertex and at the
-    centroid); those closed forms hold for any n.
+        E[sum_r <Z~^r>^2] = n*D/(D-1) * (Delta^2 + S),  D = 2^n,
+
+    S the sum of lambda_i^2 over i != i*, the maximal index.  Each z row
+    holds D/2 entries of each sign, so for a uniform permutation pi and
+    distinct i, j != i*: E[(z_pi(i) - z_pi(i*))^2] = 2D/(D-1) and
+    E[(z_pi(i) - z_pi(i*))(z_pi(j) - z_pi(i*))] = D/(D-1).  Cauchy-Schwarz,
+    Delta^2/(D-1) <= S <= Delta^2, brackets the rate between the flat-tail
+    state, -4*gamma*n*D^2/(D-1)^2 * (1-Delta)^2, and the two-level state,
+    -8*gamma*n*D/(D-1) * (1-Delta)^2.
     """
     delta = state.infidelity()
     if delta <= 0.0:
         raise ValueError("rate is singular for a collapsed state (Delta = 0)")
-    n = state.n
-    if n > ENUMERATION_MAX_QUBITS:
-        raise ValueError(
-            f"exact enumeration limited to n <= {ENUMERATION_MAX_QUBITS}"
-        )
-    images = all_permutation_images(2**n)
-    z = z_table(n)
-    i_star = state.argmax_index()
-    zsum_avg = 0.0
-    for r in range(n):
-        permuted = z[r][images]
-        shifted = permuted - permuted[:, [i_star]]
-        moments = shifted @ state.probs
-        zsum_avg += float(np.mean(moments * moments))
-    value = -4.0 * gamma * zsum_avg * (1.0 - delta) ** 2 / delta**2
+    d = 2**state.n
+    rest = np.sort(state.probs)[:-1]  # every entry but one maximal one
+    zsum = state.n * d / (d - 1) * (delta**2 + float(rest @ rest))
+    value = -4.0 * gamma * zsum * (1.0 - delta) ** 2 / delta**2
     return RateEstimate(value)
 
 

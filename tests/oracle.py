@@ -7,8 +7,10 @@ apply_permutation, sample_uniform_permutation), retrodiction through the
 accumulated control frame, and simulate_trajectory, which strings them
 together on the same per-index noise and control streams as
 regreadout.ensemble.run_ensemble.  The tests compare the batched runner
-against it.  It keeps its own arithmetic on purpose and is not part of
-the library: nothing under src/ imports it.
+against it.  enumerated_permutation_average_rate is the brute-force
+reference for theory.permutation_averaged_rate's closed form.  The oracle
+keeps its own arithmetic on purpose and is not part of the library:
+nothing under src/ imports it.
 
 euler_step is the explicit first-order update
 
@@ -38,6 +40,7 @@ from regreadout.sde import (
     trajectory_control_rng,
     trajectory_noise_rng,
 )
+from regreadout.theory import RateEstimate, all_permutation_images
 
 NEGATIVITY_TOL = 1e-6
 
@@ -287,3 +290,30 @@ def simulate_trajectory(
         records=records,
         final_state=state,
     )
+
+
+def enumerated_permutation_average_rate(
+    state: DiagonalState, gamma: float = 1.0
+) -> RateEstimate:
+    """Mean of log_infidelity_rate over all D! permutations of the state,
+    by enumeration (n <= 3: all_permutation_images stops at D = 8).
+
+    Each permuted state's observables are shifted by the eigenvalue at its
+    own maximum, which keeps every term finite however the state
+    collapses.
+    """
+    delta = state.infidelity()
+    if delta <= 0.0:
+        raise ValueError("rate is singular for a collapsed state (Delta = 0)")
+    n = state.n
+    images = all_permutation_images(2**n)
+    z = z_table(n)
+    i_star = state.argmax_index()
+    zsum_avg = 0.0
+    for r in range(n):
+        permuted = z[r][images]
+        shifted = permuted - permuted[:, [i_star]]
+        moments = shifted @ state.probs
+        zsum_avg += float(np.mean(moments * moments))
+    value = -4.0 * gamma * zsum_avg * (1.0 - delta) ** 2 / delta**2
+    return RateEstimate(value)

@@ -200,7 +200,7 @@ def test_acceptance_3_permutation_identities(capsys):
 
 def test_acceptance_4_mc_rate_vs_enumeration(capsys):
     """One-step Monte Carlo over 10^6 random permutations reproduces the
-    enumerated group-average collapse rate within 3 standard errors for
+    closed-form group-average collapse rate within 3 standard errors for
     both envelope states at n = 2 and 3, Delta = 1e-3."""
     zscores = []
     ok = True

@@ -306,6 +306,22 @@ def test_sweep_single_size(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_a_censored_mean_time_fit_names_its_cause(tmp_path, capsys):
+    """Too short a run leaves every target of the fit range censored:
+    sweep exits 1 and run skips its mean-time line, each saying why."""
+    code = run_main(["sweep", "--n-values", 2, "--count", 20,
+                     "--max-time", 0.3, "--out", tmp_path / "s"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "censor" in err and "max_time 0.3" in err
+    code = run_main(["run", "--n", 3, "--count", 20, "--max-time", 0.3,
+                     "--out", tmp_path / "r"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "mean-time fit skipped: " in out and "dropped for censoring" in out
+    assert "mean time vs ln(1/eps)" not in out
+
+
 def test_sweep_checks_the_cycle_against_every_size(tmp_path, monkeypatch, capsys):
     cycle = tmp_path / "cycle.txt"
     cycle.write_text("2 0 1 3\n")

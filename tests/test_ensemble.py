@@ -19,6 +19,7 @@ from regreadout import (
     fit_ln_delta_slope,
     fit_speedup_scaling,
     fixed_cycle_policy,
+    flat_tail_state,
     h_ordering_policy,
     leading_rotation,
     mc_permuted_step_rate,
@@ -507,6 +508,18 @@ def test_mc_permuted_step_rate_matches_enumeration():
     assert abs(mc.value - exact) < 4.0 * mc.stderr
     # the stderr scale itself: fractional error should be small
     assert mc.stderr < 0.05 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("envelope", [two_level_state, flat_tail_state])
+def test_mc_permuted_step_rate_matches_closed_form_beyond_enumeration(n, envelope):
+    """At sizes whose D! permutations are out of reach, one-step Monte
+    Carlo still reproduces the closed-form group average (acceptance 4's
+    check, at 2x10^5 samples)."""
+    state = envelope(n, 1e-3)
+    exact = permutation_averaged_rate(state).value
+    mc = mc_permuted_step_rate(state, 1.0, 2e-4, 200_000, 11)
+    assert abs(mc.value - exact) < 3.0 * mc.stderr
 
 
 def test_mc_permuted_step_rate_validation():

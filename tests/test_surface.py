@@ -15,11 +15,10 @@ PUBLIC_NAMES = [
     "h_ordering_policy", "no_control", "random_permutation_policy",
     "read_cycle_file",
     "IdentityReport", "RateEstimate", "SpeedupBounds", "all_permutation_images",
-    "flat_tail_permuted_rate", "flat_tail_state", "h_ordering_speedup_bounds",
-    "linear_trajectory_state", "log_infidelity_rate", "nofb_mean_first_passage",
-    "nofb_mean_log_infidelity", "permutation_averaged_rate",
-    "permutation_sum_identities", "random_permutation_speedup_bounds",
-    "two_level_permuted_rate", "two_level_state", "zsum_bounds",
+    "flat_tail_state", "h_ordering_speedup_bounds", "linear_trajectory_state",
+    "log_infidelity_rate", "nofb_mean_first_passage", "nofb_mean_log_infidelity",
+    "permutation_averaged_rate", "permutation_sum_identities",
+    "random_permutation_speedup_bounds", "two_level_state", "zsum_bounds",
     "EnsembleStats", "MeanTimeFit", "ScalingFit", "SpeedupEstimate",
     "SweepPoint", "asymptotic_speedup", "auto_slope_window",
     "default_epsilon_grid", "fit_ln_delta_slope", "fit_speedup_scaling",
@@ -32,6 +31,12 @@ ORACLE_NAMES = [
     "simulate_trajectory", "TrajectoryResult", "generate_increments",
     "exact_step", "euler_step", "policy_step", "h_order", "retrodict",
     "compose", "invert", "apply_permutation", "sample_uniform_permutation",
+]
+
+# permutation_averaged_rate's closed form covers every n and both
+# envelope states, so its enumeration cap and envelope functions are gone.
+REMOVED_THEORY_NAMES = [
+    "ENUMERATION_MAX_QUBITS", "two_level_permuted_rate", "flat_tail_permuted_rate",
 ]
 
 SIGNATURES = {
@@ -55,6 +60,8 @@ def test_public_names():
     for module in (regreadout.sde, regreadout.policies, regreadout.registers):
         for name in ORACLE_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in REMOVED_THEORY_NAMES:
+        assert not hasattr(regreadout.theory, name), name
 
 
 def test_run_signatures():

@@ -16,7 +16,6 @@ from regreadout import (
     SimulationParams,
     SpeedupBounds,
     all_permutation_images,
-    flat_tail_permuted_rate,
     flat_tail_state,
     h_ordering_speedup_bounds,
     linear_trajectory_state,
@@ -26,12 +25,16 @@ from regreadout import (
     permutation_averaged_rate,
     permutation_sum_identities,
     random_permutation_speedup_bounds,
-    two_level_permuted_rate,
     two_level_state,
     zsum_bounds,
 )
 from regreadout.policies import no_control
-from oracle import apply_permutation, sample_uniform_permutation, simulate_trajectory
+from oracle import (
+    apply_permutation,
+    enumerated_permutation_average_rate,
+    sample_uniform_permutation,
+    simulate_trajectory,
+)
 
 
 def test_nofb_mean_first_passage_values():
@@ -194,36 +197,72 @@ def test_rate_rejects_collapsed_state():
         log_infidelity_rate(DiagonalState.pure(2, 1))
 
 
+def two_level_envelope(n, delta, gamma=1.0):
+    """-8*gamma*n*D/(D-1) * (1-delta)^2: the fastest group average."""
+    d = 2**n
+    return -8.0 * gamma * n * d / (d - 1) * (1.0 - delta) ** 2
+
+
+def flat_tail_envelope(n, delta, gamma=1.0):
+    """-4*gamma*n*D^2/(D-1)^2 * (1-delta)^2: the slowest group average."""
+    d = 2**n
+    return -4.0 * gamma * n * d**2 / (d - 1) ** 2 * (1.0 - delta) ** 2
+
+
 def test_permuted_rate_closed_forms():
+    def rate(state):
+        return permutation_averaged_rate(state).value
+
     # frozen: n=2 envelopes at delta -> 0 are -64/3 and -128/9
-    assert two_level_permuted_rate(2, 1e-12) == pytest.approx(-64.0 / 3.0)
-    assert flat_tail_permuted_rate(2, 1e-12) == pytest.approx(-128.0 / 9.0)
-    assert two_level_permuted_rate(3, 1e-12) == pytest.approx(-192.0 / 7.0)
-    assert flat_tail_permuted_rate(3, 1e-12) == pytest.approx(
-        -12.0 * 64.0 / 49.0
-    )
+    assert rate(two_level_state(2, 1e-12)) == pytest.approx(-64.0 / 3.0)
+    assert rate(flat_tail_state(2, 1e-12)) == pytest.approx(-128.0 / 9.0)
+    assert rate(two_level_state(3, 1e-12)) == pytest.approx(-192.0 / 7.0)
+    assert rate(flat_tail_state(3, 1e-12)) == pytest.approx(-12.0 * 64.0 / 49.0)
     # exact quadratic delta dependence
-    assert two_level_permuted_rate(2, 0.3) == pytest.approx(-64.0 / 3.0 * 0.49)
+    assert rate(two_level_state(2, 0.3)) == pytest.approx(-64.0 / 3.0 * 0.49)
+    for n in (1, 2, 3, 4, 5, 8):
+        for delta in (1e-3, 0.2, 0.45):
+            assert rate(two_level_state(n, delta)) == pytest.approx(
+                two_level_envelope(n, delta), rel=1e-12
+            )
+            assert rate(flat_tail_state(n, delta)) == pytest.approx(
+                flat_tail_envelope(n, delta), rel=1e-12
+            )
 
 
 def test_enumeration_matches_envelope_closed_forms():
-    """Brute-force group averages reproduce the closed forms at any
+    """Brute-force group averages reproduce the envelope formulas at any
     infidelity, not just in the small-delta limit."""
     for n in (1, 2, 3):
         for delta in (1e-3, 0.2, 0.45):
-            two = permutation_averaged_rate(two_level_state(n, delta))
+            two = enumerated_permutation_average_rate(two_level_state(n, delta))
             assert two.value == pytest.approx(
-                two_level_permuted_rate(n, delta), rel=1e-12
+                two_level_envelope(n, delta), rel=1e-12
             )
-            flat = permutation_averaged_rate(flat_tail_state(n, delta))
+            flat = enumerated_permutation_average_rate(flat_tail_state(n, delta))
             assert flat.value == pytest.approx(
-                flat_tail_permuted_rate(n, delta), rel=1e-12
+                flat_tail_envelope(n, delta), rel=1e-12
+            )
+
+
+def test_closed_form_matches_enumeration():
+    """The closed form equals the D!-row enumeration on random states,
+    and on the all-tied state, where the maximal index is a tie-break."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3):
+        states = [DiagonalState.maximally_mixed(n)]
+        states += [DiagonalState(n, rng.dirichlet(np.full(2**n, 0.5)))
+                   for _ in range(20)]
+        for state in states:
+            exact = enumerated_permutation_average_rate(state, gamma=1.7).value
+            assert permutation_averaged_rate(state, gamma=1.7).value == (
+                pytest.approx(exact, rel=1e-12)
             )
 
 
 def test_enumeration_average_sits_inside_envelopes():
     rng = np.random.default_rng(77)
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for _ in range(25):
             probs = rng.dirichlet(np.full(2**n, 0.7))
             state = DiagonalState(n, probs)
@@ -231,18 +270,17 @@ def test_enumeration_average_sits_inside_envelopes():
                 continue
             avg = permutation_averaged_rate(state).value
             delta = state.infidelity()
-            assert two_level_permuted_rate(n, delta) <= avg + 1e-12
-            assert avg <= flat_tail_permuted_rate(n, delta) + 1e-12
+            assert two_level_envelope(n, delta) <= avg + 1e-12
+            assert avg <= flat_tail_envelope(n, delta) + 1e-12
 
 
 def test_permutation_averaged_rate_validation():
     with pytest.raises(ValueError):
         permutation_averaged_rate(DiagonalState.pure(2, 0))
-    with pytest.raises(ValueError):
-        permutation_averaged_rate(two_level_state(4, 0.1))
-    # the closed-form envelopes stay available above the enumeration cap
-    fast = two_level_permuted_rate(4, 0.1)
-    slow = flat_tail_permuted_rate(4, 0.1)
+    # no register-size cap: n = 4 has 16! permutations
+    fast = permutation_averaged_rate(two_level_state(4, 0.1)).value
+    assert fast == pytest.approx(-8.0 * 4 * 16 / 15 * 0.81, rel=1e-12)
+    slow = permutation_averaged_rate(flat_tail_state(4, 0.1)).value
     assert fast < slow < 0.0
 
 
