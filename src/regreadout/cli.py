@@ -430,7 +430,7 @@ def cmd_bounds(args) -> int:
     for n in n_values:
         for name in ("h_ordering", "random_permutation"):
             bounds = speedup_bounds_for_policy(name, n)
-            print(f"{n:<3}{name:<22}{bounds.lower:<12.6g}{bounds.upper:.6g}")
+            print(f"{n:<2} {name:<22}{bounds.lower:<12.6g}{bounds.upper:.6g}")
             rows.append((n, name, bounds.lower, bounds.upper))
     print(LARGE_N_NOTE)
     if args.out:

@@ -12,9 +12,9 @@ logged per step and interpolated once per block, and frozen columns are
 dropped at block boundaries.  H-ordering sorts population values rather
 than indices: tied populations are interchangeable.  The uncontrolled
 run from a uniform start steps n per-qubit log-odds instead, O(n) per
-trajectory-step.  Random-permutation controls for a batch come from one
-dedicated ensemble stream, so paired runs that share a master seed also
-share their measurement noise exactly.
+trajectory-step.  Under random permutations every trajectory also owns
+its control stream, sde.trajectory_control_rng(seed, index), so each
+trajectory depends only on (seed, index) under every policy.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -41,6 +41,7 @@ from .sde import (
     epsilon_targets,
     infidelity_columns,
     infidelity_log_odds,
+    trajectory_control_rng,
     trajectory_noise_rng,
     update_columns,
     update_log_odds,
@@ -58,10 +59,6 @@ NOISE_BLOCK_STEPS = 128
 NOISE_CHUNK = 64
 # Samples per vectorized chunk of mc_permuted_step_rate.
 MC_CHUNK_ROWS = 200_000
-# Spawn key of the batch control stream: outside the per-trajectory
-# (index, 0/1) key space, so ensemble permutation draws never collide
-# with any trajectory's own streams.
-BATCH_CONTROL_KEY = (0xFFFFFFFF, 2)
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
 # auto_slope_window fits where at least this fraction is still evolving.
@@ -135,10 +132,18 @@ def run_ensemble(
     """Run `count` trajectories and aggregate their statistics.
 
     Trajectory i consumes the noise stream of trajectory_noise_rng(
-    master_seed, i), so ensembles with equal seeds are paired noise-wise
-    across policies, and the whole result is a deterministic function of
-    the arguments.  Chunks of NOISE_CHUNK trajectories draw their (steps,
-    n) noise blocks, transposed into one (steps, n, active) block.
+    master_seed, i) and, under random permutations, the control stream of
+    trajectory_control_rng(master_seed, i): each step's permutation image
+    is the argsort of d = 2^n uniforms drawn from it.  So trajectory i
+    depends only on (master_seed, i) under every policy, whatever the
+    count and whichever trajectories are still running: the first m
+    trajectories of a run equal an m-trajectory run, and ensembles with
+    equal seeds are paired noise-wise across policies.  Chunks of
+    NOISE_CHUNK trajectories draw their (steps, n) noise blocks,
+    transposed into one (steps, n, active) block.  Each trajectory's
+    (steps, d) block of permutation images goes straight into one
+    (steps, active, d) block, at the smallest unsigned dtype that holds
+    d - 1.
 
     When policy.kind is "none" and the initial populations are uniform,
     the state is the (n, active) per-qubit log-odds (sde.update_log_odds);
@@ -184,10 +189,6 @@ def run_ensemble(
         cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
         if any(inv.size != d for inv in cycle_inverse):
             raise ValueError("cycle permutation dimension does not match 2**n")
-    elif kind == "random_permutation":
-        ctrl_rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=BATCH_CONTROL_KEY)
-        )
 
     dt = params.dt
     sqrt_dt = math.sqrt(dt)
@@ -228,6 +229,10 @@ def run_ensemble(
     event_ln = np.full(A, max(ln_tgt[ptr0], stop_ln))
     ln_prev = np.full(A, ln0)
     gens = [trajectory_noise_rng(master_seed, i) for i in range(A)]
+    ctrl_gens = (
+        [trajectory_control_rng(master_seed, i) for i in range(A)]
+        if kind == "random_permutation" else None
+    )
 
     def record_finals(w):
         """Store the final index, state and retrodicted index of columns w."""
@@ -260,6 +265,12 @@ def run_ensemble(
                 gens[j0 + j].standard_normal(out=chunk[j])
             noise[:, :, j0 : j0 + m] = chunk[:m].transpose(1, 2, 0)
         noise *= sqrt_dt
+        if ctrl_gens is not None:
+            # images[k, j] is column j's permutation image at step k: the
+            # argsort of d uniforms from the column's own control stream
+            images = np.empty((k_steps, A, d), dtype=np.min_scalar_type(d - 1))
+            for j, gen in enumerate(ctrl_gens):
+                images[:, j] = np.argsort(gen.random((k_steps, d)), axis=1)
 
         for k in range(k_steps):
             # the control moves each population, with its origin label
@@ -271,10 +282,9 @@ def run_ensemble(
                     origin = np.take_along_axis(origin, src, axis=0)
                 lam = np.sort(lam, axis=0)[h_rows]
             elif kind == "random_permutation":
-                img = np.argsort(ctrl_rng.random((A, d)), axis=1).T
-                lam = _scatter_rows(lam, img)
+                lam = _scatter_rows(lam, images[k].T)
                 if origin is not None:
-                    origin = _scatter_rows(origin, img)
+                    origin = _scatter_rows(origin, images[k].T)
             elif kind == "fixed_cycle":
                 src = cycle_inverse[step % len(cycle_inverse)]
                 lam = lam[src]
@@ -318,7 +328,7 @@ def run_ensemble(
                 g_next += 1
             ln_prev = ln_new
 
-        del noise  # freed before the next block is allocated: one resident
+        noise = images = None  # freed before the next blocks are allocated
         if log:
             # each passage, interpolated linearly in ln(Delta) over its step
             rows, steps, prev, new, p0, p1 = map(np.concatenate, zip(*log))
@@ -342,6 +352,8 @@ def run_ensemble(
             if origin is not None:
                 origin = origin[:, keep]
             gens = [gens[j] for j in keep]
+            if ctrl_gens is not None:
+                ctrl_gens = [ctrl_gens[j] for j in keep]
             A = idx.size
             alive = np.ones(A, dtype=bool)
 
@@ -500,10 +512,20 @@ def asymptotic_speedup(
     slopes, no-control over controlled.
 
     The stderr combines the two slope stderrs without a covariance term,
-    which stays conservative when the ensembles share seeds.
+    which stays conservative when the ensembles share seeds.  A fit that
+    fails names n, the controlled policy and which of the two ensembles
+    it was.
     """
-    nc = regression_mean_time(stats_nc, eps_lo, eps_hi)
-    ct = regression_mean_time(stats_ctrl, eps_lo, eps_hi)
+    fits = []
+    for role, stats in (("no-control baseline", stats_nc), ("controlled", stats_ctrl)):
+        try:
+            fits.append(regression_mean_time(stats, eps_lo, eps_hi))
+        except ValueError as exc:
+            raise ValueError(
+                f"n={stats.params.n}, policy {stats_ctrl.policy_kind}, "
+                f"{role} ensemble: {exc}"
+            ) from exc
+    nc, ct = fits
     value = nc.slope / ct.slope
     rel = math.hypot(nc.slope_stderr / nc.slope, ct.slope_stderr / ct.slope)
     return SpeedupEstimate(value=value, stderr=abs(value) * rel)

@@ -171,7 +171,8 @@ def trajectory_noise_rng(master_seed: int, index: int = 0) -> np.random.Generato
 
 
 def trajectory_control_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Control stream (random-permutation draws) of trajectory `index`.
+    """Control stream (random-permutation draws) of trajectory `index`:
+    each step's permutation image is the argsort of 2^n uniforms from it.
 
     Kept separate from the noise stream so open-loop permutation
     sequences are identical whatever the measurement record does.

@@ -159,7 +159,8 @@ def random_permutation_speedup_bounds(n: int) -> SpeedupBounds:
     """
     lower = h_ordering_speedup_bounds(n).lower  # rejects n < 1
     d = 2**n
-    return SpeedupBounds(lower=lower, upper=n * (d / 2) / (d - 1))
+    # one rounding of exact integers; d / 2 alone overflows a float at n > 1024
+    return SpeedupBounds(lower=lower, upper=n * d / (2 * (d - 1)))
 
 
 @lru_cache(maxsize=None)

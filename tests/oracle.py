@@ -6,11 +6,12 @@ per step: the steppers (exact_step, euler_step), the policy step
 apply_permutation, sample_uniform_permutation), retrodiction through the
 accumulated control frame, and simulate_trajectory, which strings them
 together on the same per-index noise and control streams as
-regreadout.ensemble.run_ensemble.  The tests compare the batched runner
-against it.  enumerated_permutation_average_rate is the brute-force
-reference for theory.permutation_averaged_rate's closed form.  The oracle
-keeps its own arithmetic on purpose and is not part of the library:
-nothing under src/ imports it.
+regreadout.ensemble.run_ensemble, drawing each random permutation from
+them the same way.  The tests compare the batched runner against it
+under every policy.  enumerated_permutation_average_rate is the
+brute-force reference for theory.permutation_averaged_rate's closed
+form.  The oracle keeps its own arithmetic on purpose and is not part of
+the library: nothing under src/ imports it.
 
 euler_step is the explicit first-order update
 
@@ -68,10 +69,12 @@ def apply_permutation(state: DiagonalState, p: Permutation) -> DiagonalState:
 
 
 def sample_uniform_permutation(rng: np.random.Generator, d: int) -> Permutation:
-    """Uniformly random permutation of d slots (Fisher-Yates, unbiased)."""
+    """Uniformly random permutation of d slots: the argsort of d uniforms,
+    which consumes the stream as run_ensemble does (uniform up to ties,
+    of probability about d^2 * 2^-54 per draw)."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    return Permutation(rng.permutation(d))
+    return Permutation(np.argsort(rng.random(d)))
 
 
 def h_order(state: DiagonalState) -> Permutation:

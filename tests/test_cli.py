@@ -266,6 +266,13 @@ def test_bounds_prints_frozen_values(capsys):
     assert "0.25 n" in out and "0.5 n" in out
 
 
+def test_bounds_at_large_n(capsys):
+    # 2**n / 2 alone overflows a float from n = 1025 on
+    assert run_main(["bounds", "--n-values", 1100]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["1100", "random_permutation", "275", "550"] in rows
+
+
 def test_bounds_csv_output(tmp_path):
     out = tmp_path / "bounds"
     assert run_main(["bounds", "--n-values", "2,4", "--out", out]) == 0
@@ -314,6 +321,7 @@ def test_a_censored_mean_time_fit_names_its_cause(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "censor" in err and "max_time 0.3" in err
+    assert "n=2" in err and "no-control" in err  # which ensemble failed
     code = run_main(["run", "--n", 3, "--count", 20, "--max-time", 0.3,
                      "--out", tmp_path / "r"])
     assert code == 0

@@ -88,47 +88,27 @@ BATCH_POLICIES = {
     "none": no_control(),
     "h_ordering": h_ordering_policy(),
     "fixed_cycle": fixed_cycle_policy([leading_rotation(4)]),
+    "random_permutation": random_permutation_policy(),
 }
 
 
 DENSE = np.logspace(-1.0, -4.0, 301)
 
 
-@pytest.mark.parametrize(
-    "policy, n, epsilons, retro",
-    [
-        pytest.param(policy, 2, EPS3, True, id=name)
-        for name, policy in BATCH_POLICIES.items()
-    ]
-    + [pytest.param(h_ordering_policy(), 2, EPS3, False, id="h_ordering-noretro")]
-    + [pytest.param(h_ordering_policy(), 5, EPS3, True, id="h_ordering-n5")]
-    + [pytest.param(no_control(), n, EPS3, True, id=f"none-n{n}") for n in (3, 5)]
-    + [
-        pytest.param(BATCH_POLICIES[name], 3, DENSE, True, id=f"{name}-n3-dense")
-        for name in ("none", "h_ordering")
-    ],
-)
-def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
-    """The vectorized runner reproduces the reference single-trajectory
-    integrator trajectory for trajectory (same noise streams, same
-    arithmetic), retrodiction included.  On the dense grid many steps
-    cross several targets at once, and passages fall in the final,
-    partial noise block (under h_ordering also on a block's last step):
-    the runner writes them at block ends."""
-    params = SimulationParams(n=n, max_time=0.6, stop_epsilon=1e-4)
-    seed = 99
+def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
+    """Run `count` trajectories in the batch and compare each with the
+    reference trajectory of the same (seed, index); returns the stats."""
     stats = run_ensemble(
         params,
         policy,
         epsilons,
-        5,
+        count,
         seed,
         record_every=4,
         collect_first_passage=True,
         collect_retrodiction=retro,
     )
-    same_step_pairs = 0
-    for i in range(5):
+    for i in range(count):
         ref = simulate_trajectory(params, policy, epsilons, seed, i, record_every=4)
         assert np.allclose(stats.final_states[i], ref.final_state.probs, atol=1e-12)
         assert stats.final_indices[i] == ref.final_index
@@ -145,10 +125,40 @@ def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
-        steps = np.floor(stats.first_passage_times[i] / params.dt)
-        same_step_pairs += int(np.sum((steps[1:] == steps[:-1]) & (steps[1:] > 0)))
+    return stats
+
+
+@pytest.mark.parametrize(
+    "policy, n, epsilons, retro",
+    [
+        pytest.param(policy, 2, EPS3, True, id=name)
+        for name, policy in BATCH_POLICIES.items()
+    ]
+    + [pytest.param(h_ordering_policy(), 2, EPS3, False, id="h_ordering-noretro")]
+    + [pytest.param(h_ordering_policy(), 5, EPS3, True, id="h_ordering-n5")]
+    + [
+        pytest.param(random_permutation_policy(), 5, EPS3, True,
+                     id="random_permutation-n5")
+    ]
+    + [pytest.param(no_control(), n, EPS3, True, id=f"none-n{n}") for n in (3, 5)]
+    + [
+        pytest.param(BATCH_POLICIES[name], 3, DENSE, True, id=f"{name}-n3-dense")
+        for name in ("none", "h_ordering", "random_permutation")
+    ],
+)
+def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
+    """The vectorized runner reproduces the reference single-trajectory
+    integrator trajectory for trajectory (same noise and control streams,
+    same arithmetic), retrodiction included.  On the dense grid many steps
+    cross several targets at once, and passages fall in the final,
+    partial noise block (under h_ordering also on a block's last step):
+    the runner writes them at block ends."""
+    params = SimulationParams(n=n, max_time=0.6, stop_epsilon=1e-4)
+    stats = check_against_oracle(params, policy, epsilons, 5, retro)
     if len(epsilons) > len(EPS3):
-        assert same_step_pairs > 0
+        steps = np.floor(stats.first_passage_times / params.dt)
+        same_step = (steps[:, 1:] == steps[:, :-1]) & (steps[:, 1:] > 0)
+        assert np.any(same_step)
         # a passage at time t lies on step ceil(t / dt)
         fp = stats.first_passage_times
         passage_steps = np.ceil(fp[np.isfinite(fp) & (fp > 0)] / params.dt - 1e-9)
@@ -157,6 +167,37 @@ def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
         assert np.any(passage_steps > last_block)
         if policy.kind == "h_ordering":  # no control passes too few targets
             assert np.any(passage_steps % NOISE_BLOCK_STEPS == 0)
+
+
+def test_random_permutation_images_wider_than_a_byte():
+    """At n = 9 a permutation image (0..511) needs two bytes; the batch
+    still matches the reference over a few steps, retrodiction included."""
+    params = SimulationParams(n=9, max_time=0.0125, stop_epsilon=1e-4)
+    assert params.total_steps == 20
+    check_against_oracle(params, random_permutation_policy(), EPS3, 3, True)
+
+
+@pytest.mark.parametrize("name", list(BATCH_POLICIES))
+def test_first_trajectories_do_not_depend_on_the_count(name):
+    """Trajectory i depends only on (seed, i): the first 100 trajectories
+    of a 300-trajectory run equal a 100-trajectory run, although the two
+    runs freeze and compact different active sets."""
+    policy = BATCH_POLICIES[name]
+    n = 2 if name == "fixed_cycle" else 3  # leading_rotation(4) acts on n = 2
+    params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
+    collect = dict(collect_retrodiction=True, collect_first_passage=True)
+    big = run_ensemble(params, policy, EPS3, 300, 21, **collect)
+    small = run_ensemble(params, policy, EPS3, 100, 21, **collect)
+    # compaction drops frozen columns while others still run
+    assert np.any((big.active_fraction > 0.0) & (big.active_fraction < 1.0))
+    for field in ("final_indices", "retrodicted_indices"):
+        assert np.array_equal(getattr(big, field)[:100], getattr(small, field)), field
+    for field in ("final_states", "first_passage_times"):
+        # NaN patterns must match too
+        np.testing.assert_allclose(
+            getattr(big, field)[:100], getattr(small, field), rtol=1e-12, atol=0,
+            err_msg=field,
+        )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

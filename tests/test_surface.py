@@ -62,6 +62,8 @@ def test_public_names():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in REMOVED_THEORY_NAMES:
         assert not hasattr(regreadout.theory, name), name
+    # every trajectory draws its permutations from its own control stream
+    assert not hasattr(regreadout.ensemble, "BATCH_CONTROL_KEY")
 
 
 def test_run_signatures():
