@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (
+    _usable_cpus,
     auto_slope_window,
     default_epsilon_grid,
     fit_ln_delta_slope,
@@ -182,6 +183,10 @@ def _write_manifest(
         "config": config,
         "wall_time_seconds": round(wall_time, 3),
         "outputs": outputs,
+        # the last digits of some outputs can depend on both (see
+        # regreadout.ensemble), so a reader can tell hosts apart
+        "usable_cpus": _usable_cpus(),
+        "numpy_version": np.__version__,
     }
     if censoring is not None:
         payload["censoring"] = censoring

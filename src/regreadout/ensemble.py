@@ -14,7 +14,14 @@ than indices: tied populations are interchangeable.  The uncontrolled
 run from a uniform start steps n per-qubit log-odds instead, O(n) per
 trajectory-step.  Under random permutations every trajectory also owns
 its control stream, sde.trajectory_control_rng(seed, index), so each
-trajectory depends only on (seed, index) under every policy.
+trajectory depends only on (seed, index) under every policy: its indices
+and NaN patterns exactly, its floats bitwise on the no-control path and
+to 1e-12 relative under the other policies, whose BLAS product in
+sde.update_columns may round a column differently at another matrix
+width.  A large ensemble therefore splits into contiguous index ranges
+(shards), one per usable CPU: the calling process runs the first, forked
+children run the rest, and the shards merge into one EnsembleStats that
+equals the one-process run in that same sense.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -27,8 +34,10 @@ and the small regressions used by the above.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 
 import numpy as np
 
@@ -57,6 +66,9 @@ from .theory import (
 NOISE_BLOCK_STEPS = 128
 # Trajectories whose noise blocks are drawn before one transposed copy.
 NOISE_CHUNK = 64
+# Trajectories per shard: run_ensemble splits an ensemble across CPUs only
+# when every shard gets at least this many.
+SHARD_MIN = 500
 # Samples per vectorized chunk of mc_permuted_step_rate.
 MC_CHUNK_ROWS = 200_000
 # A first-passage mean is considered unusable above this censoring level.
@@ -117,6 +129,30 @@ def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Shard:
+    """A contiguous range of trajectories, run to the end: the mean and
+    the ddof=1 variance of ln(Delta) over them and their active count at
+    each grid point, and their per-trajectory arrays in index order."""
+
+    count: int
+    mean_ln: np.ndarray
+    var_ln: np.ndarray
+    active_at: np.ndarray
+    first_passage: np.ndarray
+    final_idx: np.ndarray
+    finals: np.ndarray
+    retro: np.ndarray | None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_ensemble(
     params: SimulationParams,
     policy: ControlPolicy,
@@ -138,12 +174,32 @@ def run_ensemble(
     depends only on (master_seed, i) under every policy, whatever the
     count and whichever trajectories are still running: the first m
     trajectories of a run equal an m-trajectory run, and ensembles with
-    equal seeds are paired noise-wise across policies.  Chunks of
-    NOISE_CHUNK trajectories draw their (steps, n) noise blocks,
-    transposed into one (steps, n, active) block.  Each trajectory's
-    (steps, d) block of permutation images goes straight into one
-    (steps, active, d) block, at the smallest unsigned dtype that holds
-    d - 1.
+    equal seeds are paired noise-wise across policies.  Equal means equal
+    indices and NaN patterns, with floats bitwise equal on the no-control
+    product-state path and equal to 1e-12 relative otherwise:
+    sde.update_columns multiplies by the z table through BLAS, whose
+    rounding of one column can depend on how many columns the product
+    holds (measured at n >= 4 for 100-1000 columns, and at every n for a
+    single column).  Chunks of NOISE_CHUNK trajectories draw their
+    (steps, n) noise blocks, transposed into one (steps, n, active) block.
+    Each trajectory's (steps, d) block of permutation images goes straight
+    into one (steps, active, d) block, at the smallest unsigned dtype that
+    holds d - 1.
+
+    An ensemble of at least 2 * SHARD_MIN trajectories, on a host where
+    this process may use more than one CPU and can fork, runs as
+    min(usable CPUs, count // SHARD_MIN) contiguous index ranges
+    (shards): this process runs the first, forked children run the rest
+    and send theirs back through pipes, and every child is joined before
+    this returns.  The per-trajectory arrays are concatenated in index
+    order, the per-shard moments of ln(Delta) are merged with Chan et
+    al.'s formula, the active counts summed, and the passage means,
+    stderrs and censoring computed from the concatenated passage times.
+    So a sharded run equals the one-process run in the sense above:
+    indices and NaN patterns exactly, the no-control per-trajectory arrays
+    bitwise, every other float to 1e-12 relative.  An IntegrationError in
+    any shard is raised here; when several fail, the earliest one, whose
+    message is the one-process run's.
 
     When policy.kind is "none" and the initial populations are uniform,
     the state is the (n, active) per-qubit log-odds (sde.update_log_odds);
@@ -170,12 +226,172 @@ def run_ensemble(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     eps = epsilon_targets(epsilons, params.stop_epsilon)
+    state0 = initial_state or DiagonalState.maximally_mixed(params.n)
+    if state0.n != params.n:
+        raise ValueError("initial state size does not match params.n")
+    if policy.kind == "fixed_cycle" and any(
+        p.image.size != 2**params.n for p in policy.cycle
+    ):
+        raise ValueError("cycle permutation dimension does not match 2**n")
 
+    total_steps = params.total_steps
+    grid_steps = np.arange(0, total_steps + 1, record_every, dtype=np.int64)
+    if grid_steps[-1] != total_steps:
+        grid_steps = np.append(grid_steps, total_steps)
+    run = partial(
+        _run_shard, params, policy, eps, grid_steps, state0, master_seed,
+        collect_retrodiction,
+    )
+    shards = min(_usable_cpus(), count // SHARD_MIN)
+    if shards < 2 or not hasattr(os, "fork"):
+        res = run(0, count)
+    else:
+        edges = [count * j // shards for j in range(shards + 1)]
+        ranges = [(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+        res = _merge_shards(_run_forked(run, ranges))
+
+    fp = res.first_passage
+    filled = np.where(np.isnan(fp), params.max_time, fp)
+    return EnsembleStats(
+        sample_times=grid_steps * params.dt,
+        mean_ln_delta=res.mean_ln,
+        stderr_ln_delta=np.sqrt(res.var_ln / count),
+        active_fraction=res.active_at / count,
+        epsilons=eps,
+        mean_first_passage=filled.mean(axis=0),
+        stderr_first_passage=filled.std(axis=0, ddof=1) / math.sqrt(count),
+        censored_fraction=np.isnan(fp).mean(axis=0),
+        trajectory_count=count,
+        params=params,
+        policy_kind=policy.kind,
+        final_indices=res.final_idx,
+        final_states=res.finals,
+        retrodicted_indices=res.retro,
+        first_passage_times=fp if collect_first_passage else None,
+    )
+
+
+def _integration_error(message: str, step: int, phase: int) -> IntegrationError:
+    """An IntegrationError that records where a one-process run meets it:
+    at `step`, in the step (phase 0) or at its block end (phase 1)."""
+    exc = IntegrationError(message)
+    exc.when = (step, phase)
+    return exc
+
+
+def _send_shard(run, first: int, count: int, sender) -> None:
+    """A forked child's work: send run(first, count), or the exception
+    that stopped it, through the pipe end `sender`."""
+    try:
+        result = run(first, count)
+    except Exception as exc:  # raised again by the parent
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
+def _run_forked(run, ranges: list[tuple[int, int]]) -> list[_Shard]:
+    """run(first, count) for every (first, count) in `ranges`, in order:
+    the first range in this process, each other one in a forked child.
+
+    Every child is joined before this returns, and terminated first when
+    this process fails or is interrupted.  A shard's failure is raised
+    here; of several, the earliest IntegrationError.
+    """
+    # imported here, not at module level: its import takes milliseconds
+    # that single-process runs need not pay
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for first, count in ranges[1:]:
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_send_shard, args=(run, first, count, sender), daemon=True
+            )
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        try:
+            outcomes = [run(*ranges[0])]
+        except IntegrationError as exc:  # raised below unless a child's is earlier
+            outcomes = [exc]
+        for child, receiver in children:
+            try:
+                outcomes.append(receiver.recv())
+            except EOFError:
+                child.join()
+                outcomes.append(
+                    RuntimeError(f"a shard process exited with code {child.exitcode}")
+                )
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    errors = [o for o in outcomes if isinstance(o, Exception)]
+    if errors:
+        raise min(errors, key=lambda e: getattr(e, "when", (math.inf, 0)))
+    return outcomes
+
+
+def _merge_moments(a, b):
+    """Chan et al.'s pairwise merge of two samples' (count, mean, M2), M2
+    being the sum of squared deviations from the sample's mean.  The means
+    and M2 may be arrays of moments taken side by side."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    count = na + nb
+    shift = mean_b - mean_a
+    return (
+        count,
+        mean_a + shift * (nb / count),
+        m2_a + m2_b + shift * shift * (na * nb / count),
+    )
+
+
+def _merge_shards(parts: list[_Shard]) -> _Shard:
+    """The shard of consecutive index ranges `parts`: the ln(Delta)
+    moments merged at every grid point, the active counts summed and the
+    per-trajectory arrays concatenated."""
+    count, mean, m2 = reduce(
+        _merge_moments, [(p.count, p.mean_ln, p.var_ln * (p.count - 1)) for p in parts]
+    )
+
+    def cat(field):
+        return np.concatenate([getattr(p, field) for p in parts])
+
+    return _Shard(
+        count=count,
+        mean_ln=mean,
+        var_ln=m2 / (count - 1),
+        active_at=sum(p.active_at for p in parts),
+        first_passage=cat("first_passage"),
+        final_idx=cat("final_idx"),
+        finals=cat("finals"),
+        retro=None if parts[0].retro is None else cat("retro"),
+    )
+
+
+def _run_shard(
+    params: SimulationParams,
+    policy: ControlPolicy,
+    eps: np.ndarray,
+    grid_steps: np.ndarray,
+    state0: DiagonalState,
+    master_seed: int,
+    collect_retrodiction: bool,
+    first: int,
+    count: int,
+) -> _Shard:
+    """Trajectories first .. first + count - 1 of run_ensemble's ensemble,
+    in this process."""
     n = params.n
     d = 2**n
-    state0 = initial_state or DiagonalState.maximally_mixed(n)
-    if state0.n != n:
-        raise ValueError("initial state size does not match params.n")
     initial = state0.probs
 
     kind = policy.kind
@@ -187,16 +403,11 @@ def run_ensemble(
         h_rows = d - 1 - h_source
     elif kind == "fixed_cycle":
         cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
-        if any(inv.size != d for inv in cycle_inverse):
-            raise ValueError("cycle permutation dimension does not match 2**n")
 
     dt = params.dt
     sqrt_dt = math.sqrt(dt)
     total_steps = params.total_steps
 
-    grid_steps = np.arange(0, total_steps + 1, record_every, dtype=np.int64)
-    if grid_steps[-1] != total_steps:
-        grid_steps = np.append(grid_steps, total_steps)
     G = grid_steps.size
     # two-pass moments of ln(Delta) over all trajectories at each grid point
     mean_ln = np.zeros(G)
@@ -228,9 +439,9 @@ def run_ensemble(
     ptr = np.full(A, ptr0, dtype=np.intp)
     event_ln = np.full(A, max(ln_tgt[ptr0], stop_ln))
     ln_prev = np.full(A, ln0)
-    gens = [trajectory_noise_rng(master_seed, i) for i in range(A)]
+    gens = [trajectory_noise_rng(master_seed, first + i) for i in range(A)]
     ctrl_gens = (
-        [trajectory_control_rng(master_seed, i) for i in range(A)]
+        [trajectory_control_rng(master_seed, first + i) for i in range(A)]
         if kind == "random_permutation" else None
     )
 
@@ -241,9 +452,16 @@ def run_ensemble(
             # qubit r's bit is L[r] < 0, first qubit most significant; a
             # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
             final_idx[idx[w]] = (1 << np.arange(n - 1, -1, -1)) @ (cols < 0.0)
-            expo = z_table(n).T @ cols
+            # both sums run in a fixed order, so that a column's rounding
+            # does not depend on how many columns freeze with it: a BLAS
+            # product and a pairwise sum (which numpy takes over a single
+            # column) would both let it
+            z = z_table(n)
+            expo = z[0][:, None] * cols[0]
+            for r in range(1, n):
+                expo += z[r][:, None] * cols[r]
             cols = np.exp(expo - expo.max(axis=0))
-            cols /= cols.sum(axis=0)
+            cols /= np.cumsum(cols, axis=0)[-1]
         else:
             final_idx[idx[w]] = np.argmax(cols, axis=0)
         finals[idx[w]] = cols.T
@@ -300,7 +518,9 @@ def run_ensemble(
             delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)
             ln_new = np.log(np.maximum(delta, LOG_FLOOR))
             if not np.all(np.isfinite(ln_new)):
-                raise IntegrationError(f"non-finite infidelity at step {step}")
+                raise _integration_error(
+                    f"non-finite infidelity at step {step}", step, 0
+                )
 
             hit = np.flatnonzero(ln_new <= event_ln)
             if hit.size:
@@ -344,7 +564,7 @@ def run_ensemble(
             fp[rows[e], p] = (steps[e] - 1) * dt + frac * dt
         # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
         if factored and not np.isfinite(lam).all():
-            raise IntegrationError(f"non-finite log-odds by step {step}")
+            raise _integration_error(f"non-finite log-odds by step {step}", step, 1)
         if not alive.all():
             keep = np.flatnonzero(alive)
             lam, idx, ptr = lam[:, keep], idx[keep], ptr[keep]
@@ -361,29 +581,9 @@ def run_ensemble(
     mean_ln[g_next:] = cur_ln.mean()
     var_ln[g_next:] = cur_ln.var(ddof=1)
     active_at[g_next:] = int(alive.sum())
-    stderr_ln = np.sqrt(var_ln / count)
-
-    filled = np.where(np.isnan(fp), params.max_time, fp)
-    mean_fp = filled.mean(axis=0)
-    stderr_fp = filled.std(axis=0, ddof=1) / math.sqrt(count)
-    censored = np.isnan(fp).mean(axis=0)
-
-    return EnsembleStats(
-        sample_times=grid_steps * dt,
-        mean_ln_delta=mean_ln,
-        stderr_ln_delta=stderr_ln,
-        active_fraction=active_at / count,
-        epsilons=eps,
-        mean_first_passage=mean_fp,
-        stderr_first_passage=stderr_fp,
-        censored_fraction=censored,
-        trajectory_count=count,
-        params=params,
-        policy_kind=kind,
-        final_indices=final_idx,
-        final_states=finals,
-        retrodicted_indices=retro,
-        first_passage_times=fp if collect_first_passage else None,
+    return _Shard(
+        count=count, mean_ln=mean_ln, var_ln=var_ln, active_at=active_at,
+        first_passage=fp, final_idx=final_idx, finals=finals, retro=retro,
     )
 
 
@@ -657,8 +857,7 @@ def mc_permuted_step_rate(
     sqrt_dt = math.sqrt(dt)
     rng = np.random.default_rng(master_seed)
 
-    acc = 0.0  # sum of the ln(Delta) changes
-    m2 = 0.0  # sum of their squared deviations from the mean
+    moments = None  # (count, mean, M2) of the ln(Delta) changes so far
     done = 0
     while done < samples:
         m = min(MC_CHUNK_ROWS, samples - done)
@@ -668,17 +867,14 @@ def mc_permuted_step_rate(
         dW = rng.standard_normal((m, n)) * sqrt_dt
         delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt))
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
-        # two-pass within the chunk, merged across chunks (Chan et al.)
-        chunk_sum = float(dl.sum())
-        dev = dl - chunk_sum / m
-        m2 += float(dev @ dev)
-        if done:
-            shift = chunk_sum / m - acc / done
-            m2 += shift * shift * done * m / (done + m)
-        acc += chunk_sum
+        # two-pass within the chunk, merged across chunks
+        mean = float(dl.mean())
+        dev = dl - mean
+        chunk = (m, mean, float(dev @ dev))
+        moments = chunk if moments is None else _merge_moments(moments, chunk)
         done += m
 
-    mean_dl = acc / samples
+    _, mean_dl, m2 = moments
     var_dl = m2 / (samples - 1)
     return RateEstimate(
         value=mean_dl / dt,

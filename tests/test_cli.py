@@ -77,6 +77,9 @@ def test_run_writes_expected_files(tmp_path, capsys):
         "log_infidelity.csv", "first_passage.csv", "summary.json",
     }
     assert manifest["wall_time_seconds"] >= 0.0
+    # host facts that the last digits of the outputs can depend on
+    assert manifest["usable_cpus"] >= 1
+    assert manifest["numpy_version"] == np.__version__
     captured = capsys.readouterr()
     assert "policy=none" in captured.out
 

@@ -1,6 +1,7 @@
 """Batched ensembles, fits, speed-up estimates, and their statistics."""
 
 import math
+import multiprocessing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,8 +34,14 @@ from regreadout import (
     speedup_scaling_sweep,
     two_level_state,
 )
+import regreadout.ensemble as ensemble
 from regreadout.ensemble import NOISE_BLOCK_STEPS
-from regreadout.sde import infidelity_columns, update_columns
+from regreadout.sde import (
+    IntegrationError,
+    infidelity_columns,
+    trajectory_noise_rng,
+    update_columns,
+)
 from oracle import retrodict, simulate_trajectory
 
 
@@ -177,27 +184,141 @@ def test_random_permutation_images_wider_than_a_byte():
     check_against_oracle(params, random_permutation_policy(), EPS3, 3, True)
 
 
-@pytest.mark.parametrize("name", list(BATCH_POLICIES))
-def test_first_trajectories_do_not_depend_on_the_count(name):
+def assert_same_trajectories(a, b, name):
+    """Per-trajectory arrays of two runs of the same (seed, index) range:
+    indices and NaN patterns equal, floats bitwise equal on the no-control
+    path and to 1e-12 relative under the other policies, whose BLAS
+    product in sde.update_columns may round a column differently at
+    another matrix width."""
+    for field in ("final_indices", "retrodicted_indices"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for field in ("final_states", "first_passage_times"):
+        x, y = getattr(a, field), getattr(b, field)
+        if name == "none":
+            assert np.array_equal(x, y, equal_nan=True), field
+        else:  # NaN patterns must match too
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=field)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [pytest.param(name, 2 if name == "fixed_cycle" else 3, id=name)
+     for name in BATCH_POLICIES]  # leading_rotation(4) acts on n = 2
+    + [pytest.param(name, 5, id=f"{name}-n5")
+       for name in ("h_ordering", "random_permutation")],
+)
+def test_first_trajectories_do_not_depend_on_the_count(name, n):
     """Trajectory i depends only on (seed, i): the first 100 trajectories
     of a 300-trajectory run equal a 100-trajectory run, although the two
     runs freeze and compact different active sets."""
     policy = BATCH_POLICIES[name]
-    n = 2 if name == "fixed_cycle" else 3  # leading_rotation(4) acts on n = 2
     params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
     collect = dict(collect_retrodiction=True, collect_first_passage=True)
     big = run_ensemble(params, policy, EPS3, 300, 21, **collect)
     small = run_ensemble(params, policy, EPS3, 100, 21, **collect)
     # compaction drops frozen columns while others still run
     assert np.any((big.active_fraction > 0.0) & (big.active_fraction < 1.0))
-    for field in ("final_indices", "retrodicted_indices"):
-        assert np.array_equal(getattr(big, field)[:100], getattr(small, field)), field
-    for field in ("final_states", "first_passage_times"):
-        # NaN patterns must match too
-        np.testing.assert_allclose(
-            getattr(big, field)[:100], getattr(small, field), rtol=1e-12, atol=0,
-            err_msg=field,
-        )
+    first = replace(
+        big, **{f: getattr(big, f)[:100] for f in (
+            "final_indices", "retrodicted_indices", "final_states",
+            "first_passage_times",
+        )}
+    )
+    assert_same_trajectories(first, small, name)
+
+
+def force_shards(monkeypatch, cpus):
+    """Let run_ensemble see `cpus` usable CPUs and split any ensemble of
+    at least 100 trajectories."""
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ensemble, "SHARD_MIN", 50)
+
+
+def shard_policy(name, n):
+    if name == "fixed_cycle":
+        return fixed_cycle_policy([leading_rotation(2**n)])
+    return BATCH_POLICIES[name]
+
+
+@pytest.mark.parametrize(
+    "name, n, cpus",
+    [pytest.param(name, n, 2, id=f"{name}-n{n}")
+     for name in BATCH_POLICIES for n in (2, 3, 5)]
+    + [pytest.param("random_permutation", 3, 3, id="random_permutation-n3-3way")],
+)
+def test_shards_merge_to_the_one_process_run(monkeypatch, name, n, cpus):
+    """An ensemble split into contiguous shards, the first run here and
+    the rest in forked children, merges into the one-process run: equal
+    indices and NaN patterns, no-control per-trajectory arrays bitwise,
+    every other float (the merged mean and stderr curves too) to 1e-12
+    relative.  No child outlives the call."""
+    policy = shard_policy(name, n)
+    params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
+    collect = dict(collect_retrodiction=True, collect_first_passage=True)
+    force_shards(monkeypatch, 1)
+    one = run_ensemble(params, policy, EPS3, 151, 8, **collect)
+    force_shards(monkeypatch, cpus)
+    merged_parts = []
+    merge = ensemble._merge_shards
+
+    def spy(parts):
+        merged_parts.append(len(parts))
+        return merge(parts)
+
+    monkeypatch.setattr(ensemble, "_merge_shards", spy)
+    sharded = run_ensemble(params, policy, EPS3, 151, 8, **collect)
+    assert merged_parts == [cpus]
+    assert multiprocessing.active_children() == []
+    assert_same_trajectories(sharded, one, name)
+    for f in fields(EnsembleStats):
+        x, y = getattr(sharded, f.name), getattr(one, f.name)
+        if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=f.name)
+        elif f.name not in ("final_indices", "retrodicted_indices"):
+            assert x == y, f.name
+    # trajectories froze partway, so summing the active counts is tested
+    assert np.any((one.active_fraction > 0.0) & (one.active_fraction < 1.0))
+
+
+def poison_trajectories(monkeypatch, params, seed, failures):
+    """Make sde.update_columns return NaN populations for trajectory i at
+    step s, for each (i, s) in `failures` (steps of the first noise
+    block): the column is recognised by its first Wiener increment."""
+    marks = []
+    for i, s in failures:
+        steps = min(NOISE_BLOCK_STEPS, params.total_steps)
+        draws = trajectory_noise_rng(seed, i).standard_normal((steps, params.n))
+        marks.append(draws[s - 1, 0] * math.sqrt(params.dt))
+    update = ensemble.update_columns
+
+    def poisoned(lam, dW, gamma, dt):
+        new = update(lam, dW, gamma, dt)
+        new[:, np.isin(dW[0], marks)] = np.nan
+        return new
+
+    monkeypatch.setattr(ensemble, "update_columns", poisoned)
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [
+        pytest.param([(10, 30), (100, 12)], id="child-first"),
+        pytest.param([(10, 12), (100, 30)], id="parent-first"),
+        pytest.param([(100, 12)], id="child-only"),
+    ],
+)
+def test_a_failing_shard_raises_the_one_process_error(monkeypatch, failures):
+    """A shard's IntegrationError reaches the caller; of several, the one
+    with the earliest step, so the message is the one-process run's.  No
+    child outlives the failure."""
+    params = SimulationParams(n=2, max_time=0.5, stop_epsilon=1e-4)
+    poison_trajectories(monkeypatch, params, 5, failures)
+    want = f"non-finite infidelity at step {min(s for _, s in failures)}$"
+    for cpus in (1, 2):
+        force_shards(monkeypatch, cpus)
+        with pytest.raises(IntegrationError, match=want):
+            run_ensemble(params, h_ordering_policy(), EPS3, 120, 5)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -495,8 +616,6 @@ def test_speedup_scaling_sweep_and_fit():
 def test_sweep_runs_each_baseline_once(monkeypatch):
     """Policies swept together share each size's no-control ensemble and
     report what each would report when swept alone."""
-    import regreadout.ensemble as ensemble
-
     calls = []
     run = ensemble.run_ensemble
 
@@ -577,8 +696,6 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
     """With three chunks, the last one partial, the estimate is the plain
     mean and ddof=1 standard error of the per-sample ln(Delta) changes,
     recomputed here from the same generator calls."""
-    import regreadout.ensemble as ensemble
-
     monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
     state = two_level_state(2, 1e-3)
     gamma, dt, samples, seed = 1.0, 2e-4, 2500, 31
