@@ -8,14 +8,16 @@ Subcommands:
   verify-identities  check the exact permutation sum identities
 
 Each subcommand's argparse parser is the only table of its options: every
-flag carries its own type, choices and default.  Any option can also come
-from a plain-text config file of `key = value` lines (`--config`), whose
-keys are the flag names with underscores (`max_time`, `n_values`,
-`unsafe_large_n`); `config` and `check` cannot be set from a file.  The
-subcommand's own parser coerces the file's values, explicit command line
-flags win over the file, and the file wins over the built-in defaults.
-The master seed defaults to DEFAULT_MASTER_SEED so runs are reproducible
-out of the box.
+flag carries its own type, choices and default (a list flag parses into a
+tuple), and the library call that takes the values checks them before it
+starts any work.  Any option can also come from a plain-text config file
+of `key = value` lines (`--config`), whose keys are the flag names with
+underscores (`max_time`, `n_values`, `unsafe_large_n`); `config` and
+`check` cannot be set from a file.  The subcommand's own parser coerces
+the file's values, so a bad one, a list item too, is reported with its
+file and line.  Explicit command line flags win over the file, and the
+file wins over the built-in defaults.  The master seed defaults to
+DEFAULT_MASTER_SEED so runs are reproducible out of the box.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure,
 3 a requested check failed (--check, or a FAIL from verify-identities).
@@ -34,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .ensemble import (
+    EXCESS_CENSORING,
     _usable_cpus,
     auto_slope_window,
     default_epsilon_grid,
@@ -120,31 +123,36 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
     return values
 
 
-def _parse_epsilons(text: str | None) -> np.ndarray:
-    if text is None:
-        return default_epsilon_grid()
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("empty epsilon list")
-    return np.asarray(values, dtype=float)
+def _comma_list(item, what: str):
+    """An argparse type: comma-separated text to a tuple of item(token)."""
+
+    def convert(tok: str):
+        try:
+            return item(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} value: {tok!r}") from None
+
+    def parse(text: str) -> tuple:
+        values = tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list of {what} values")
+        return values
+
+    return parse
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"{name} must be a comma-separated list of integers")
-    if not values:
-        raise ValueError(f"{name} is empty")
-    return values
+def _policy_kind(text: str) -> str:
+    if text not in POLICY_KINDS:
+        raise ValueError(text)
+    return text
 
 
-def _build_policy(name: str, cycle_file: str | None, dimension: int | None):
+def _build_policy(name: str, cycle_file: str | None) -> ControlPolicy:
     if name != "fixed_cycle":
         return ControlPolicy(name)
     if cycle_file is None:
         raise ValueError("policy fixed_cycle requires --cycle-file")
-    return fixed_cycle_policy(read_cycle_file(cycle_file, dimension=dimension))
+    return fixed_cycle_policy(read_cycle_file(cycle_file))
 
 
 def _out_dir(path_text: str) -> Path:
@@ -204,7 +212,7 @@ def _report_checks(failures: list[str]) -> int:
 
 def cmd_run(args) -> int:
     # checked before the stop is derived from them, as in cmd_sweep
-    epsilons = epsilon_targets(_parse_epsilons(args.epsilons), 0.0)
+    epsilons = epsilon_targets(args.epsilons or default_epsilon_grid(), 0.0)
     params = SimulationParams(
         n=args.n,
         gamma=args.gamma,
@@ -212,7 +220,7 @@ def cmd_run(args) -> int:
         max_time=args.max_time,
         stop_epsilon=min(RUN_STOP_EPSILON, float(epsilons[-1])),
     )
-    policy = _build_policy(args.policy, args.cycle_file, 2**params.n)
+    policy = _build_policy(args.policy, args.cycle_file)
 
     start = time.perf_counter()
     stats = run_ensemble(
@@ -249,9 +257,7 @@ def cmd_run(args) -> int:
             stats.censored_fraction,
         ),
     )
-    max_censored = (
-        float(stats.censored_fraction.max()) if stats.censored_fraction.size else 0.0
-    )
+    max_censored = float(stats.censored_fraction.max(initial=0.0))
     config_echo = {
         **asdict(params),
         "policy": args.policy,
@@ -310,7 +316,7 @@ def cmd_run(args) -> int:
     if stats.epsilons.size and not np.all(np.isfinite(stats.mean_first_passage)):
         failures.append("non-finite first-passage means")
     if stats.has_excessive_censoring:
-        failures.append(f"censoring {max_censored:.3f} above 0.10")
+        failures.append(f"censoring {max_censored:.3f} above {EXCESS_CENSORING:.2f}")
     if args.policy == "none":
         if slope is None or abs(slope - nofb_slope) > 0.10 * abs(nofb_slope):
             failures.append(f"slope {slope} outside 10% of {nofb_slope:g}")
@@ -318,28 +324,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_values = _parse_int_list(args.n_values, "n-values")
-    if min(n_values) < 1:
-        raise ValueError("register sizes must be >= 1")
-    if max(n_values) > SWEEP_MAX_N and not args.unsafe_large_n:
+    if max(args.n_values) > SWEEP_MAX_N and not args.unsafe_large_n:
         raise ValueError(
             f"n > {SWEEP_MAX_N} scales exponentially; pass --unsafe-large-n "
             "to proceed"
         )
-    policy_names = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
-    if not policy_names:
-        raise ValueError("policies list is empty")
-    policies = [_build_policy(name, args.cycle_file, None) for name in policy_names]
-    for d in {p.cycle[0].dimension for p in policies if p.cycle}:
-        for n in n_values:
-            if 2**n != d:
-                raise ValueError(f"the fixed_cycle permutations have dimension {d}, "
-                                 f"which does not fit n={n} (2**{n} = {2**n})")
+    policies = [_build_policy(name, args.cycle_file) for name in args.policies]
     # checked before the stop is derived from them; that stop is the
     # smallest target, so there is no stop to check them against
-    epsilons = epsilon_targets(_parse_epsilons(args.epsilons), 0.0)
+    epsilons = epsilon_targets(args.epsilons or default_epsilon_grid(), 0.0)
     params_template = SimulationParams(
-        n=n_values[0],
+        n=args.n_values[0],
         gamma=args.gamma,
         dt=args.dt,
         max_time=args.max_time,
@@ -348,12 +343,12 @@ def cmd_sweep(args) -> int:
 
     start = time.perf_counter()
     sweeps = speedup_scaling_sweep(
-        n_values, policies, params_template, args.count, args.seed,
+        args.n_values, policies, params_template, args.count, args.seed,
         epsilons=epsilons,
     )
     results = []
     fits = {}
-    for name, sweep in zip(policy_names, sweeps):
+    for name, sweep in zip(args.policies, sweeps):
         results += [(name, p) for p in sweep]
         try:
             fits[name] = asdict(fit_speedup_scaling(sweep))
@@ -378,8 +373,8 @@ def cmd_sweep(args) -> int:
     )
     summary = {
         "command": "sweep",
-        "n_values": n_values,
-        "policies": policy_names,
+        "n_values": args.n_values,
+        "policies": args.policies,
         "count": args.count,
         "seed": args.seed,
         "points": points,
@@ -387,8 +382,8 @@ def cmd_sweep(args) -> int:
     }
     _write_json(out / SUMMARY_JSON, summary)
     config_echo = {
-        "n_values": n_values,
-        "policies": policy_names,
+        "n_values": args.n_values,
+        "policies": args.policies,
         "gamma": args.gamma,
         "dt": params_template.dt,
         "max_time": args.max_time,
@@ -427,23 +422,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    n_values = _parse_int_list(args.n_values, "n-values")
-    if min(n_values) < 1:
-        raise ValueError("register sizes must be >= 1")
     rows = []
-    print("n  policy                bound_lo    bound_hi")
-    for n in n_values:
+    for n in args.n_values:
         for name in ("h_ordering", "random_permutation"):
             bounds = speedup_bounds_for_policy(name, n)
-            print(f"{n:<2} {name:<22}{bounds.lower:<12.6g}{bounds.upper:.6g}")
             rows.append((n, name, bounds.lower, bounds.upper))
+    print("n  policy                bound_lo    bound_hi")
+    for n, name, lower, upper in rows:
+        print(f"{n:<2} {name:<22}{lower:<12.6g}{upper:.6g}")
     print(LARGE_N_NOTE)
     if args.out:
         start = time.perf_counter()
         out = _out_dir(args.out)
         _write_rows(out / BOUNDS_CSV, "n,policy,bound_lo,bound_hi", rows)
         _write_manifest(
-            out, "bounds", {"n_values": n_values}, time.perf_counter() - start,
+            out, "bounds", {"n_values": args.n_values}, time.perf_counter() - start,
             [BOUNDS_CSV],
         )
         print(f"wrote {BOUNDS_CSV} -> {out}")
@@ -451,19 +444,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    dims = _parse_int_list(args.dimensions, "dimensions")
-    all_passed = True
-    for d in dims:
-        report = permutation_sum_identities(d)
+    reports = [permutation_sum_identities(d) for d in args.dimensions]
+    for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(
-            f"D={d}: sum of squares = {report.square_sum} "
+            f"D={report.dimension}: sum of squares = {report.square_sum} "
             f"(expected {report.expected_square_sum}), "
             f"cross sum = {report.cross_sum} "
             f"(expected {report.expected_cross_sum}) -> {status}"
         )
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 3
+    return 0 if all(report.passed for report in reports) else 3
 
 
 def _add_ensemble_flags(parser, max_time: float, out: str) -> None:
@@ -473,7 +463,7 @@ def _add_ensemble_flags(parser, max_time: float, out: str) -> None:
     parser.add_argument("--max-time", type=float, default=max_time)
     parser.add_argument("--cycle-file", default=None)
     parser.add_argument(
-        "--epsilons", default=None,
+        "--epsilons", type=_comma_list(float, "float"), default=None,
         help="comma-separated targets, strictly decreasing",
     )
     parser.add_argument("--count", type=int, default=1000, help="trajectories")
@@ -504,10 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="speed-up versus register size")
     sweep.add_argument("--config", default=None)
-    sweep.add_argument("--n-values", default="2,3,4,5",
-                       help="comma-separated register sizes")
-    sweep.add_argument("--policies", default="random_permutation",
-                       help="comma-separated policy names")
+    sweep.add_argument("--n-values", type=_comma_list(int, "int"),
+                       default="2,3,4,5", help="comma-separated register sizes")
+    sweep.add_argument("--policies", type=_comma_list(_policy_kind, "policy"),
+                       default="random_permutation",
+                       help="comma-separated, from: " + ", ".join(POLICY_KINDS))
     # longer than the run default: the slowest no-control stragglers at
     # n = 4..5 need the room to reach the deepest default target
     _add_ensemble_flags(sweep, max_time=4.0, out="regreadout-sweep")
@@ -519,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="print analytic speed-up bands")
     bounds.add_argument("--config", default=None)
-    bounds.add_argument("--n-values", default="1,2,3,4,5")
+    bounds.add_argument("--n-values", type=_comma_list(int, "int"),
+                        default="1,2,3,4,5")
     bounds.add_argument("--out", default=None)
     bounds.set_defaults(func=cmd_bounds, parser=bounds)
 
@@ -528,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the exact permutation sum identities",
     )
     verify.add_argument("--config", default=None)
-    verify.add_argument("--dimensions", default="4,8",
+    verify.add_argument("--dimensions", type=_comma_list(int, "int"),
+                        default="4,8",
                         help="comma-separated dimensions (4 and/or 8)")
     verify.set_defaults(func=cmd_verify_identities, parser=verify)
 
@@ -555,10 +548,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

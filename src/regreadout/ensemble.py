@@ -58,6 +58,7 @@ from .sde import (
 from .theory import (
     SpeedupBounds,
     RateEstimate,
+    _rate_infidelity,
     h_ordering_speedup_bounds,
     random_permutation_speedup_bounds,
 )
@@ -73,6 +74,8 @@ SHARD_MIN = 500
 MC_CHUNK_ROWS = 200_000
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
+# A run whose censoring at any target exceeds this has too short a max_time.
+EXCESS_CENSORING = 0.10
 # auto_slope_window fits where at least this fraction is still evolving.
 SLOPE_ACTIVE_FRACTION = 0.999
 # Grid spacing, in steps, of the mean curves of speedup_scaling_sweep.
@@ -116,10 +119,8 @@ class EnsembleStats:
 
     @property
     def has_excessive_censoring(self) -> bool:
-        """True when any target lost more than 10% of trajectories."""
-        return bool(self.censored_fraction.size) and bool(
-            np.any(self.censored_fraction > 0.10)
-        )
+        """True when any target's censored fraction exceeds EXCESS_CENSORING."""
+        return bool(np.any(self.censored_fraction > EXCESS_CENSORING))
 
 
 def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
@@ -229,10 +230,7 @@ def run_ensemble(
     state0 = initial_state or DiagonalState.maximally_mixed(params.n)
     if state0.n != params.n:
         raise ValueError("initial state size does not match params.n")
-    if policy.kind == "fixed_cycle" and any(
-        p.image.size != 2**params.n for p in policy.cycle
-    ):
-        raise ValueError("cycle permutation dimension does not match 2**n")
+    _check_cycle_fits(policy, params.n)
 
     total_steps = params.total_steps
     grid_steps = np.arange(0, total_steps + 1, record_every, dtype=np.int64)
@@ -269,6 +267,14 @@ def run_ensemble(
         retrodicted_indices=res.retro,
         first_passage_times=fp if collect_first_passage else None,
     )
+
+
+def _check_cycle_fits(policy: ControlPolicy, n: int) -> None:
+    """Reject a fixed cycle whose permutations do not act on 2**n slots."""
+    d = policy.cycle[0].dimension if policy.cycle else 2**n
+    if d != 2**n:
+        raise ValueError(f"the fixed_cycle permutations have dimension {d}, "
+                         f"which does not fit n={n} (2**{n} = {2**n})")
 
 
 def _integration_error(message: str, step: int, phase: int) -> IntegrationError:
@@ -588,10 +594,8 @@ def _run_shard(
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line fit: (slope, intercept, slope stderr)."""
+    """Least-squares fit (slope, intercept, slope stderr) of >= 3 points."""
     m = x.size
-    if m < 3:
-        raise ValueError("regression needs at least 3 points")
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
@@ -768,13 +772,21 @@ def speedup_scaling_sweep(
     Each size runs one no-control ensemble and pairs it with a controlled
     ensemble of every policy, all with the same master seed, so each pair
     shares measurement noise; the reported stderr is still the unpaired
-    propagation (conservative).
+    propagation (conservative).  Every size, every policy and every cycle
+    against every size is checked before the first ensemble runs.
     """
     if epsilons is None:
         epsilons = default_epsilon_grid()
+    sizes = [replace(params_template, n=int(n)) for n in n_values]
+    if len({params.n for params in sizes}) < len(sizes):
+        raise ValueError(f"n_values repeats a register size: {list(n_values)}")
+    if not policies:
+        raise ValueError("no policies to sweep")
+    for params in sizes:
+        for policy in policies:
+            _check_cycle_fits(policy, params.n)
     sweeps: list[list[SweepPoint]] = [[] for _ in policies]
-    for n in n_values:
-        params = replace(params_template, n=int(n))
+    for params in sizes:
         stats_nc = run_ensemble(
             params, no_control(), epsilons, count, master_seed,
             record_every=SWEEP_RECORD_EVERY, collect_first_passage=True,
@@ -786,9 +798,9 @@ def speedup_scaling_sweep(
             )
             points.append(
                 SweepPoint(
-                    n=int(n),
+                    n=params.n,
                     estimate=asymptotic_speedup(stats_nc, stats_ctrl, eps_lo, eps_hi),
-                    bounds=speedup_bounds_for_policy(policy.kind, int(n)),
+                    bounds=speedup_bounds_for_policy(policy.kind, params.n),
                 )
             )
     return sweeps
@@ -806,7 +818,7 @@ class ScalingFit:
 
 def fit_speedup_scaling(points: list[SweepPoint]) -> ScalingFit:
     """Weighted least squares of SweepPoint values against n."""
-    if len(points) < 3:
+    if len({p.n for p in points}) < 3:
         raise ValueError("scaling fit needs at least 3 register sizes")
     x = np.array([p.n for p in points], dtype=float)
     y = np.array([p.estimate.value for p in points])
@@ -850,10 +862,7 @@ def mc_permuted_step_rate(
     n = state.n
     d = 2**n
     probs = state.probs
-    delta0 = state.infidelity()
-    if delta0 <= 0.0:
-        raise ValueError("rate is singular for a collapsed state (Delta = 0)")
-    ln0 = math.log(delta0)
+    ln0 = math.log(_rate_infidelity(state))
     sqrt_dt = math.sqrt(dt)
     rng = np.random.default_rng(master_seed)
 

@@ -73,11 +73,12 @@ def h_order_targets(n: int) -> np.ndarray:
     return targets
 
 
-def read_cycle_file(path, dimension: int | None = None) -> list[Permutation]:
+def read_cycle_file(path) -> list[Permutation]:
     """Parse a cycle file: one permutation per line, space-separated image.
 
     Blank lines and lines starting with '#' are skipped.  Raises
-    ValueError naming the offending line on malformed input.
+    ValueError naming the offending line on malformed input or on a
+    dimension other than the first permutation's.
     """
     perms: list[Permutation] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,14 +87,13 @@ def read_cycle_file(path, dimension: int | None = None) -> list[Permutation]:
             if not line or line.startswith("#"):
                 continue
             try:
-                image = np.array([int(tok) for tok in line.split()], dtype=np.int64)
-                perm = Permutation(image)
+                perm = Permutation([int(tok) for tok in line.split()])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if dimension is not None and perm.dimension != dimension:
+            if perms and perm.dimension != perms[0].dimension:
                 raise ValueError(
                     f"{path}: line {lineno}: permutation has dimension "
-                    f"{perm.dimension}, expected {dimension}"
+                    f"{perm.dimension}, the first has {perms[0].dimension}"
                 )
             perms.append(perm)
     if not perms:

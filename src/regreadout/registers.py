@@ -21,13 +21,11 @@ NORMALIZATION_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def z_table(n: int, shifted: bool = False) -> np.ndarray:
+def z_table(n: int) -> np.ndarray:
     """(n, 2^n) eigenvalue table; row r-1 belongs to qubit r. Read-only."""
     d = 1 << n
     bits = (np.arange(d)[None, :] >> (n - 1 - np.arange(n)[:, None])) & 1
     table = 1.0 - 2.0 * bits
-    if shifted:
-        table = table - 1.0
     table.setflags(write=False)
     return table
 

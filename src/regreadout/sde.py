@@ -69,7 +69,7 @@ class SimulationParams:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("register needs at least one qubit")
+            raise ValueError(f"register needs at least one qubit, not n={self.n}")
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be positive and finite")
         if self.dt is None:

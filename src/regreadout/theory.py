@@ -105,6 +105,19 @@ class SpeedupBounds:
         return self.lower - slack <= value <= self.upper + slack
 
 
+def _rate_infidelity(state: DiagonalState) -> float:
+    """The state's infidelity Delta, which the rates divide by."""
+    delta = state.infidelity()
+    if delta <= 0.0:
+        raise ValueError("rate is singular for a collapsed state (Delta = 0)")
+    return delta
+
+
+def _rate(zsum: float, delta: float, gamma: float) -> RateEstimate:
+    """-4*gamma * zsum * (1-Delta)^2 / Delta^2, zsum = sum_r <Z~^r>^2."""
+    return RateEstimate(-4.0 * gamma * zsum * (1.0 - delta) ** 2 / delta**2)
+
+
 def log_infidelity_rate(state: DiagonalState, gamma: float = 1.0) -> RateEstimate:
     """Instantaneous mean decay rate of ln(Delta) for a diagonal state.
 
@@ -115,15 +128,11 @@ def log_infidelity_rate(state: DiagonalState, gamma: float = 1.0) -> RateEstimat
     convention).  The shift makes the formula valid wherever the maximum
     sits.
     """
-    delta = state.infidelity()
-    if delta <= 0.0:
-        raise ValueError("rate is singular for a collapsed state (Delta = 0)")
+    delta = _rate_infidelity(state)
     z = z_table(state.n)
     zs = z - z[:, [state.argmax_index()]]
     expect = zs @ state.probs
-    zsum = float(expect @ expect)
-    value = -4.0 * gamma * zsum * (1.0 - delta) ** 2 / delta**2
-    return RateEstimate(value)
+    return _rate(float(expect @ expect), delta, gamma)
 
 
 def zsum_bounds(delta: float, n: int) -> tuple[float, float]:
@@ -143,7 +152,7 @@ def zsum_bounds(delta: float, n: int) -> tuple[float, float]:
 def h_ordering_speedup_bounds(n: int) -> SpeedupBounds:
     """Speed-up bounds for the locally optimal H-ordering feedback."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError(f"n must be at least 1, not {n}")
     d = 2**n
     return SpeedupBounds(lower=d**2 / (d - 1) ** 2 * n / 4.0, upper=float(n))
 
@@ -203,8 +212,8 @@ class IdentityReport:
 def permutation_sum_identities(d: int) -> IdentityReport:
     """Enumerate all d! permutations and verify the two sum identities."""
     if d not in (4, 8):
-        raise ValueError("identity enumeration supports d = 4 or 8")
-    zrow = z_table(d.bit_length() - 1, shifted=True)[0].astype(np.int64)
+        raise ValueError(f"identity enumeration supports d = 4 or 8, not {d}")
+    zrow = (z_table(d.bit_length() - 1)[0] - 1.0).astype(np.int64)  # {0, -2}
     values = zrow[all_permutation_images(d)]
     cross = values.T @ values  # exact: |entries| <= 4 * d!
     fact = math.factorial(d)
@@ -266,14 +275,11 @@ def permutation_averaged_rate(
     state, -4*gamma*n*D^2/(D-1)^2 * (1-Delta)^2, and the two-level state,
     -8*gamma*n*D/(D-1) * (1-Delta)^2.
     """
-    delta = state.infidelity()
-    if delta <= 0.0:
-        raise ValueError("rate is singular for a collapsed state (Delta = 0)")
+    delta = _rate_infidelity(state)
     d = 2**state.n
     rest = np.sort(state.probs)[:-1]  # every entry but one maximal one
     zsum = state.n * d / (d - 1) * (delta**2 + float(rest @ rest))
-    value = -4.0 * gamma * zsum * (1.0 - delta) ** 2 / delta**2
-    return RateEstimate(value)
+    return _rate(zsum, delta, gamma)
 
 
 def linear_trajectory_state(records, n: int, gamma: float = 1.0) -> DiagonalState:

@@ -16,6 +16,7 @@ from regreadout import (
     SweepPoint,
     cli,
     default_epsilon_grid,
+    ensemble,
     no_control,
     regression_mean_time,
     run_ensemble,
@@ -132,11 +133,43 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
-def test_bad_config_value(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("run", "count", "lots"),
+        ("sweep", "n_values", "2,x"),
+        ("sweep", "policies", "none,bogus"),
+        ("run", "epsilons", "1e-2,x"),
+        ("verify-identities", "dimensions", "4,x"),
+    ],
+    ids=["run-count", "sweep-n_values", "sweep-policies", "run-epsilons",
+         "verify-identities-dimensions"],
+)
+def test_bad_config_value(tmp_path, capsys, command, key, value):
+    """A bad value, a list item too, is reported with its file and line."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("count = lots\n")
-    assert run_main(["run", "--config", cfg]) == 1
-    assert "bad value for count" in capsys.readouterr().err
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_main([command, "--config", cfg]) == 1
+    assert f"{cfg}:1: bad value for {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,item",
+    [
+        (["run", "--epsilons", "1e-2,x"], "--epsilons", "'x'"),
+        (["run", "--epsilons", ","], "--epsilons", "empty list"),
+        (["sweep", "--n-values", "2,3.5"], "--n-values", "'3.5'"),
+        (["sweep", "--policies", "none,bogus"], "--policies", "'bogus'"),
+        (["bounds", "--n-values", "1,x"], "--n-values", "'x'"),
+        (["verify-identities", "--dimensions", "4,x"], "--dimensions", "'x'"),
+    ],
+    ids=["run-epsilons", "run-epsilons-empty", "sweep-n_values", "sweep-policies",
+         "bounds-n_values", "verify-identities-dimensions"],
+)
+def test_bad_list_flag_names_the_option(capsys, argv, flag, item):
+    assert run_main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and item in err
 
 
 def test_missing_config_file():
@@ -230,7 +263,7 @@ def test_run_check_detects_censoring(tmp_path, capsys):
          "--out", tmp_path / "bad", "--check"]
     )
     assert code == 3
-    assert "censoring" in capsys.readouterr().err
+    assert "above 0.10" in capsys.readouterr().err
 
 
 def test_cycle_file_roundtrip(tmp_path, capsys):
@@ -255,7 +288,8 @@ def test_cycle_file_errors(tmp_path, capsys):
          "--count", 10]
     )
     assert code == 1
-    assert "line 1" in capsys.readouterr().err
+    # a file of one consistent cycle is read; run_ensemble rejects its size
+    assert "dimension 3, which does not fit n=2" in capsys.readouterr().err
     # fixed_cycle without a file is a config error
     assert run_main(["run", "--n", 2, "--policy", "fixed_cycle"]) == 1
 
@@ -274,6 +308,14 @@ def test_bounds_at_large_n(capsys):
     assert run_main(["bounds", "--n-values", 1100]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["1100", "random_permutation", "275", "550"] in rows
+
+
+def test_bounds_rejects_a_size_below_1(capsys):
+    # guard: every row is computed, and n = 0 rejected, before any prints
+    assert run_main(["bounds", "--n-values", "0,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n must be at least 1, not 0" in err
 
 
 def test_bounds_csv_output(tmp_path):
@@ -295,6 +337,12 @@ def test_verify_identities_cli(capsys):
 
 def test_verify_identities_rejects_unsupported(capsys):
     assert run_main(["verify-identities", "--dimensions", "6"]) == 1
+    capsys.readouterr()
+    # every dimension is checked before any report prints
+    assert run_main(["verify-identities", "--dimensions", "4,6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "d = 4 or 8, not 6" in err
 
 
 def test_sweep_single_size(tmp_path, capsys):
@@ -341,14 +389,23 @@ def test_sweep_checks_the_cycle_against_every_size(tmp_path, monkeypatch, capsys
     assert run_main(argv + ["--n-values", "2"]) == 0
     calls = []
 
-    def sweep(*args, **kwargs):
+    def spy(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("the sweep started")
+        raise AssertionError("an ensemble started")
 
-    monkeypatch.setattr(cli, "speedup_scaling_sweep", sweep)
+    monkeypatch.setattr(ensemble, "run_ensemble", spy)
     assert run_main(argv + ["--n-values", "2,3"]) == 1
     assert calls == []
     assert "dimension 4, which does not fit n=3" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_repeated_size(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(ensemble, "run_ensemble", lambda *a, **k: calls.append(a))
+    argv = ["sweep", "--n-values", "2,2,3", "--count", 1000, "--out", tmp_path]
+    assert run_main(argv) == 1
+    assert calls == []
+    assert "n_values repeats a register size: [2, 2, 3]" in capsys.readouterr().err
 
 
 def test_sweep_rejects_large_n(capsys):

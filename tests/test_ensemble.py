@@ -641,6 +641,33 @@ def test_sweep_runs_each_baseline_once(monkeypatch):
         assert [p.bounds for p in points] == [p.bounds for p in alone]
 
 
+@pytest.mark.parametrize(
+    "n_values,policies,message",
+    [
+        ([2, 0], [random_permutation_policy()], "at least one qubit, not n=0"),
+        ([2, 3, 2], [random_permutation_policy()], "repeats a register size"),
+        ([2, 3], [], "no policies"),
+        ([2, 3], [fixed_cycle_policy([leading_rotation(4)])],
+         r"dimension 4, which does not fit n=3 \(2\*\*3 = 8\)"),
+    ],
+    ids=["n0", "repeated", "no-policies", "cycle-misfit"],
+)
+def test_sweep_checks_its_inputs_before_any_ensemble(
+    monkeypatch, n_values, policies, message
+):
+    calls = []
+
+    def spy(params, policy, *args, **kwargs):
+        calls.append((params.n, policy.kind))
+        raise AssertionError("an ensemble started")
+
+    monkeypatch.setattr(ensemble, "run_ensemble", spy)
+    template = SimulationParams(n=2, max_time=1.0)
+    with pytest.raises(ValueError, match=message):
+        speedup_scaling_sweep(n_values, policies, template, 40, 5)
+    assert calls == []
+
+
 def test_fit_speedup_scaling_exact_line():
     def pt(n, value, err):
         return SweepPoint(
@@ -655,6 +682,9 @@ def test_fit_speedup_scaling_exact_line():
     assert fit.intercept == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         fit_speedup_scaling(points[:2])
+    # repeated points still span only 2 register sizes
+    with pytest.raises(ValueError, match="at least 3 register sizes"):
+        fit_speedup_scaling(points[:2] + points[:2])
     bad = [pt(n, 1.0, 0.0) if n == 3 else pt(n, 1.0, 0.1) for n in (2, 3, 4)]
     with pytest.raises(ValueError):
         fit_speedup_scaling(bad)

@@ -169,7 +169,7 @@ def test_read_cycle_file_dimension_check(tmp_path):
     path = tmp_path / "cycle.txt"
     path.write_text("0 1\n0 2 1\n")
     with pytest.raises(ValueError, match="line 2"):
-        read_cycle_file(path, dimension=2)
+        read_cycle_file(path)
 
 
 def test_read_cycle_file_malformed(tmp_path):

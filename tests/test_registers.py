@@ -19,18 +19,13 @@ from oracle import (
 
 def test_z_table_matches_scalar():
     for n in (1, 2, 3):
-        for shifted in (False, True):
-            table = z_table(n, shifted)
-            assert table.shape == (n, 1 << n)
-            for r in range(1, n + 1):
-                # qubit r sits at bit n - r: qubit 1 is the most significant
-                bits = (np.arange(1 << n) >> (n - r)) & 1
-                expected = 1.0 - 2.0 * bits - (1.0 if shifted else 0.0)
-                assert np.array_equal(table[r - 1], expected)
+        table = z_table(n)
+        assert table.shape == (n, 1 << n)
+        for r in range(1, n + 1):
+            # qubit r sits at bit n - r: qubit 1 is the most significant
+            bits = (np.arange(1 << n) >> (n - r)) & 1
+            assert np.array_equal(table[r - 1], 1.0 - 2.0 * bits)
     assert np.array_equal(z_table(2), [[1, 1, -1, -1], [1, -1, 1, -1]])
-    # the shifted observable takes values {0, -2} and vanishes on index 0
-    assert set(z_table(3, True).ravel()) == {0.0, -2.0}
-    assert np.all(z_table(3, True)[:, 0] == 0.0)
 
 
 def test_z_table_read_only():

@@ -4,6 +4,7 @@ here as a one-line diff, so every addition is a visible decision."""
 import inspect
 
 import regreadout
+import regreadout.cli
 from regreadout.sde import epsilon_targets
 
 PUBLIC_NAMES = [
@@ -39,6 +40,9 @@ REMOVED_THEORY_NAMES = [
     "ENUMERATION_MAX_QUBITS", "two_level_permuted_rate", "flat_tail_permuted_rate",
 ]
 
+# The parser's typed list flags replace the CLI's own list parsers.
+REMOVED_CLI_NAMES = ["_parse_epsilons", "_parse_int_list"]
+
 SIGNATURES = {
     regreadout.run_ensemble: [
         "params", "policy", "epsilons", "count", "master_seed",
@@ -50,6 +54,9 @@ SIGNATURES = {
         "n_values", "policies", "params_template", "count", "master_seed",
         "epsilons", "eps_lo", "eps_hi",
     ],
+    # a cycle's fit to the register is run_ensemble's check
+    regreadout.read_cycle_file: ["path"],
+    regreadout.z_table: ["n"],
 }
 
 
@@ -62,6 +69,8 @@ def test_public_names():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in REMOVED_THEORY_NAMES:
         assert not hasattr(regreadout.theory, name), name
+    for name in REMOVED_CLI_NAMES:
+        assert not hasattr(regreadout.cli, name), name
     # every trajectory draws its permutations from its own control stream
     assert not hasattr(regreadout.ensemble, "BATCH_CONTROL_KEY")
 
