@@ -5,23 +5,25 @@ run_ensemble integrates many trajectories at once, one per column of a
 owns its per-index noise stream, sde.trajectory_noise_rng(seed, index)
 (blocks of steps are pre-drawn from it into a step-major (steps, n,
 trajectories) block) and each step goes through sde.update_columns and
-sde.infidelity_columns.  Each column carries the ln(Delta) of its next
-event, a first-passage target or the stop, so one comparison per step
-finds the few columns that pass a target or freeze; their passages are
-logged per step and interpolated once per block, and frozen columns are
-dropped at block boundaries.  H-ordering sorts population values rather
-than indices: tied populations are interchangeable.  The uncontrolled
-run from a uniform start steps n per-qubit log-odds instead, O(n) per
-trajectory-step.  Under random permutations every trajectory also owns
-its control stream, sde.trajectory_control_rng(seed, index), so each
-trajectory depends only on (seed, index) under every policy: its indices
-and NaN patterns exactly, its floats bitwise on the no-control path and
-to 1e-12 relative under the other policies, whose BLAS product in
-sde.update_columns may round a column differently at another matrix
-width.  A large ensemble therefore splits into contiguous index ranges
-(shards), one per usable CPU: the calling process runs the first, forked
-children run the rest, and the shards merge into one EnsembleStats that
-equals the one-process run in that same sense.
+sde.infidelity_columns.  A step does only the control, the update, and
+ln(Delta) written into a (steps, trajectories) block with a freeze test;
+once per block, one resolver finds every passage of a first-passage
+target, interpolates them, and writes the grid points of the mean
+curves, and frozen columns are dropped.  H-ordering sorts population
+values rather than indices: tied populations are interchangeable.  The
+uncontrolled run from a uniform start steps n per-qubit log-odds
+instead, O(n) per trajectory-step, and takes its ln(Delta) and freezes
+from the block's log-odds history.  Under random permutations every
+trajectory also owns its control stream, sde.trajectory_control_rng(
+seed, index), so each trajectory depends only on (seed, index) under
+every policy: its indices and NaN patterns exactly, its floats bitwise
+on the no-control path and to 1e-12 relative under the other policies,
+whose BLAS product in sde.update_columns may round a column differently
+at another matrix width.  A large ensemble therefore splits into
+contiguous index ranges (shards), one per usable CPU: the calling
+process runs the first, forked children run the rest, and the shards
+merge into one EnsembleStats that equals the one-process run in that
+same sense.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -67,6 +69,9 @@ from .theory import (
 NOISE_BLOCK_STEPS = 128
 # Trajectories whose noise blocks are drawn before one transposed copy.
 NOISE_CHUNK = 64
+# Log-odds entries per sub-block of steps whose Delta and freezes the
+# no-control runner takes at once.
+RESOLVE_SIZE = 2**15
 # Trajectories per shard: run_ensemble splits an ensemble across CPUs only
 # when every shard gets at least this many.
 SHARD_MIN = 500
@@ -126,7 +131,7 @@ class EnsembleStats:
 def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
     """Copy of x with row j of each column c moved to row img[j, c]."""
     out = np.empty_like(x)
-    np.put_along_axis(out, img, x, axis=0)
+    out[img, np.arange(x.shape[1])] = x
     return out
 
 
@@ -206,21 +211,26 @@ def run_ensemble(
     the state is the (n, active) per-qubit log-odds (sde.update_log_odds);
     otherwise the (2^n, active) populations.
 
-    Every active column carries its next target and the ln(Delta) of its
-    next event: that target, the stop once no target above it is left, or
-    -inf when the column is frozen or has nothing left.  The stop is
-    params.stop_ln, which is -inf for stop_epsilon = 0: nothing freezes,
-    and a pure start (Delta = 0) runs to max_time.  One comparison per
-    step finds the columns at or below their event level; only those pass
-    targets and freeze.  Such
-    a column has passed every target at or above its new ln(Delta); the
-    step is logged, and at each block end all logged passages are
-    interpolated linearly in ln(Delta) over their steps at once.  The
-    per-trajectory ln(Delta) is written at freezes and at grid points.
+    A column freezes at its first step with ln(Delta) <= params.stop_ln,
+    which is -inf for stop_epsilon = 0: nothing freezes, and a pure start
+    (Delta = 0) runs to max_time.  On the population path each step
+    writes every column's ln(Delta) into a (steps, active) block and
+    stores a freezing column's final state at once.  On the log-odds path
+    each step writes its log-odds over the spent noise, and sub-blocks of
+    that history give ln(Delta), the freezes and their final states.  At
+    each block end one resolver takes over: a frozen column holds its
+    freeze value at the block's later steps, and target p is passed at
+    the first step where the running minimum of ln(Delta) is at or below
+    ln(p).  Each round finds, for every column with a target left, its
+    first step at or below its next target, where it passes every target
+    at or above its ln(Delta).  A passage is interpolated linearly in
+    ln(Delta) between its step and the step before (for a block's first
+    step, the previous block's last), and the grid points read the block
+    directly.
     H-ordering sorts population values, since tied populations are
-    interchangeable.  For retrodiction an origin label moves with each
-    population (under H-ordering by the stable index sort), and the
-    retrodicted index is the label that ends at the final index.
+    interchangeable; with retrodiction an origin label moves with each
+    population, both by the stable index sort, and the retrodicted index
+    is the label that ends at the final index.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
@@ -441,9 +451,7 @@ def _run_shard(
     lam = np.zeros((n, A)) if factored else np.tile(initial[:, None], (1, A))
     origin = np.tile(np.arange(d)[:, None], (1, A)) if collect_retrodiction else None
     idx = np.arange(A)
-    alive = np.ones(A, dtype=bool)
     ptr = np.full(A, ptr0, dtype=np.intp)
-    event_ln = np.full(A, max(ln_tgt[ptr0], stop_ln))
     ln_prev = np.full(A, ln0)
     gens = [trajectory_noise_rng(master_seed, first + i) for i in range(A)]
     ctrl_gens = (
@@ -451,9 +459,9 @@ def _run_shard(
         if kind == "random_permutation" else None
     )
 
-    def record_finals(w):
-        """Store the final index, state and retrodicted index of columns w."""
-        cols = lam[:, w]
+    def record_finals(w, cols):
+        """Store the final index, state and retrodicted index of columns
+        w, whose states are the columns of cols."""
         if factored:
             # qubit r's bit is L[r] < 0, first qubit most significant; a
             # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
@@ -478,9 +486,6 @@ def _run_shard(
     g_next = 1
     while A > 0 and step < total_steps:
         k_steps = min(NOISE_BLOCK_STEPS, total_steps - step)
-        # per step, one row per event column: (trajectory, step, ln_prev,
-        # ln_new, old ptr, new ptr)
-        log = []
         noise = np.empty((k_steps, n, A))
         chunk = np.empty((min(NOISE_CHUNK, A), k_steps, n))
         for j0 in range(0, A, NOISE_CHUNK):
@@ -496,70 +501,96 @@ def _run_shard(
             for j, gen in enumerate(ctrl_gens):
                 images[:, j] = np.argsort(gen.random((k_steps, d)), axis=1)
 
-        for k in range(k_steps):
-            # the control moves each population, with its origin label
-            if kind == "h_ordering":
-                # tied populations are interchangeable, so lam needs only
-                # its values sorted; the labels follow the stable index sort
-                if origin is not None:
-                    src = np.argsort(-lam, axis=0, kind="stable")[h_source]
-                    origin = np.take_along_axis(origin, src, axis=0)
-                lam = np.sort(lam, axis=0)[h_rows]
-            elif kind == "random_permutation":
-                lam = _scatter_rows(lam, images[k].T)
-                if origin is not None:
-                    origin = _scatter_rows(origin, images[k].T)
-            elif kind == "fixed_cycle":
-                src = cycle_inverse[step % len(cycle_inverse)]
-                lam = lam[src]
-                if origin is not None:
-                    origin = origin[src]
-
-            if factored:
-                update_log_odds(lam, noise[k], params.gamma, dt)
-            else:
-                lam = update_columns(lam, noise[k], params.gamma, dt)
-            step += 1
-
-            delta = infidelity_log_odds(lam) if factored else infidelity_columns(lam)
-            ln_new = np.log(np.maximum(delta, LOG_FLOOR))
-            if not np.all(np.isfinite(ln_new)):
-                raise _integration_error(
-                    f"non-finite infidelity at step {step}", step, 0
-                )
-
-            hit = np.flatnonzero(ln_new <= event_ln)
-            if hit.size:
-                # every target at or above ln_new is passed; the passages
-                # are interpolated from the log at the block end
-                ln_hit, old = ln_new[hit], ptr[hit]
-                ptr[hit] = np.maximum(old, np.searchsorted(neg_tgt, -ln_hit, "right"))
-                at = np.full(hit.size, step)
-                log.append((idx[hit], at, ln_prev[hit], ln_hit, old, ptr[hit]))
-                w = hit[ln_hit <= stop_ln]
+        # ln_blk[k, j] will be column j's ln(Delta) after step `step + k + 1`
+        # and frozen_at[j] the row of its freeze, or k_steps
+        frozen_at = np.full(A, k_steps)
+        if factored:
+            # noise[k] becomes the log-odds after step k of the block.  Each
+            # sub-block of RESOLVE_SIZE entries, while still in cache, gives
+            # Delta, the freezes and their states, and then holds ln(Delta)
+            # over its spent first-qubit log-odds
+            sub = max(1, RESOLVE_SIZE // (n * A))
+            for k0 in range(0, k_steps, sub):
+                for k in range(k0, min(k0 + sub, k_steps)):
+                    lam = update_log_odds(lam, noise[k], params.gamma, dt)
+                delta = infidelity_log_odds(noise[k0 : k + 1].transpose(1, 0, 2))
+                ln = np.log(np.maximum(delta, LOG_FLOOR))
+                below = ln <= stop_ln
+                w = np.flatnonzero(below.any(axis=0) & (frozen_at == k_steps))
                 if w.size:
-                    record_finals(w)
-                    cur_ln[idx[w]] = ln_new[w]
-                    alive[w] = False
-                event_ln[hit] = np.where(
-                    alive[hit], np.maximum(ln_tgt[ptr[hit]], stop_ln), -np.inf
-                )
+                    frozen_at[w] = k0 + np.argmax(below[:, w], axis=0)
+                    record_finals(w, noise[frozen_at[w], :, w].T)
+                lam = lam.copy()  # the state, before its row is overwritten
+                noise[k0 : k + 1, 0] = ln
+            ln_blk = noise[:, 0]
+        else:
+            ln_blk = np.empty((k_steps, A))
+            freeze_ln = np.full(A, stop_ln)  # -inf once a column is frozen
+            for k in range(k_steps):
+                # the control moves each population, with its origin label
+                if kind == "h_ordering":
+                    # tied populations are interchangeable, so lam needs
+                    # only its values sorted; with labels to move, it takes
+                    # the values through the labels' stable index sort
+                    if origin is not None:
+                        src = np.argsort(-lam, axis=0, kind="stable")[h_source]
+                        origin = np.take_along_axis(origin, src, axis=0)
+                        lam = np.take_along_axis(lam, src, axis=0)
+                    else:
+                        lam = np.sort(lam, axis=0)[h_rows]
+                elif kind == "random_permutation":
+                    lam = _scatter_rows(lam, images[k].T)
+                    if origin is not None:
+                        origin = _scatter_rows(origin, images[k].T)
+                elif kind == "fixed_cycle":
+                    src = cycle_inverse[(step + k) % len(cycle_inverse)]
+                    lam = lam[src]
+                    if origin is not None:
+                        origin = origin[src]
 
-            if g_next < G and step == grid_steps[g_next]:
-                live = np.flatnonzero(alive)
-                cur_ln[idx[live]] = ln_new[live]
-                mean_ln[g_next] = cur_ln.mean()
-                var_ln[g_next] = cur_ln.var(ddof=1)
-                active_at[g_next] = live.size
-                g_next += 1
-            ln_prev = ln_new
+                lam = update_columns(lam, noise[k], params.gamma, dt)
+                delta = infidelity_columns(lam)
+                ln = np.log(np.maximum(delta, LOG_FLOOR), out=ln_blk[k])
+                w = np.flatnonzero(ln <= freeze_ln)
+                if w.size:
+                    record_finals(w, lam[:, w])
+                    freeze_ln[w] = -np.inf
+                    frozen_at[w] = k
 
-        noise = images = None  # freed before the next blocks are allocated
-        if log:
+        if not np.isfinite(ln_blk).all():
+            s = step + int(np.argmin(np.isfinite(ln_blk).all(axis=1))) + 1
+            raise _integration_error(f"non-finite infidelity at step {s}", s, 0)
+        # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
+        if factored and not np.isfinite(lam).all():
+            s = step + k_steps
+            raise _integration_error(f"non-finite log-odds by step {s}", s, 1)
+
+        # a frozen column keeps its freeze value at the later steps
+        w = np.flatnonzero(frozen_at < k_steps)
+        if w.size:
+            later = np.arange(k_steps)[:, None] > frozen_at[w]
+            ln_blk[:, w] = np.where(later, ln_blk[frozen_at[w], w], ln_blk[:, w])
+
+        # at its first step at or below its next event level, a column
+        # passes every target at or above its ln(Delta) there; each round
+        # finds that step for every column that has one left
+        ln_min = ln_blk.min(axis=0)
+        events = []
+        while True:
+            cols = np.flatnonzero(ln_min <= ln_tgt[ptr])
+            if not cols.size:
+                break
+            rows = np.argmax(ln_blk[:, cols] <= ln_tgt[ptr[cols]], axis=0)
+            p1 = np.searchsorted(neg_tgt, -ln_blk[rows, cols], "right")
+            events.append((cols, rows, ptr[cols], p1))
+            ptr[cols] = p1
+        if events:
             # each passage, interpolated linearly in ln(Delta) over its step
-            rows, steps, prev, new, p0, p1 = map(np.concatenate, zip(*log))
+            cols, rows, p0, p1 = map(np.concatenate, zip(*events))
+            new = ln_blk[rows, cols]
+            prev = np.where(rows > 0, ln_blk[rows - 1, cols], ln_prev[cols])
             counts = p1 - p0
-            e = np.repeat(np.arange(counts.size), counts)  # log row of each passage
+            e = np.repeat(np.arange(counts.size), counts)  # event of each passage
             p = np.arange(e.size) - (np.cumsum(counts) - counts - p0)[e]
             prev = prev[e]
             denom = new[e] - prev
@@ -567,26 +598,34 @@ def _run_shard(
             strict = denom < 0.0
             frac[strict] = (ln_tgt[p[strict]] - prev[strict]) / denom[strict]
             np.clip(frac, 0.0, 1.0, out=frac)
-            fp[rows[e], p] = (steps[e] - 1) * dt + frac * dt
-        # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
-        if factored and not np.isfinite(lam).all():
-            raise _integration_error(f"non-finite log-odds by step {step}", step, 1)
-        if not alive.all():
-            keep = np.flatnonzero(alive)
-            lam, idx, ptr = lam[:, keep], idx[keep], ptr[keep]
-            event_ln, ln_prev = event_ln[keep], ln_prev[keep]
+            fp[idx[cols[e]], p] = (step + rows[e]) * dt + frac * dt
+
+        while g_next < G and grid_steps[g_next] <= step + k_steps:
+            r = grid_steps[g_next] - step - 1
+            cur_ln[idx] = ln_blk[r]
+            mean_ln[g_next] = cur_ln.mean()
+            var_ln[g_next] = cur_ln.var(ddof=1)
+            active_at[g_next] = np.count_nonzero(frozen_at > r)
+            g_next += 1
+        cur_ln[idx] = ln_blk[-1]
+        step += k_steps
+
+        keep = np.flatnonzero(frozen_at == k_steps)
+        ptr, ln_prev = ptr[keep], ln_blk[-1, keep]
+        noise = images = ln_blk = None  # freed before the next blocks are allocated
+        if keep.size < A:
+            lam, idx = lam[:, keep], idx[keep]
             if origin is not None:
                 origin = origin[:, keep]
             gens = [gens[j] for j in keep]
             if ctrl_gens is not None:
                 ctrl_gens = [ctrl_gens[j] for j in keep]
             A = idx.size
-            alive = np.ones(A, dtype=bool)
 
-    record_finals(np.flatnonzero(alive))
+    record_finals(np.arange(A), lam)
     mean_ln[g_next:] = cur_ln.mean()
     var_ln[g_next:] = cur_ln.var(ddof=1)
-    active_at[g_next:] = int(alive.sum())
+    active_at[g_next:] = A
     return _Shard(
         count=count, mean_ln=mean_ln, var_ln=var_ln, active_at=active_at,
         first_passage=fp, final_idx=final_idx, finals=finals, retro=retro,
@@ -772,8 +811,10 @@ def speedup_scaling_sweep(
     Each size runs one no-control ensemble and pairs it with a controlled
     ensemble of every policy, all with the same master seed, so each pair
     shares measurement noise; the reported stderr is still the unpaired
-    propagation (conservative).  Every size, every policy and every cycle
-    against every size is checked before the first ensemble runs.
+    propagation (conservative).  Every size, every policy, every cycle
+    against every size and the targets, at least 3 of which must lie in
+    [eps_lo, eps_hi] for the mean-time fits, are checked before the first
+    ensemble runs.
     """
     if epsilons is None:
         epsilons = default_epsilon_grid()
@@ -782,6 +823,13 @@ def speedup_scaling_sweep(
         raise ValueError(f"n_values repeats a register size: {list(n_values)}")
     if not policies:
         raise ValueError("no policies to sweep")
+    eps = epsilon_targets(epsilons, params_template.stop_epsilon)
+    inside = int(np.sum((eps >= eps_lo) & (eps <= eps_hi)))
+    if inside < 3:
+        raise ValueError(
+            f"fewer than 3 epsilon targets in the fit range [{eps_lo:g}, "
+            f"{eps_hi:g}]: {inside} inside it"
+        )
     for params in sizes:
         for policy in policies:
             _check_cycle_fits(policy, params.n)

@@ -143,13 +143,18 @@ def infidelity_columns(lam: np.ndarray) -> np.ndarray:
     return tail.sum(axis=0)
 
 
-def update_log_odds(L: np.ndarray, dW: np.ndarray, gamma: float, dt: float) -> None:
-    """The step of update_columns, in place, for a product state:
-    column j of the (n, trajectories) array L holds L[r] = c*R[r]
-    (c = record_strength(gamma)), half the log-odds of qubit r's z = +1,
-    so <Z^r> = tanh(L[r]), dR = c*dt*tanh(L) + dW and L += c*dR."""
+def update_log_odds(L: np.ndarray, dW: np.ndarray, gamma: float, dt: float) -> np.ndarray:
+    """The step of update_columns for a product state: column j of the
+    (n, trajectories) array L holds L[r] = c*R[r] (c =
+    record_strength(gamma)), half the log-odds of qubit r's z = +1, so
+    <Z^r> = tanh(L[r]), dR = c*dt*tanh(L) + dW and the new log-odds are
+    L + c*dR.  They are written over the spent increments dW, which is
+    returned; L is left as it was."""
     c = record_strength(gamma)
-    L += c * (c * dt * np.tanh(L) + dW)
+    dW += c * dt * np.tanh(L)
+    dW *= c
+    dW += L
+    return dW
 
 
 def infidelity_log_odds(L: np.ndarray) -> np.ndarray:

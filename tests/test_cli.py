@@ -408,6 +408,17 @@ def test_sweep_rejects_a_repeated_size(monkeypatch, tmp_path, capsys):
     assert "n_values repeats a register size: [2, 2, 3]" in capsys.readouterr().err
 
 
+def test_sweep_rejects_too_few_targets_in_the_fit_range(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(ensemble, "run_ensemble", lambda *a, **k: calls.append(a))
+    argv = ["sweep", "--n-values", "2,3", "--count", 200,
+            "--epsilons", "1e-1,1e-2,1e-3", "--out", tmp_path]
+    assert run_main(argv) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "fewer than 3 epsilon targets in the fit range [1e-06, 0.0001]" in err
+
+
 def test_sweep_rejects_large_n(capsys):
     assert run_main(["sweep", "--n-values", "2,7", "--count", 10]) == 1
     assert "unsafe-large-n" in capsys.readouterr().err

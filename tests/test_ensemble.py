@@ -37,6 +37,7 @@ from regreadout import (
 import regreadout.ensemble as ensemble
 from regreadout.ensemble import NOISE_BLOCK_STEPS
 from regreadout.sde import (
+    LOG_FLOOR,
     IntegrationError,
     infidelity_columns,
     trajectory_noise_rng,
@@ -104,7 +105,9 @@ DENSE = np.logspace(-1.0, -4.0, 301)
 
 def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
     """Run `count` trajectories in the batch and compare each with the
-    reference trajectory of the same (seed, index); returns the stats."""
+    reference trajectory of the same (seed, index), the mean ln(Delta)
+    and active fraction at every grid point included; returns the
+    stats."""
     stats = run_ensemble(
         params,
         policy,
@@ -115,8 +118,15 @@ def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
         collect_first_passage=True,
         collect_retrodiction=retro,
     )
+    # ln(Delta) of each reference trajectory at each grid point; one that
+    # has stopped holds the ln(Delta) of its stop step
+    ln = np.empty((count, stats.sample_times.size))
     for i in range(count):
         ref = simulate_trajectory(params, policy, epsilons, seed, i, record_every=4)
+        m = ref.sample_times.size
+        assert np.array_equal(ref.sample_times, stats.sample_times[:m])
+        ln[i, :m] = np.log(np.maximum(ref.infidelity, LOG_FLOOR))
+        ln[i, m:] = math.log(max(ref.final_state.infidelity(), LOG_FLOOR))
         assert np.allclose(stats.final_states[i], ref.final_state.probs, atol=1e-12)
         assert stats.final_indices[i] == ref.final_index
         if retro:
@@ -132,6 +142,8 @@ def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+    np.testing.assert_allclose(stats.mean_ln_delta, ln.mean(axis=0), rtol=1e-12)
+    assert np.array_equal(stats.active_fraction, np.mean(ln > params.stop_ln, axis=0))
     return stats
 
 
@@ -225,6 +237,43 @@ def test_first_trajectories_do_not_depend_on_the_count(name, n):
         )}
     )
     assert_same_trajectories(first, small, name)
+
+
+@pytest.mark.parametrize("name", list(BATCH_POLICIES))
+def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name):
+    """Blocks of 1 and 7 steps, and no-control sub-blocks of one step,
+    give the default run's outputs, so the ln(Delta) carried into a block,
+    the passed targets and the frozen columns cross block edges intact.
+    Indices and NaN patterns are exact; floats are bitwise equal under no
+    control and equal to 1e-12 relative under the other policies, which
+    compact their columns at other widths (see assert_same_trajectories)."""
+    policy = BATCH_POLICIES[name]
+    params = SimulationParams(n=2 if name == "fixed_cycle" else 3, max_time=0.5,
+                              stop_epsilon=1e-4)
+    runs = []
+    default = ensemble.RESOLVE_SIZE
+    for steps, size in ((NOISE_BLOCK_STEPS, default), (1, default), (7, default),
+                        (NOISE_BLOCK_STEPS, 1)):
+        monkeypatch.setattr(ensemble, "NOISE_BLOCK_STEPS", steps)
+        monkeypatch.setattr(ensemble, "RESOLVE_SIZE", size)
+        runs.append(run_ensemble(
+            params, policy, DENSE, 60, 4, record_every=5,
+            collect_retrodiction=True, collect_first_passage=True,
+        ))
+    base = runs[0]
+    # trajectories froze partway
+    assert np.any((base.active_fraction > 0.0) & (base.active_fraction < 1.0))
+    for run in runs[1:]:
+        for f in fields(EnsembleStats):
+            x, y = getattr(run, f.name), getattr(base, f.name)
+            if not isinstance(x, np.ndarray):
+                assert x == y, f.name
+            elif x.dtype.kind != "f":
+                assert np.array_equal(x, y), f.name
+            elif name == "none":
+                assert np.array_equal(x, y, equal_nan=True), f.name
+            else:
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=f.name)
 
 
 def force_shards(monkeypatch, cpus):
@@ -642,18 +691,21 @@ def test_sweep_runs_each_baseline_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_values,policies,message",
+    "n_values,policies,epsilons,message",
     [
-        ([2, 0], [random_permutation_policy()], "at least one qubit, not n=0"),
-        ([2, 3, 2], [random_permutation_policy()], "repeats a register size"),
-        ([2, 3], [], "no policies"),
-        ([2, 3], [fixed_cycle_policy([leading_rotation(4)])],
+        ([2, 0], [random_permutation_policy()], None, "at least one qubit, not n=0"),
+        ([2, 3, 2], [random_permutation_policy()], None, "repeats a register size"),
+        ([2, 3], [], None, "no policies"),
+        ([2, 3], [fixed_cycle_policy([leading_rotation(4)])], None,
          r"dimension 4, which does not fit n=3 \(2\*\*3 = 8\)"),
+        ([2, 3], [random_permutation_policy()], [1e-1, 1e-4, 1e-5],
+         r"fewer than 3 epsilon targets in the fit range \[1e-06, 0.0001\]: "
+         r"2 inside it"),
     ],
-    ids=["n0", "repeated", "no-policies", "cycle-misfit"],
+    ids=["n0", "repeated", "no-policies", "cycle-misfit", "fit-range"],
 )
 def test_sweep_checks_its_inputs_before_any_ensemble(
-    monkeypatch, n_values, policies, message
+    monkeypatch, n_values, policies, epsilons, message
 ):
     calls = []
 
@@ -664,7 +716,7 @@ def test_sweep_checks_its_inputs_before_any_ensemble(
     monkeypatch.setattr(ensemble, "run_ensemble", spy)
     template = SimulationParams(n=2, max_time=1.0)
     with pytest.raises(ValueError, match=message):
-        speedup_scaling_sweep(n_values, policies, template, 40, 5)
+        speedup_scaling_sweep(n_values, policies, template, 40, 5, epsilons=epsilons)
     assert calls == []
 
 
