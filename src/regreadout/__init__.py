@@ -39,7 +39,6 @@ from .theory import (
     all_permutation_images,
     flat_tail_state,
     h_ordering_speedup_bounds,
-    linear_trajectory_state,
     log_infidelity_rate,
     nofb_mean_first_passage,
     nofb_mean_log_infidelity,
@@ -91,7 +90,6 @@ __all__ = [
     "all_permutation_images",
     "flat_tail_state",
     "h_ordering_speedup_bounds",
-    "linear_trajectory_state",
     "log_infidelity_rate",
     "nofb_mean_first_passage",
     "nofb_mean_log_infidelity",

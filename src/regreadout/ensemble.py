@@ -76,8 +76,9 @@ RESOLVE_SIZE = 2**15
 # Trajectories per shard: run_ensemble splits an ensemble across CPUs only
 # when every shard gets at least this many.
 SHARD_MIN = 500
-# Samples per vectorized chunk of mc_permuted_step_rate.
-MC_CHUNK_ROWS = 200_000
+# Samples per vectorized chunk of mc_permuted_step_rate; each chunk has
+# its own stream, so this also fixes which samples an estimate takes.
+MC_CHUNK_ROWS = 100_000
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
 # A run whose censoring at any target exceeds this has too short a max_time.
@@ -901,22 +902,32 @@ def mc_permuted_step_rate(
     """Monte Carlo single-step estimate of the permutation-averaged
     log-infidelity rate: each sample draws a uniform permutation of the
     state, takes one exact integration step, and measures the change of
-    ln(Delta) over dt."""
+    ln(Delta) over dt.
+
+    The samples go in chunks of MC_CHUNK_ROWS, chunk c drawing from its
+    own stream SeedSequence(master_seed, spawn_key=(c, 2)), a key no
+    trajectory stream uses.  The chunks run on a pool of one thread per
+    usable CPU (their numpy calls release the GIL), and their moments
+    merge in chunk order, so the estimate depends only on (master_seed,
+    samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    # imported here, not at module level: its import takes milliseconds
+    # that runs without this estimator need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
     n = state.n
     d = 2**n
     probs = state.probs
     ln0 = math.log(_rate_infidelity(state))
     sqrt_dt = math.sqrt(dt)
-    rng = np.random.default_rng(master_seed)
 
-    moments = None  # (count, mean, M2) of the ln(Delta) changes so far
-    done = 0
-    while done < samples:
-        m = min(MC_CHUNK_ROWS, samples - done)
+    def chunk(c: int):
+        """(count, mean, M2) of chunk c's ln(Delta) changes."""
+        m = min(MC_CHUNK_ROWS, samples - c * MC_CHUNK_ROWS)
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(c, 2)))
         # probs under a fresh permutation per column; the index array dies here
         lamp = np.empty((d, m))
         lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
@@ -926,11 +937,11 @@ def mc_permuted_step_rate(
         # two-pass within the chunk, merged across chunks
         mean = float(dl.mean())
         dev = dl - mean
-        chunk = (m, mean, float(dev @ dev))
-        moments = chunk if moments is None else _merge_moments(moments, chunk)
-        done += m
+        return m, mean, float(dev @ dev)
 
-    _, mean_dl, m2 = moments
+    chunks = -(-samples // MC_CHUNK_ROWS)
+    with ThreadPoolExecutor(min(_usable_cpus(), chunks)) as pool:
+        _, mean_dl, m2 = reduce(_merge_moments, pool.map(chunk, range(chunks)))
     var_dl = m2 / (samples - 1)
     return RateEstimate(
         value=mean_dl / dt,

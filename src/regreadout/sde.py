@@ -135,8 +135,8 @@ def update_columns(
 def infidelity_columns(lam: np.ndarray) -> np.ndarray:
     """Each column's infidelity, summed over the non-maximal entries (as
     DiagonalState.infidelity) rather than taken as 1 - max."""
-    # argmax before the copy: the other order raised the peak RSS of
-    # mc_permuted_step_rate (200k columns) by 9 MB
+    # argmax before the copy: the other order raised the peak RSS of a
+    # 200k-column step (an earlier mc_permuted_step_rate chunk) by 9 MB
     amax = np.argmax(lam, axis=0)
     tail = lam.copy()
     tail[amax, np.arange(lam.shape[1])] = 0.0

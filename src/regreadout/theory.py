@@ -6,8 +6,7 @@ log-infidelity), the instantaneous log-infidelity decay rate of an
 arbitrary diagonal state, the analytic bounds on that rate and on the
 protocol speed-ups, the exact average of the rate over the full
 permutation group (a closed form at every n), the integer sum identities
-that it rests on (checked by enumeration for D = 4 and 8), and the
-closed-form conditional state reached from a given accumulated record.
+that it rests on (checked by enumeration for D = 4 and 8).
 
 Rates are d<ln Delta>/dt values and are negative for valid states.  The
 two extremal tail shapes appear throughout: the two-level state puts the
@@ -28,7 +27,6 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .registers import DiagonalState, z_table
-from .sde import record_strength
 
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
 NOFB_RATE = 16.0
@@ -280,20 +278,3 @@ def permutation_averaged_rate(
     rest = np.sort(state.probs)[:-1]  # every entry but one maximal one
     zsum = state.n * d / (d - 1) * (delta**2 + float(rest @ rest))
     return _rate(zsum, delta, gamma)
-
-
-def linear_trajectory_state(records, n: int, gamma: float = 1.0) -> DiagonalState:
-    """Conditional state implied by an accumulated record, from the
-    maximally mixed start: lambda_i proportional to
-    exp(2*sqrt(2*gamma) * sum_r z_i^r * R[r]) with unshifted z.
-
-    records is the length-n array R.  The softmax is exponent-shifted, so
-    arbitrarily long records cannot overflow.
-    """
-    R = np.asarray(records, dtype=float)
-    if R.shape != (n,):
-        raise ValueError(f"record must have shape ({n},)")
-    expo = record_strength(gamma) * (R @ z_table(n))
-    expo -= expo.max()
-    weights = np.exp(expo)
-    return DiagonalState(n, weights / weights.sum())

@@ -10,7 +10,8 @@ regreadout.ensemble.run_ensemble, drawing each random permutation from
 them the same way.  The tests compare the batched runner against it
 under every policy.  enumerated_permutation_average_rate is the
 brute-force reference for theory.permutation_averaged_rate's closed
-form.  The oracle keeps its own arithmetic on purpose and is not part of
+form, and linear_trajectory_state replays an uncontrolled trajectory's
+final state from its accumulated record alone.  The oracle keeps its own arithmetic on purpose and is not part of
 the library: nothing under src/ imports it.
 
 euler_step is the explicit first-order update
@@ -320,3 +321,20 @@ def enumerated_permutation_average_rate(
         zsum_avg += float(np.mean(moments * moments))
     value = -4.0 * gamma * zsum_avg * (1.0 - delta) ** 2 / delta**2
     return RateEstimate(value)
+
+
+def linear_trajectory_state(records, n: int, gamma: float = 1.0) -> DiagonalState:
+    """Conditional state implied by an accumulated record, from the
+    maximally mixed start: lambda_i proportional to
+    exp(2*sqrt(2*gamma) * sum_r z_i^r * R[r]) with unshifted z.
+
+    records is the length-n array R.  The softmax is exponent-shifted, so
+    arbitrarily long records cannot overflow.
+    """
+    R = np.asarray(records, dtype=float)
+    if R.shape != (n,):
+        raise ValueError(f"record must have shape ({n},)")
+    expo = record_strength(gamma) * (R @ z_table(n))
+    expo -= expo.max()
+    weights = np.exp(expo)
+    return DiagonalState(n, weights / weights.sum())

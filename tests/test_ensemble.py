@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -777,16 +778,16 @@ def test_mc_permuted_step_rate_validation():
 def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
     """With three chunks, the last one partial, the estimate is the plain
     mean and ddof=1 standard error of the per-sample ln(Delta) changes,
-    recomputed here from the same generator calls."""
+    recomputed here from each chunk's keyed stream."""
     monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
     state = two_level_state(2, 1e-3)
     gamma, dt, samples, seed = 1.0, 2e-4, 2500, 31
     est = mc_permuted_step_rate(state, gamma, dt, samples, seed)
 
-    rng = np.random.default_rng(seed)
     d = state.probs.size
     changes = []
-    for m in (1000, 1000, 500):
+    for c, m in enumerate((1000, 1000, 500)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, 2)))
         lam = np.empty((d, m))
         lam[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = (
             state.probs[:, None]
@@ -799,3 +800,36 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
     assert est.stderr == pytest.approx(
         dl.std(ddof=1) / math.sqrt(samples) / dt, rel=1e-12
     )
+
+
+def test_mc_permuted_step_rate_does_not_depend_on_the_cpu_count(monkeypatch):
+    """Each chunk draws from its own stream and the moments merge in chunk
+    order, so 1, 2 or 3 worker threads give bitwise the same estimate, and
+    every worker is gone when the call returns."""
+    monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 700)
+    state = flat_tail_state(3, 1e-3)
+    threads = threading.active_count()
+    estimates = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+        estimates.append(mc_permuted_step_rate(state, 1.0, 2e-4, 4000, 8))
+        assert threading.active_count() == threads
+    assert estimates[1] == estimates[0]
+    assert estimates[2] == estimates[0]
+
+
+def test_mc_permuted_step_rate_raises_a_chunks_failure(monkeypatch):
+    """An exception inside one chunk's worker thread reaches the caller."""
+    monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+
+    def failing_update(lam, dW, gamma, dt):
+        if lam.shape[1] == 500:  # the last, partial chunk
+            raise FloatingPointError("chunk failed")
+        return update_columns(lam, dW, gamma, dt)
+
+    monkeypatch.setattr(ensemble, "update_columns", failing_update)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        mc_permuted_step_rate(two_level_state(2, 1e-3), 1.0, 2e-4, 2500, 31)
+    assert threading.active_count() == threads

@@ -16,8 +16,8 @@ PUBLIC_NAMES = [
     "h_ordering_policy", "no_control", "random_permutation_policy",
     "read_cycle_file",
     "IdentityReport", "RateEstimate", "SpeedupBounds", "all_permutation_images",
-    "flat_tail_state", "h_ordering_speedup_bounds", "linear_trajectory_state",
-    "log_infidelity_rate", "nofb_mean_first_passage", "nofb_mean_log_infidelity",
+    "flat_tail_state", "h_ordering_speedup_bounds", "log_infidelity_rate",
+    "nofb_mean_first_passage", "nofb_mean_log_infidelity",
     "permutation_averaged_rate", "permutation_sum_identities",
     "random_permutation_speedup_bounds", "two_level_state", "zsum_bounds",
     "EnsembleStats", "MeanTimeFit", "ScalingFit", "SpeedupEstimate",
@@ -36,8 +36,10 @@ ORACLE_NAMES = [
 
 # permutation_averaged_rate's closed form covers every n and both
 # envelope states, so its enumeration cap and envelope functions are gone.
+# The record-replay state serves only the tests, from tests/oracle.py.
 REMOVED_THEORY_NAMES = [
     "ENUMERATION_MAX_QUBITS", "two_level_permuted_rate", "flat_tail_permuted_rate",
+    "linear_trajectory_state",
 ]
 
 # The parser's typed list flags replace the CLI's own list parsers.

@@ -18,7 +18,6 @@ from regreadout import (
     all_permutation_images,
     flat_tail_state,
     h_ordering_speedup_bounds,
-    linear_trajectory_state,
     log_infidelity_rate,
     nofb_mean_first_passage,
     nofb_mean_log_infidelity,
@@ -32,6 +31,7 @@ from regreadout.policies import no_control
 from oracle import (
     apply_permutation,
     enumerated_permutation_average_rate,
+    linear_trajectory_state,
     sample_uniform_permutation,
     simulate_trajectory,
 )
