@@ -12,7 +12,7 @@ flag carries its own type, choices and default (a list flag parses into a
 tuple), and the library call that takes the values checks them before it
 starts any work.  Any option can also come from a plain-text config file
 of `key = value` lines (`--config`), whose keys are the flag names with
-underscores (`max_time`, `n_values`, `unsafe_large_n`); `config` and
+underscores (`max_time`, `n_values`, `cycle_file`); `config` and
 `check` cannot be set from a file.  The subcommand's own parser coerces
 the file's values, so a bad one, a list item too, is reported with its
 file and line.  Explicit command line flags win over the file, and the
@@ -60,7 +60,6 @@ DEFAULT_MASTER_SEED = 31415926
 # run keeps integrating well below the deepest default target so the
 # mean curve has a clean exponential stretch to fit.
 RUN_STOP_EPSILON = 1e-20
-SWEEP_MAX_N = 5
 LARGE_N_NOTE = "large n: 0.25 n <= S_RP <= 0.5 n"
 # Namespace entries that are not options a config file may set.
 NOT_CONFIG_KEYS = ("config", "check", "func", "parser")
@@ -71,15 +70,6 @@ SWEEP_CSV = "sweep.csv"
 BOUNDS_CSV = "bounds.csv"
 SUMMARY_JSON = "summary.json"
 MANIFEST_JSON = "manifest.json"
-
-
-def _flag(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean")
 
 
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
@@ -110,13 +100,10 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
     for key, (text, lineno) in read_config_file(path).items():
         if key not in defaults or key in NOT_CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        flag = "--" + key.replace("_", "-")
         try:
-            if defaults[key] is False:  # a store_true flag takes no value
-                values[key] = _flag(text)
-            else:
-                flag = "--" + key.replace("_", "-")
-                values[key] = getattr(parser.parse_args([f"{flag}={text}"]), key)
-        except (ValueError, argparse.ArgumentError) as exc:
+            values[key] = getattr(parser.parse_args([f"{flag}={text}"]), key)
+        except argparse.ArgumentError as exc:
             raise ValueError(
                 f"{path}:{lineno}: bad value for {key}: {exc}"
             ) from None
@@ -324,11 +311,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if max(args.n_values) > SWEEP_MAX_N and not args.unsafe_large_n:
-        raise ValueError(
-            f"n > {SWEEP_MAX_N} scales exponentially; pass --unsafe-large-n "
-            "to proceed"
-        )
     policies = [_build_policy(name, args.cycle_file) for name in args.policies]
     # checked before the stop is derived from them; that stop is the
     # smallest target, so there is no stop to check them against
@@ -502,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     # longer than the run default: the slowest no-control stragglers at
     # n = 4..5 need the room to reach the deepest default target
     _add_ensemble_flags(sweep, max_time=4.0, out="regreadout-sweep")
-    sweep.add_argument("--unsafe-large-n", action="store_true",
-                       help="allow n above the exponential-cost cap")
     sweep.add_argument("--check", action="store_true",
                        help="exit 3 unless every point sits in its band")
     sweep.set_defaults(func=cmd_sweep, parser=sweep)

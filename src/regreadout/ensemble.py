@@ -65,7 +65,11 @@ from .theory import (
     random_permutation_speedup_bounds,
 )
 
-# Steps pre-drawn per trajectory between active-set compressions.
+# Steps pre-drawn per trajectory between active-set compressions.  Under
+# random permutations a block takes at most NOISE_BLOCK_STEPS * 8 * n //
+# (d * itemsize) steps (at least 1), so that its (steps, active, d) images
+# hold no more bytes than a full noise block: 128 steps up to n = 5, and
+# 96, 56, 32 and 9 at n = 6, 7, 8 and 9.
 NOISE_BLOCK_STEPS = 128
 # Trajectories whose noise blocks are drawn before one transposed copy.
 NOISE_CHUNK = 64
@@ -76,8 +80,10 @@ RESOLVE_SIZE = 2**15
 # Trajectories per shard: run_ensemble splits an ensemble across CPUs only
 # when every shard gets at least this many.
 SHARD_MIN = 500
-# Samples per vectorized chunk of mc_permuted_step_rate; each chunk has
-# its own stream, so this also fixes which samples an estimate takes.
+# Samples per vectorized chunk of mc_permuted_step_rate up to d = 8; a
+# larger d takes MC_CHUNK_ROWS * 8 // d, so a chunk's (d, samples) arrays
+# never pass d = 8's size.  Each chunk has its own stream, so this also
+# fixes which samples an estimate takes.
 MC_CHUNK_ROWS = 100_000
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
@@ -192,7 +198,10 @@ def run_ensemble(
     (steps, n) noise blocks, transposed into one (steps, n, active) block.
     Each trajectory's (steps, d) block of permutation images goes straight
     into one (steps, active, d) block, at the smallest unsigned dtype that
-    holds d - 1.
+    holds d - 1, and a block under random permutations is cut short so
+    that its images take no more bytes than a full noise block (see
+    NOISE_BLOCK_STEPS).  So its memory is bounded at every n, and the
+    outputs do not depend on the block length, in the sense above.
 
     An ensemble of at least 2 * SHARD_MIN trajectories, on a host where
     this process may use more than one CPU and can fork, runs as
@@ -421,6 +430,11 @@ def _run_shard(
         h_rows = d - 1 - h_source
     elif kind == "fixed_cycle":
         cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
+    block_steps = NOISE_BLOCK_STEPS
+    if kind == "random_permutation":
+        img_type = np.min_scalar_type(d - 1)
+        bound = block_steps * 8 * n // (d * img_type.itemsize)
+        block_steps = max(1, min(block_steps, bound))
 
     dt = params.dt
     sqrt_dt = math.sqrt(dt)
@@ -487,7 +501,7 @@ def _run_shard(
     step = 0
     g_next = 1
     while A > 0 and step < total_steps:
-        k_steps = min(NOISE_BLOCK_STEPS, total_steps - step)
+        k_steps = min(block_steps, total_steps - step)
         noise = np.empty((k_steps, n, A))
         chunk = np.empty((min(NOISE_CHUNK, A), k_steps, n))
         for j0 in range(0, A, NOISE_CHUNK):
@@ -499,7 +513,7 @@ def _run_shard(
         if ctrl_gens is not None:
             # images[k, j] is column j's permutation image at step k: the
             # argsort of d uniforms from the column's own control stream
-            images = np.empty((k_steps, A, d), dtype=np.min_scalar_type(d - 1))
+            images = np.empty((k_steps, A, d), dtype=img_type)
             for j, gen in enumerate(ctrl_gens):
                 images[:, j] = np.argsort(gen.random((k_steps, d)), axis=1)
 
@@ -689,11 +703,10 @@ def regression_mean_time(
     stats: EnsembleStats,
     eps_lo: float = 1e-6,
     eps_hi: float = 1e-4,
-    max_censored: float = CENSOR_LIMIT,
 ) -> MeanTimeFit:
     """Fit mean_T = slope * ln(1/epsilon) + intercept over a target range.
 
-    Points with censoring above max_censored are dropped.  Fewer than 3
+    Points with censoring above CENSOR_LIMIT are dropped.  Fewer than 3
     usable points is an error; fewer than 5 draws a warning.  The slope is
     linear in the passage times: it is the mean over trajectories of
     b_i = T_i . dx / (dx . dx), where T_i holds trajectory i's passage
@@ -710,13 +723,13 @@ def regression_mean_time(
             "run_ensemble(..., collect_first_passage=True)"
         )
     in_range = (stats.epsilons >= eps_lo) & (stats.epsilons <= eps_hi)
-    sel = in_range & (stats.censored_fraction <= max_censored)
+    sel = in_range & (stats.censored_fraction <= CENSOR_LIMIT)
     m, inside = int(sel.sum()), int(in_range.sum())
     if m < 3:
         raise ValueError(
             f"fewer than 3 usable epsilon points in the fit range [{eps_lo:g}, "
             f"{eps_hi:g}]: {inside} targets inside it, {inside - m} dropped for "
-            f"censoring above {max_censored:g} (max_time {stats.params.max_time:g})"
+            f"censoring above {CENSOR_LIMIT:g} (max_time {stats.params.max_time:g})"
         )
     if m < 5:
         warnings.warn(
@@ -904,9 +917,10 @@ def mc_permuted_step_rate(
     state, takes one exact integration step, and measures the change of
     ln(Delta) over dt.
 
-    The samples go in chunks of MC_CHUNK_ROWS, chunk c drawing from its
-    own stream SeedSequence(master_seed, spawn_key=(c, 2)), a key no
-    trajectory stream uses.  The chunks run on a pool of one thread per
+    The samples go in chunks of MC_CHUNK_ROWS (MC_CHUNK_ROWS * 8 // d
+    once d > 8, so that memory stays bounded at every n), chunk c drawing
+    from its own stream SeedSequence(master_seed, spawn_key=(c, 2)), a key
+    no trajectory stream uses.  The chunks run on a pool of one thread per
     usable CPU (their numpy calls release the GIL), and their moments
     merge in chunk order, so the estimate depends only on (master_seed,
     samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
@@ -923,10 +937,11 @@ def mc_permuted_step_rate(
     probs = state.probs
     ln0 = math.log(_rate_infidelity(state))
     sqrt_dt = math.sqrt(dt)
+    rows = max(1, min(MC_CHUNK_ROWS, MC_CHUNK_ROWS * 8 // d))
 
     def chunk(c: int):
         """(count, mean, M2) of chunk c's ln(Delta) changes."""
-        m = min(MC_CHUNK_ROWS, samples - c * MC_CHUNK_ROWS)
+        m = min(rows, samples - c * rows)
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(c, 2)))
         # probs under a fresh permutation per column; the index array dies here
         lamp = np.empty((d, m))
@@ -939,7 +954,7 @@ def mc_permuted_step_rate(
         dev = dl - mean
         return m, mean, float(dev @ dev)
 
-    chunks = -(-samples // MC_CHUNK_ROWS)
+    chunks = -(-samples // rows)
     with ThreadPoolExecutor(min(_usable_cpus(), chunks)) as pool:
         _, mean_dl, m2 = reduce(_merge_moments, pool.map(chunk, range(chunks)))
     var_dl = m2 / (samples - 1)

@@ -169,9 +169,11 @@ def infidelity_log_odds(L: np.ndarray) -> np.ndarray:
 
 
 def trajectory_noise_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Measurement-noise stream of trajectory `index` under a master seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(index, 0))
+    """Measurement-noise stream of trajectory `index` under a master seed:
+    default_rng(SeedSequence(master_seed, spawn_key=(index, 0)))'s stream,
+    built without default_rng's dispatch on its argument's type."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index, 0)))
     )
 
 
@@ -182,6 +184,6 @@ def trajectory_control_rng(master_seed: int, index: int = 0) -> np.random.Genera
     Kept separate from the noise stream so open-loop permutation
     sequences are identical whatever the measurement record does.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(index, 1))
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index, 1)))
     )

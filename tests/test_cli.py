@@ -419,9 +419,30 @@ def test_sweep_rejects_too_few_targets_in_the_fit_range(monkeypatch, tmp_path, c
     assert "fewer than 3 epsilon targets in the fit range [1e-06, 0.0001]" in err
 
 
-def test_sweep_rejects_large_n(capsys):
-    assert run_main(["sweep", "--n-values", "2,7", "--count", 10]) == 1
-    assert "unsafe-large-n" in capsys.readouterr().err
+def test_sweep_takes_large_n_without_a_flag(monkeypatch, tmp_path):
+    """The library bounds its own memory at every n, so a size above 5
+    reaches speedup_scaling_sweep like any other."""
+    calls, ensembles = [], []
+    monkeypatch.setattr(ensemble, "run_ensemble", lambda *a, **k: ensembles.append(a))
+
+    def spy(n_values, policies, *args, **kwargs):
+        calls.append(tuple(n_values))
+        point = SpeedupEstimate(1.0, 0.1)
+        return [[SweepPoint(n, point, SpeedupBounds(0.5, 2.0)) for n in n_values]
+                for _ in policies]
+
+    monkeypatch.setattr(cli, "speedup_scaling_sweep", spy)
+    argv = ["sweep", "--n-values", "2,7", "--count", 10, "--out", tmp_path]
+    assert run_main(argv) == 0
+    assert calls == [(2, 7)]
+    assert ensembles == []
+
+
+def test_the_large_n_opt_in_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("unsafe_large_n = true\n")
+    assert run_main(["sweep", "--config", cfg]) == 1
+    assert "a.cfg:1: unknown key 'unsafe_large_n'" in capsys.readouterr().err
 
 
 def test_module_entrypoint_runs():
@@ -446,7 +467,6 @@ CONFIG_VALUES = {
         "n_values": "2,3", "policies": "none,h_ordering", "gamma": "0.5",
         "dt": "1e-3", "max_time": "2.5", "cycle_file": "c.txt",
         "epsilons": "1e-1,1e-2", "count": "40", "seed": "9", "out": "some dir",
-        "unsafe_large_n": "true",
     },
     "bounds": {"n_values": "2,4", "out": "b"},
     "verify-identities": {"dimensions": "4"},
@@ -475,7 +495,7 @@ def test_config_key_parses_like_its_flag(tmp_path, command, key):
     value = CONFIG_VALUES[command][key]
     cfg = tmp_path / "a.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    flag = ["--" + key.replace("_", "-")] + ([] if value == "true" else [value])
+    flag = ["--" + key.replace("_", "-"), value]
     from_file = _options(parse_args([command, "--config", str(cfg)]))
     assert from_file == _options(parse_args([command] + flag))
     assert from_file[key] != _options(parse_args([command]))[key]

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -240,27 +241,54 @@ def test_first_trajectories_do_not_depend_on_the_count(name, n):
     assert_same_trajectories(first, small, name)
 
 
-@pytest.mark.parametrize("name", list(BATCH_POLICIES))
-def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name):
+class _RowCounter:
+    """A control stream that records the rows of each block it draws."""
+
+    def __init__(self, gen, rows):
+        self.gen, self.rows = gen, rows
+
+    def random(self, size):
+        self.rows.append(size[0])
+        return self.gen.random(size)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [pytest.param(name, 2 if name == "fixed_cycle" else 3, id=name)
+     for name in BATCH_POLICIES]
+    + [pytest.param("random_permutation", n, id=f"random_permutation-n{n}")
+       for n in (7, 9)],
+)
+def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name, n):
     """Blocks of 1 and 7 steps, and no-control sub-blocks of one step,
     give the default run's outputs, so the ln(Delta) carried into a block,
     the passed targets and the frozen columns cross block edges intact.
     Indices and NaN patterns are exact; floats are bitwise equal under no
     control and equal to 1e-12 relative under the other policies, which
-    compact their columns at other widths (see assert_same_trajectories)."""
+    compact their columns at other widths (see assert_same_trajectories).
+    At n = 7 and 9 the default run's random-permutation blocks are cut
+    short, so that their images take no more bytes than a full noise
+    block."""
     policy = BATCH_POLICIES[name]
-    params = SimulationParams(n=2 if name == "fixed_cycle" else 3, max_time=0.5,
-                              stop_epsilon=1e-4)
+    params = SimulationParams(n=n, max_time=0.5, stop_epsilon=1e-4)
+    rows = []
+    control_rng = ensemble.trajectory_control_rng
+    monkeypatch.setattr(ensemble, "trajectory_control_rng",
+                        lambda *a: _RowCounter(control_rng(*a), rows))
     runs = []
     default = ensemble.RESOLVE_SIZE
     for steps, size in ((NOISE_BLOCK_STEPS, default), (1, default), (7, default),
                         (NOISE_BLOCK_STEPS, 1)):
         monkeypatch.setattr(ensemble, "NOISE_BLOCK_STEPS", steps)
         monkeypatch.setattr(ensemble, "RESOLVE_SIZE", size)
+        rows.clear()
         runs.append(run_ensemble(
             params, policy, DENSE, 60, 4, record_every=5,
             collect_retrodiction=True, collect_first_passage=True,
         ))
+        if name == "random_permutation" and steps == NOISE_BLOCK_STEPS:
+            itemsize = np.min_scalar_type(2**n - 1).itemsize
+            assert max(rows) * 2**n * itemsize <= steps * n * 8
     base = runs[0]
     # trajectories froze partway
     assert np.any((base.active_fraction > 0.0) & (base.active_fraction < 1.0))
@@ -275,6 +303,29 @@ def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name):
                 assert np.array_equal(x, y, equal_nan=True), f.name
             else:
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=f.name)
+
+
+def traced_peak(call):
+    """call() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_permutation_blocks_are_bounded_by_bytes():
+    """At n = 9, 500 trajectories over one full block's steps: a 128-step
+    block of uint16 images alone would take 65.5 MB, but 9-step blocks
+    hold no more than the 4.6 MB of a full noise block, and the whole run
+    peaks near 13 MB."""
+    params = SimulationParams(n=9, max_time=NOISE_BLOCK_STEPS * 6.25e-4)
+    assert params.total_steps == NOISE_BLOCK_STEPS
+    peak = traced_peak(lambda: run_ensemble(
+        params, random_permutation_policy(), EPS3, 500, 5
+    ))
+    assert peak < 25e6
 
 
 def force_shards(monkeypatch, cpus):
@@ -595,11 +646,12 @@ def test_mean_time_stderr_is_the_delete_one_jackknife():
     assert fit.slope_stderr == pytest.approx(jackknife, rel=1e-10)
 
 
-def test_mean_time_stderr_from_per_trajectory_slopes():
+def test_mean_time_stderr_from_per_trajectory_slopes(monkeypatch):
     """Censored passages count as max_time in the per-trajectory slopes."""
     stats = _passage_ensemble(60, 0.6, 41)
     assert 0.0 < stats.censored_fraction.max() < 0.5
-    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2, max_censored=0.5)
+    monkeypatch.setattr(ensemble, "CENSOR_LIMIT", 0.5)
+    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
     sel = (stats.epsilons >= 1e-4) & (stats.epsilons <= 1e-2)
     assert fit.point_count == int(sel.sum())
     x = np.log(1.0 / stats.epsilons[sel])
@@ -816,6 +868,17 @@ def test_mc_permuted_step_rate_does_not_depend_on_the_cpu_count(monkeypatch):
         assert threading.active_count() == threads
     assert estimates[1] == estimates[0]
     assert estimates[2] == estimates[0]
+
+
+def test_mc_permuted_step_rate_chunks_are_bounded_by_bytes(monkeypatch):
+    """At d = 256 a chunk takes MC_CHUNK_ROWS * 8 // d rows, so two chunks
+    in flight stay far below one 40 000-row chunk, whose uniforms alone
+    take 82 MB."""
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    peak = traced_peak(lambda: mc_permuted_step_rate(
+        flat_tail_state(8, 1e-3), 1.0, 2e-4, 40_000, 3
+    ))
+    assert peak < 64e6
 
 
 def test_mc_permuted_step_rate_raises_a_chunks_failure(monkeypatch):

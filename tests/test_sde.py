@@ -204,6 +204,18 @@ def test_trajectory_rngs_are_independent_streams():
     assert not np.array_equal(a, d)
 
 
+def test_trajectory_rngs_are_the_default_rng_streams():
+    """Built without default_rng, the streams are still bitwise its own."""
+    for seed, index in ((0, 0), (123, 1), (2**40 + 7, 999)):
+        for make, key in ((trajectory_noise_rng, 0), (trajectory_control_rng, 1)):
+            ref = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(index, key))
+            )
+            rng = make(seed, index)
+            assert np.array_equal(rng.random(6), ref.random(6))
+            assert np.array_equal(rng.standard_normal(6), ref.standard_normal(6))
+
+
 def test_trajectory_validation():
     params = make_params(n=1, max_time=0.01)
     with pytest.raises(ValueError):
