@@ -38,13 +38,12 @@ from .theory import (
     SpeedupBounds,
     all_permutation_images,
     flat_tail_state,
-    h_ordering_speedup_bounds,
     log_infidelity_rate,
     nofb_mean_first_passage,
     nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
-    random_permutation_speedup_bounds,
+    speedup_bounds_for_policy,
     two_level_state,
     zsum_bounds,
 )
@@ -62,7 +61,6 @@ from .ensemble import (
     mc_permuted_step_rate,
     regression_mean_time,
     run_ensemble,
-    speedup_bounds_for_policy,
     speedup_scaling_sweep,
 )
 
@@ -89,13 +87,12 @@ __all__ = [
     "SpeedupBounds",
     "all_permutation_images",
     "flat_tail_state",
-    "h_ordering_speedup_bounds",
     "log_infidelity_rate",
     "nofb_mean_first_passage",
     "nofb_mean_log_infidelity",
     "permutation_averaged_rate",
     "permutation_sum_identities",
-    "random_permutation_speedup_bounds",
+    "speedup_bounds_for_policy",
     "two_level_state",
     "zsum_bounds",
     "EnsembleStats",
@@ -111,6 +108,5 @@ __all__ = [
     "mc_permuted_step_rate",
     "regression_mean_time",
     "run_ensemble",
-    "speedup_bounds_for_policy",
     "speedup_scaling_sweep",
 ]

@@ -44,7 +44,6 @@ from .ensemble import (
     fit_speedup_scaling,
     regression_mean_time,
     run_ensemble,
-    speedup_bounds_for_policy,
     speedup_scaling_sweep,
 )
 from .policies import (
@@ -54,7 +53,7 @@ from .policies import (
     read_cycle_file,
 )
 from .sde import IntegrationError, SimulationParams, epsilon_targets
-from .theory import NOFB_RATE, permutation_sum_identities
+from .theory import NOFB_RATE, permutation_sum_identities, speedup_bounds_for_policy
 
 DEFAULT_MASTER_SEED = 31415926
 # run keeps integrating well below the deepest default target so the

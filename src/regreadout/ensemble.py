@@ -43,7 +43,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .policies import POLICY_KINDS, ControlPolicy, h_order_targets, no_control
+from .policies import ControlPolicy, h_order_targets, no_control
 from .registers import DiagonalState, z_table
 from .sde import (
     LOG_FLOOR,
@@ -61,8 +61,7 @@ from .theory import (
     SpeedupBounds,
     RateEstimate,
     _rate_infidelity,
-    h_ordering_speedup_bounds,
-    random_permutation_speedup_bounds,
+    speedup_bounds_for_policy,
 )
 
 # Steps pre-drawn per trajectory between active-set compressions.  Under
@@ -87,6 +86,8 @@ SHARD_MIN = 500
 MC_CHUNK_ROWS = 100_000
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
+# Target range [lo, hi] of the mean-time fits behind every speed-up.
+FIT_RANGE = (1e-6, 1e-4)
 # A run whose censoring at any target exceeds this has too short a max_time.
 EXCESS_CENSORING = 0.10
 # auto_slope_window fits where at least this fraction is still evolving.
@@ -699,12 +700,9 @@ class MeanTimeFit:
     point_count: int
 
 
-def regression_mean_time(
-    stats: EnsembleStats,
-    eps_lo: float = 1e-6,
-    eps_hi: float = 1e-4,
-) -> MeanTimeFit:
-    """Fit mean_T = slope * ln(1/epsilon) + intercept over a target range.
+def regression_mean_time(stats: EnsembleStats) -> MeanTimeFit:
+    """Fit mean_T = slope * ln(1/epsilon) + intercept over the targets in
+    FIT_RANGE.
 
     Points with censoring above CENSOR_LIMIT are dropped.  Fewer than 3
     usable points is an error; fewer than 5 draws a warning.  The slope is
@@ -722,6 +720,7 @@ def regression_mean_time(
             "the mean-time fit needs per-trajectory passage times: "
             "run_ensemble(..., collect_first_passage=True)"
         )
+    eps_lo, eps_hi = FIT_RANGE
     in_range = (stats.epsilons >= eps_lo) & (stats.epsilons <= eps_hi)
     sel = in_range & (stats.censored_fraction <= CENSOR_LIMIT)
     m, inside = int(sel.sum()), int(in_range.sum())
@@ -759,13 +758,10 @@ class SpeedupEstimate:
 
 
 def asymptotic_speedup(
-    stats_nc: EnsembleStats,
-    stats_ctrl: EnsembleStats,
-    eps_lo: float = 1e-6,
-    eps_hi: float = 1e-4,
+    stats_nc: EnsembleStats, stats_ctrl: EnsembleStats
 ) -> SpeedupEstimate:
     """Small-epsilon speed-up: the ratio of the two regression_mean_time
-    slopes, no-control over controlled.
+    slopes over FIT_RANGE, no-control over controlled.
 
     The stderr combines the two slope stderrs without a covariance term,
     which stays conservative when the ensembles share seeds.  A fit that
@@ -775,7 +771,7 @@ def asymptotic_speedup(
     fits = []
     for role, stats in (("no-control baseline", stats_nc), ("controlled", stats_ctrl)):
         try:
-            fits.append(regression_mean_time(stats, eps_lo, eps_hi))
+            fits.append(regression_mean_time(stats))
         except ValueError as exc:
             raise ValueError(
                 f"n={stats.params.n}, policy {stats_ctrl.policy_kind}, "
@@ -785,17 +781,6 @@ def asymptotic_speedup(
     value = nc.slope / ct.slope
     rel = math.hypot(nc.slope_stderr / nc.slope, ct.slope_stderr / ct.slope)
     return SpeedupEstimate(value=value, stderr=abs(value) * rel)
-
-
-def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
-    """Analytic band to overlay on a measured speed-up of this policy."""
-    if kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}")
-    if kind == "h_ordering":
-        return h_ordering_speedup_bounds(n)
-    if kind in ("random_permutation", "fixed_cycle"):
-        return random_permutation_speedup_bounds(n)
-    return SpeedupBounds(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -815,8 +800,6 @@ def speedup_scaling_sweep(
     master_seed: int,
     *,
     epsilons=None,
-    eps_lo: float = 1e-6,
-    eps_hi: float = 1e-4,
 ) -> list[list[SweepPoint]]:
     """Asymptotic speed-up of each policy for each register size; one list
     of points per policy, in the order given.
@@ -826,7 +809,7 @@ def speedup_scaling_sweep(
     shares measurement noise; the reported stderr is still the unpaired
     propagation (conservative).  Every size, every policy, every cycle
     against every size and the targets, at least 3 of which must lie in
-    [eps_lo, eps_hi] for the mean-time fits, are checked before the first
+    FIT_RANGE for the mean-time fits, are checked before the first
     ensemble runs.
     """
     if epsilons is None:
@@ -837,6 +820,7 @@ def speedup_scaling_sweep(
     if not policies:
         raise ValueError("no policies to sweep")
     eps = epsilon_targets(epsilons, params_template.stop_epsilon)
+    eps_lo, eps_hi = FIT_RANGE
     inside = int(np.sum((eps >= eps_lo) & (eps <= eps_hi)))
     if inside < 3:
         raise ValueError(
@@ -860,7 +844,7 @@ def speedup_scaling_sweep(
             points.append(
                 SweepPoint(
                     n=params.n,
-                    estimate=asymptotic_speedup(stats_nc, stats_ctrl, eps_lo, eps_hi),
+                    estimate=asymptotic_speedup(stats_nc, stats_ctrl),
                     bounds=speedup_bounds_for_policy(policy.kind, params.n),
                 )
             )

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
+from .policies import POLICY_KINDS
 from .registers import DiagonalState, z_table
 
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
@@ -147,25 +148,29 @@ def zsum_bounds(delta: float, n: int) -> tuple[float, float]:
     return lower, upper
 
 
-def h_ordering_speedup_bounds(n: int) -> SpeedupBounds:
-    """Speed-up bounds for the locally optimal H-ordering feedback."""
+def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
+    """Analytic band to overlay on a measured speed-up of this policy kind.
+
+    Each edge is zsum / (4*Delta^2) as Delta -> 0, the ratio of the rate
+    to the no-control one.  For H-ordering the edges are zsum_bounds': the
+    flat-tail state gives the lower, D^2/(D-1)^2 * n/4, and the two-level
+    state the upper, n.  For the open-loop kinds (random permutations, and
+    a fixed cycle, which can at best track them) they are those of
+    permutation_averaged_rate's closed form: the flat-tail state gives the
+    same lower edge, and the two-level state the upper, n*D/(2*(D-1)),
+    which approaches 0.5*n from above as n grows (large-n band 0.25*n to
+    0.5*n).  No control is the band [1, 1].
+    """
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, not {n}")
+    if kind == "none":
+        return SpeedupBounds(1.0, 1.0)
     d = 2**n
-    return SpeedupBounds(lower=d**2 / (d - 1) ** 2 * n / 4.0, upper=float(n))
-
-
-def random_permutation_speedup_bounds(n: int) -> SpeedupBounds:
-    """Speed-up bounds for the open-loop random-permutation protocol.
-
-    The edges are zsum / (4*Delta^2) of permutation_averaged_rate's
-    closed form as Delta -> 0: the flat-tail state gives the lower edge,
-    which the H-ordering bound shares, and the two-level state the upper,
-    which approaches 0.5*n from above as n grows (large-n band 0.25*n to
-    0.5*n).
-    """
-    lower = h_ordering_speedup_bounds(n).lower  # rejects n < 1
-    d = 2**n
+    lower = d**2 / (d - 1) ** 2 * n / 4.0
+    if kind == "h_ordering":
+        return SpeedupBounds(lower=lower, upper=float(n))
     # one rounding of exact integers; d / 2 alone overflows a float at n > 1024
     return SpeedupBounds(lower=lower, upper=n * d / (2 * (d - 1)))
 
@@ -231,19 +236,16 @@ def permutation_sum_identities(d: int) -> IdentityReport:
     )
 
 
-def two_level_state(n: int, delta: float, tail_index: int | None = None) -> DiagonalState:
-    """State with 1-delta at index 0 and the whole tail on one other index
-    (default: the all-ones index, the H-ordered placement)."""
+def two_level_state(n: int, delta: float) -> DiagonalState:
+    """State with 1-delta at index 0 and the whole tail on the all-ones
+    index, the H-ordered placement."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 0.5] so the maximum stays at 0")
-    d = 2**n
-    if tail_index is None:
-        tail_index = d - 1
-    if not 1 <= tail_index < d:
-        raise ValueError("tail index must be a nonzero basis index")
-    probs = np.zeros(d)
+    probs = np.zeros(2**n)
     probs[0] = 1.0 - delta
-    probs[tail_index] = delta
+    probs[-1] = delta
     return DiagonalState(n, probs)
 
 

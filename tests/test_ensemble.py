@@ -592,27 +592,37 @@ def test_retrodiction_collection():
         assert np.all(stats.retrodicted_indices == k)
 
 
-def test_regression_mean_time_recovers_rate():
+@pytest.fixture
+def wide_fit_range(monkeypatch):
+    """Fit mean times over [1e-4, 1e-2], where the small test grid
+    np.logspace(-1, -4, 10) has 7 targets."""
+    monkeypatch.setattr(ensemble, "FIT_RANGE", (1e-4, 1e-2))
+
+
+@pytest.mark.usefixtures("wide_fit_range")
+def test_regression_mean_time_recovers_rate(monkeypatch):
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     eps = np.logspace(-1, -4, 10)
     stats = run_ensemble(
         params, no_control(), eps, 400, 23, collect_first_passage=True
     )
-    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+    fit = regression_mean_time(stats)
     assert fit.slope == pytest.approx(1.0 / 16.0, rel=0.15)
     assert fit.point_count >= 5
     assert fit.slope_stderr > 0.0
+    monkeypatch.setattr(ensemble, "FIT_RANGE", (1e-9, 1e-8))
     with pytest.raises(ValueError):
-        regression_mean_time(stats, eps_lo=1e-9, eps_hi=1e-8)
+        regression_mean_time(stats)
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_asymptotic_speedup_of_identical_ensembles_is_one():
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     eps = np.logspace(-1, -4, 10)
     stats = run_ensemble(
         params, no_control(), eps, 200, 6, collect_first_passage=True
     )
-    est = asymptotic_speedup(stats, stats, eps_lo=1e-4, eps_hi=1e-2)
+    est = asymptotic_speedup(stats, stats)
     assert est.value == pytest.approx(1.0)
     assert est.stderr > 0.0
 
@@ -625,10 +635,11 @@ def _passage_ensemble(count, max_time, seed):
     )
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_mean_time_stderr_is_the_delete_one_jackknife():
     stats = _passage_ensemble(40, 2.5, 29)
     assert not stats.censored_fraction.any()
-    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+    fit = regression_mean_time(stats)
     fp = stats.first_passage_times
     reps = []
     for i in range(stats.trajectory_count):
@@ -639,19 +650,20 @@ def test_mean_time_stderr_is_the_delete_one_jackknife():
             first_passage_times=fp[keep],
             trajectory_count=stats.trajectory_count - 1,
         )
-        reps.append(regression_mean_time(masked, eps_lo=1e-4, eps_hi=1e-2).slope)
+        reps.append(regression_mean_time(masked).slope)
     reps = np.array(reps)
     m = reps.size
     jackknife = math.sqrt((m - 1) / m * np.sum((reps - reps.mean()) ** 2))
     assert fit.slope_stderr == pytest.approx(jackknife, rel=1e-10)
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_mean_time_stderr_from_per_trajectory_slopes(monkeypatch):
     """Censored passages count as max_time in the per-trajectory slopes."""
     stats = _passage_ensemble(60, 0.6, 41)
     assert 0.0 < stats.censored_fraction.max() < 0.5
     monkeypatch.setattr(ensemble, "CENSOR_LIMIT", 0.5)
-    fit = regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+    fit = regression_mean_time(stats)
     sel = (stats.epsilons >= 1e-4) & (stats.epsilons <= 1e-2)
     assert fit.point_count == int(sel.sum())
     x = np.log(1.0 / stats.epsilons[sel])
@@ -663,13 +675,14 @@ def test_mean_time_stderr_from_per_trajectory_slopes(monkeypatch):
     assert fit.slope_stderr == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_mean_time_fit_needs_passage_times():
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     stats = run_ensemble(params, no_control(), np.logspace(-1, -4, 10), 40, 29)
     with pytest.raises(ValueError, match="collect_first_passage=True"):
-        regression_mean_time(stats, eps_lo=1e-4, eps_hi=1e-2)
+        regression_mean_time(stats)
     with pytest.raises(ValueError, match="collect_first_passage=True"):
-        asymptotic_speedup(stats, stats, eps_lo=1e-4, eps_hi=1e-2)
+        asymptotic_speedup(stats, stats)
 
 
 def test_speedup_estimate_validation():
@@ -691,6 +704,7 @@ def test_speedup_bounds_for_policy():
         speedup_bounds_for_policy("greedy", 2)
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_speedup_scaling_sweep_and_fit():
     eps = np.logspace(-1, -4, 10)
     template = SimulationParams(n=1, max_time=2.5, stop_epsilon=float(eps.min()))
@@ -701,8 +715,6 @@ def test_speedup_scaling_sweep_and_fit():
         60,
         17,
         epsilons=eps,
-        eps_lo=1e-4,
-        eps_hi=1e-2,
     )
     assert [p.n for p in points] == [1, 2, 3]
     for p in points:
@@ -715,6 +727,7 @@ def test_speedup_scaling_sweep_and_fit():
     assert fit.slope_stderr > 0.0
 
 
+@pytest.mark.usefixtures("wide_fit_range")
 def test_sweep_runs_each_baseline_once(monkeypatch):
     """Policies swept together share each size's no-control ensemble and
     report what each would report when swept alone."""
@@ -729,15 +742,14 @@ def test_sweep_runs_each_baseline_once(monkeypatch):
     eps = np.logspace(-1, -4, 10)
     template = SimulationParams(n=2, max_time=2.5, stop_epsilon=float(eps.min()))
     policies = [random_permutation_policy(), h_ordering_policy()]
-    kw = dict(epsilons=eps, eps_lo=1e-4, eps_hi=1e-2)
-    both = speedup_scaling_sweep([2, 3], policies, template, 40, 5, **kw)
+    both = speedup_scaling_sweep([2, 3], policies, template, 40, 5, epsilons=eps)
     assert calls == [
         (n, kind)
         for n in (2, 3)
         for kind in ("none", "random_permutation", "h_ordering")
     ]
     for policy, points in zip(policies, both):
-        [alone] = speedup_scaling_sweep([2, 3], [policy], template, 40, 5, **kw)
+        [alone] = speedup_scaling_sweep([2, 3], [policy], template, 40, 5, epsilons=eps)
         assert [p.n for p in points] == [2, 3]
         assert [p.estimate for p in points] == [p.estimate for p in alone]
         assert [p.bounds for p in points] == [p.bounds for p in alone]
@@ -771,6 +783,26 @@ def test_sweep_checks_its_inputs_before_any_ensemble(
     with pytest.raises(ValueError, match=message):
         speedup_scaling_sweep(n_values, policies, template, 40, 5, epsilons=epsilons)
     assert calls == []
+
+
+@pytest.mark.usefixtures("wide_fit_range")
+def test_one_fit_range_governs_every_mean_time_fit(monkeypatch):
+    stats = _passage_ensemble(60, 2.5, 29)
+    assert not stats.censored_fraction.any()
+    inside = (stats.epsilons >= 1e-4) & (stats.epsilons <= 1e-2)
+    assert regression_mean_time(stats).point_count == int(inside.sum())
+    assert asymptotic_speedup(stats, stats).value == pytest.approx(1.0)
+
+    def spy(params, policy, *args, **kwargs):
+        raise AssertionError("an ensemble started")
+
+    monkeypatch.setattr(ensemble, "run_ensemble", spy)
+    # 3 targets in the default [1e-6, 1e-4], 1 in the patched range
+    with pytest.raises(ValueError, match=r"fit range \[0.0001, 0.01\]: 1 inside it"):
+        speedup_scaling_sweep(
+            [2], [random_permutation_policy()], SimulationParams(n=2, max_time=1.0),
+            40, 5, epsilons=[1e-3, 1e-5, 2e-6, 1e-6],
+        )
 
 
 def test_fit_speedup_scaling_exact_line():

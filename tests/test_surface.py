@@ -16,15 +16,15 @@ PUBLIC_NAMES = [
     "h_ordering_policy", "no_control", "random_permutation_policy",
     "read_cycle_file",
     "IdentityReport", "RateEstimate", "SpeedupBounds", "all_permutation_images",
-    "flat_tail_state", "h_ordering_speedup_bounds", "log_infidelity_rate",
-    "nofb_mean_first_passage", "nofb_mean_log_infidelity",
-    "permutation_averaged_rate", "permutation_sum_identities",
-    "random_permutation_speedup_bounds", "two_level_state", "zsum_bounds",
+    "flat_tail_state", "log_infidelity_rate", "nofb_mean_first_passage",
+    "nofb_mean_log_infidelity", "permutation_averaged_rate",
+    "permutation_sum_identities", "speedup_bounds_for_policy",
+    "two_level_state", "zsum_bounds",
     "EnsembleStats", "MeanTimeFit", "ScalingFit", "SpeedupEstimate",
     "SweepPoint", "asymptotic_speedup", "auto_slope_window",
     "default_epsilon_grid", "fit_ln_delta_slope", "fit_speedup_scaling",
     "mc_permuted_step_rate", "regression_mean_time", "run_ensemble",
-    "speedup_bounds_for_policy", "speedup_scaling_sweep",
+    "speedup_scaling_sweep",
 ]
 
 # The scalar reference simulator lives in tests/oracle.py, not the library.
@@ -37,9 +37,11 @@ ORACLE_NAMES = [
 # permutation_averaged_rate's closed form covers every n and both
 # envelope states, so its enumeration cap and envelope functions are gone.
 # The record-replay state serves only the tests, from tests/oracle.py.
+# speedup_bounds_for_policy holds every policy kind's band.
 REMOVED_THEORY_NAMES = [
     "ENUMERATION_MAX_QUBITS", "two_level_permuted_rate", "flat_tail_permuted_rate",
-    "linear_trajectory_state",
+    "linear_trajectory_state", "h_ordering_speedup_bounds",
+    "random_permutation_speedup_bounds",
 ]
 
 # The parser's typed list flags replace the CLI's own list parsers.
@@ -52,10 +54,15 @@ SIGNATURES = {
         "collect_first_passage",
     ],
     epsilon_targets: ["epsilons", "stop_epsilon"],
+    # the mean-time fit window is ensemble.FIT_RANGE, not an argument
     regreadout.speedup_scaling_sweep: [
         "n_values", "policies", "params_template", "count", "master_seed",
-        "epsilons", "eps_lo", "eps_hi",
+        "epsilons",
     ],
+    regreadout.regression_mean_time: ["stats"],
+    regreadout.asymptotic_speedup: ["stats_nc", "stats_ctrl"],
+    regreadout.speedup_bounds_for_policy: ["kind", "n"],
+    regreadout.two_level_state: ["n", "delta"],
     # a cycle's fit to the register is run_ensemble's check
     regreadout.read_cycle_file: ["path"],
     regreadout.z_table: ["n"],

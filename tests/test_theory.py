@@ -17,17 +17,16 @@ from regreadout import (
     SpeedupBounds,
     all_permutation_images,
     flat_tail_state,
-    h_ordering_speedup_bounds,
     log_infidelity_rate,
     nofb_mean_first_passage,
     nofb_mean_log_infidelity,
     permutation_averaged_rate,
     permutation_sum_identities,
-    random_permutation_speedup_bounds,
+    speedup_bounds_for_policy,
     two_level_state,
     zsum_bounds,
 )
-from regreadout.policies import no_control
+from regreadout.policies import POLICY_KINDS, no_control
 from oracle import (
     apply_permutation,
     enumerated_permutation_average_rate,
@@ -82,13 +81,13 @@ def test_zsum_bounds_attained_by_envelope_states():
 
 
 def test_speedup_bounds_frozen_examples():
-    h2 = h_ordering_speedup_bounds(2)
+    h2 = speedup_bounds_for_policy("h_ordering", 2)
     assert h2.lower == pytest.approx(8.0 / 9.0)
     assert h2.upper == pytest.approx(2.0)
-    rp2 = random_permutation_speedup_bounds(2)
+    rp2 = speedup_bounds_for_policy("random_permutation", 2)
     assert rp2.lower == pytest.approx(0.888889, rel=1e-5)
     assert rp2.upper == pytest.approx(1.33333, rel=1e-5)
-    rp3 = random_permutation_speedup_bounds(3)
+    rp3 = speedup_bounds_for_policy("random_permutation", 3)
     assert rp3.lower == pytest.approx(64.0 / 49.0 * 0.75)
     assert rp3.upper == pytest.approx(3.0 * 4.0 / 7.0)
 
@@ -96,12 +95,19 @@ def test_speedup_bounds_frozen_examples():
 def test_speedup_bounds_large_n_band():
     # per-qubit band tightens to [1/4, 1/2] from above as n grows
     for n in (6, 10, 16):
-        b = random_permutation_speedup_bounds(n)
+        b = speedup_bounds_for_policy("random_permutation", n)
         assert b.lower / n > 0.25
         assert b.upper / n > 0.5
         assert b.upper / n == pytest.approx(0.5, abs=0.01 if n >= 10 else 0.1)
-    h = h_ordering_speedup_bounds(12)
+    h = speedup_bounds_for_policy("h_ordering", 12)
     assert h.upper == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_speedup_bounds_reject_a_size_below_1(kind, n):
+    with pytest.raises(ValueError, match=f"n must be at least 1, not {n}"):
+        speedup_bounds_for_policy(kind, n)
 
 
 def test_speedup_bounds_validation():
@@ -155,14 +161,12 @@ def test_permutation_sum_identities_runtime():
 def test_envelope_states():
     two = two_level_state(2, 1e-3)
     assert np.allclose(two.probs, [0.999, 0.0, 0.0, 1e-3])
-    shifted = two_level_state(2, 1e-3, tail_index=1)
-    assert shifted.probs[1] == pytest.approx(1e-3)
     flat = flat_tail_state(2, 0.3)
     assert np.allclose(flat.probs, [0.7, 0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
         two_level_state(2, 0.6)
-    with pytest.raises(ValueError):
-        two_level_state(2, 1e-3, tail_index=0)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        two_level_state(0, 1e-3)
     with pytest.raises(ValueError):
         flat_tail_state(1, 0.6)
 
