@@ -36,7 +36,6 @@ from .theory import (
     IdentityReport,
     RateEstimate,
     SpeedupBounds,
-    all_permutation_images,
     flat_tail_state,
     log_infidelity_rate,
     nofb_mean_first_passage,
@@ -85,7 +84,6 @@ __all__ = [
     "IdentityReport",
     "RateEstimate",
     "SpeedupBounds",
-    "all_permutation_images",
     "flat_tail_state",
     "log_infidelity_rate",
     "nofb_mean_first_passage",

@@ -647,36 +647,22 @@ def _run_shard(
     )
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit (slope, intercept, slope stderr) of >= 3 points."""
-    m = x.size
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    sxx = float(dx @ dx)
-    if sxx <= 0.0:
-        raise ValueError("regression abscissae are degenerate")
-    slope = float(dx @ (y - ym)) / sxx
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    sigma2 = float(resid @ resid) / (m - 2)
-    return slope, intercept, math.sqrt(sigma2 / sxx)
-
-
 def fit_ln_delta_slope(
     stats: EnsembleStats, t_min: float, t_max: float
 ) -> tuple[float, float]:
     """Slope of the mean log-infidelity curve over a time window.
 
-    Returns (slope, stderr).  The stderr is the usual regression value
-    and understates the truth a little, since neighboring time points
-    share trajectories.
+    Returns (slope, stderr), the least-squares line's slope and its usual
+    regression stderr, which understates the truth a little, since
+    neighboring time points share trajectories.
     """
     mask = (stats.sample_times >= t_min) & (stats.sample_times <= t_max)
     if int(mask.sum()) < 3:
         raise ValueError("slope window contains fewer than 3 sample times")
-    slope, _, err = _ols(stats.sample_times[mask], stats.mean_ln_delta[mask])
-    return slope, err
+    (slope, _), cov = np.polyfit(
+        stats.sample_times[mask], stats.mean_ln_delta[mask], 1, cov=True
+    )
+    return float(slope), math.sqrt(cov[0, 0])
 
 
 def auto_slope_window(stats: EnsembleStats) -> tuple[float, float]:
@@ -712,7 +698,8 @@ def regression_mean_time(stats: EnsembleStats) -> MeanTimeFit:
     ln(1/epsilon) minus its mean.  slope_stderr = std(b) / sqrt(N) is
     therefore the delete-one jackknife stderr, exact for this statistic,
     and it carries the correlation between targets that share
-    trajectories.  Needs stats.first_passage_times.
+    trajectories.  The intercept puts the line through the means, as
+    least squares does.  Needs stats.first_passage_times.
     """
     fp = stats.first_passage_times
     if fp is None:
@@ -735,13 +722,14 @@ def regression_mean_time(stats: EnsembleStats) -> MeanTimeFit:
             f"only {m} epsilon points in the regression range", stacklevel=2
         )
     x = np.log(1.0 / stats.epsilons[sel])
-    slope, intercept, _ = _ols(x, stats.mean_first_passage[sel])
     dx = x - x.mean()
     filled = np.where(np.isnan(fp[:, sel]), stats.params.max_time, fp[:, sel])
     b = filled @ (dx / (dx @ dx))
+    slope = float(b.mean())
     return MeanTimeFit(
         slope=slope, slope_stderr=float(b.std(ddof=1)) / math.sqrt(b.size),
-        intercept=intercept, point_count=m,
+        intercept=float(stats.mean_first_passage[sel].mean() - slope * x.mean()),
+        point_count=m,
     )
 
 
@@ -862,30 +850,21 @@ class ScalingFit:
 
 
 def fit_speedup_scaling(points: list[SweepPoint]) -> ScalingFit:
-    """Weighted least squares of SweepPoint values against n."""
+    """Least squares of SweepPoint values against n, weighted by
+    1/stderr^2, with stderrs not rescaled by the residuals."""
     if len({p.n for p in points}) < 3:
         raise ValueError("scaling fit needs at least 3 register sizes")
     x = np.array([p.n for p in points], dtype=float)
     y = np.array([p.estimate.value for p in points])
     s = np.array([p.estimate.stderr for p in points])
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):  # NaN too: least squares cannot take it
         raise ValueError("every point needs a positive stderr")
-    w = 1.0 / s**2
-    W = float(w.sum())
-    X = float(w @ x)
-    Y = float(w @ y)
-    XX = float(w @ (x * x))
-    XY = float(w @ (x * y))
-    denom = W * XX - X * X
-    if denom <= 0.0:
-        raise ValueError("scaling fit abscissae are degenerate")
-    slope = (W * XY - X * Y) / denom
-    intercept = (XX * Y - X * XY) / denom
+    (slope, intercept), cov = np.polyfit(x, y, 1, w=1.0 / s, cov="unscaled")
     return ScalingFit(
-        slope=slope,
-        intercept=intercept,
-        slope_stderr=math.sqrt(W / denom),
-        intercept_stderr=math.sqrt(XX / denom),
+        slope=float(slope),
+        intercept=float(intercept),
+        slope_stderr=math.sqrt(cov[0, 0]),
+        intercept_stderr=math.sqrt(cov[1, 1]),
     )
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .registers import Permutation
+from .registers import Permutation, _register_dim
 
 POLICY_KINDS = ("none", "h_ordering", "random_permutation", "fixed_cycle")
 
@@ -66,7 +66,7 @@ def h_order_targets(n: int) -> np.ndarray:
     and the rest to vertices of increasing Hamming distance from |1...1>,
     ties broken by ascending index.  Read-only array of length 2^n.
     """
-    d = 1 << n
+    d = _register_dim(n)
     rest = sorted(range(1, d), key=lambda v: (n - v.bit_count(), v))
     targets = np.array([0] + rest, dtype=np.int64)
     targets.setflags(write=False)

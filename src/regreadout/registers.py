@@ -20,10 +20,17 @@ BasisIndex = int
 NORMALIZATION_TOL = 1e-10
 
 
+def _register_dim(n: int) -> int:
+    """2^n as an exact int, for a register of at least one qubit."""
+    if n < 1:
+        raise ValueError(f"register needs at least one qubit, not n={n}")
+    return 1 << n
+
+
 @lru_cache(maxsize=None)
 def z_table(n: int) -> np.ndarray:
     """(n, 2^n) eigenvalue table; row r-1 belongs to qubit r. Read-only."""
-    d = 1 << n
+    d = _register_dim(n)
     bits = (np.arange(d)[None, :] >> (n - 1 - np.arange(n)[:, None])) & 1
     table = 1.0 - 2.0 * bits
     table.setflags(write=False)
@@ -40,7 +47,7 @@ class DiagonalState:
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=float)  # copy: value semantics
         object.__setattr__(self, "probs", probs)
-        d = 1 << self.n
+        d = _register_dim(self.n)
         if probs.shape != (d,):
             raise ValueError(f"expected {d} probabilities, got shape {probs.shape}")
         if not np.all(np.isfinite(probs)):
@@ -53,12 +60,12 @@ class DiagonalState:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DiagonalState":
-        d = 1 << n
+        d = _register_dim(n)
         return cls(n, np.full(d, 1.0 / d))
 
     @classmethod
     def pure(cls, n: int, index: BasisIndex) -> "DiagonalState":
-        d = 1 << n
+        d = _register_dim(n)
         if not 0 <= index < d:
             raise ValueError(f"basis index {index} out of range for n={n}")
         probs = np.zeros(d)
@@ -105,10 +112,6 @@ class Permutation:
     @property
     def dimension(self) -> int:
         return int(self.image.size)
-
-    @classmethod
-    def identity(cls, d: int) -> "Permutation":
-        return cls(np.arange(d))
 
 
 def leading_rotation(d: int) -> Permutation:

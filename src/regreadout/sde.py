@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import z_table
+from .registers import _register_dim, z_table
 
 DEFAULT_DT_GAMMA = 6.25e-4     # default step size in units of 1/gamma
 DEFAULT_STOP_EPSILON = 1e-6
@@ -68,8 +68,7 @@ class SimulationParams:
     stop_epsilon: float = DEFAULT_STOP_EPSILON
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"register needs at least one qubit, not n={self.n}")
+        _register_dim(self.n)
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be positive and finite")
         if self.dt is None:

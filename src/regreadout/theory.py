@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .policies import POLICY_KINDS
-from .registers import DiagonalState, z_table
+from .registers import DiagonalState, _register_dim, z_table
 
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
 NOFB_RATE = 16.0
@@ -140,9 +140,7 @@ def zsum_bounds(delta: float, n: int) -> tuple[float, float]:
     state (tail at the all-ones index) the upper."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    d = 2**n
+    d = _register_dim(n)
     lower = n * d**2 / (d - 1) ** 2 * delta**2
     upper = 4.0 * n * delta**2
     return lower, upper
@@ -163,11 +161,9 @@ def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
     """
     if kind not in POLICY_KINDS:
         raise ValueError(f"unknown policy kind {kind!r}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, not {n}")
+    d = _register_dim(n)
     if kind == "none":
         return SpeedupBounds(1.0, 1.0)
-    d = 2**n
     lower = d**2 / (d - 1) ** 2 * n / 4.0
     if kind == "h_ordering":
         return SpeedupBounds(lower=lower, upper=float(n))
@@ -176,7 +172,7 @@ def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
 
 
 @lru_cache(maxsize=None)
-def all_permutation_images(d: int) -> np.ndarray:
+def _all_permutation_images(d: int) -> np.ndarray:
     """All d! permutation image arrays, one per row, lexicographic order."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
@@ -217,7 +213,7 @@ def permutation_sum_identities(d: int) -> IdentityReport:
     if d not in (4, 8):
         raise ValueError(f"identity enumeration supports d = 4 or 8, not {d}")
     zrow = (z_table(d.bit_length() - 1)[0] - 1.0).astype(np.int64)  # {0, -2}
-    values = zrow[all_permutation_images(d)]
+    values = zrow[_all_permutation_images(d)]
     cross = values.T @ values  # exact: |entries| <= 4 * d!
     fact = math.factorial(d)
     expected_square = 2 * fact
@@ -239,11 +235,10 @@ def permutation_sum_identities(d: int) -> IdentityReport:
 def two_level_state(n: int, delta: float) -> DiagonalState:
     """State with 1-delta at index 0 and the whole tail on the all-ones
     index, the H-ordered placement."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, not {n}")
+    d = _register_dim(n)
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 0.5] so the maximum stays at 0")
-    probs = np.zeros(2**n)
+    probs = np.zeros(d)
     probs[0] = 1.0 - delta
     probs[-1] = delta
     return DiagonalState(n, probs)
@@ -251,7 +246,7 @@ def two_level_state(n: int, delta: float) -> DiagonalState:
 
 def flat_tail_state(n: int, delta: float) -> DiagonalState:
     """State with 1-delta at index 0 and the tail spread evenly."""
-    d = 2**n
+    d = _register_dim(n)
     if not 0.0 < delta <= (d - 1) / d:
         raise ValueError("delta too large for the maximum to stay at 0")
     probs = np.full(d, delta / (d - 1))

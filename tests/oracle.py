@@ -42,7 +42,7 @@ from regreadout.sde import (
     trajectory_control_rng,
     trajectory_noise_rng,
 )
-from regreadout.theory import RateEstimate, all_permutation_images
+from regreadout.theory import RateEstimate, _all_permutation_images
 
 NEGATIVITY_TOL = 1e-6
 
@@ -107,7 +107,7 @@ def policy_step(
     """
     d = state.probs.size
     if policy.kind == "none":
-        return Permutation.identity(d)
+        return Permutation(np.arange(d))
     if policy.kind == "h_ordering":
         return h_order(state)
     if policy.kind == "random_permutation":
@@ -239,7 +239,7 @@ def simulate_trajectory(
     control_rng = trajectory_control_rng(master_seed, trajectory_index)
 
     d = state.probs.size
-    cumulative = Permutation.identity(d)
+    cumulative = Permutation(np.arange(d))
     total_steps = params.total_steps
     dt = params.dt
 
@@ -300,7 +300,7 @@ def enumerated_permutation_average_rate(
     state: DiagonalState, gamma: float = 1.0
 ) -> RateEstimate:
     """Mean of log_infidelity_rate over all D! permutations of the state,
-    by enumeration (n <= 3: all_permutation_images stops at D = 8).
+    by enumeration (n <= 3: _all_permutation_images stops at D = 8).
 
     Each permuted state's observables are shifted by the eigenvalue at its
     own maximum, which keeps every term finite however the state
@@ -310,7 +310,7 @@ def enumerated_permutation_average_rate(
     if delta <= 0.0:
         raise ValueError("rate is singular for a collapsed state (Delta = 0)")
     n = state.n
-    images = all_permutation_images(2**n)
+    images = _all_permutation_images(2**n)
     z = z_table(n)
     i_star = state.argmax_index()
     zsum_avg = 0.0

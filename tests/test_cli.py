@@ -315,7 +315,7 @@ def test_bounds_rejects_a_size_below_1(capsys):
     assert run_main(["bounds", "--n-values", "0,2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "n must be at least 1, not 0" in err
+    assert "at least one qubit, not n=0" in err
 
 
 def test_bounds_csv_output(tmp_path):

@@ -472,7 +472,7 @@ def test_no_control_matches_identity_cycle(n):
     the (2^n, trajectories) column path, reached through a cycle of
     identity permutations; also for an ensemble shorter than one step,
     whose log-odds all tie at 0."""
-    identity = fixed_cycle_policy([Permutation.identity(2**n)])
+    identity = fixed_cycle_policy([Permutation(np.arange(2**n))])
     collect = dict(collect_retrodiction=True, collect_first_passage=True)
     for params in (SimulationParams(n=n), SimulationParams(n=n, max_time=1e-4)):
         grid = default_epsilon_grid()
@@ -541,6 +541,16 @@ def test_mean_ln_delta_decays_at_the_nofb_rate():
     assert err > 0.0
     with pytest.raises(ValueError):
         fit_ln_delta_slope(stats, 0.4999, 0.5)
+    # the least-squares line of the windowed curve, with its usual stderr
+    inside = (stats.sample_times >= 0.25) & (stats.sample_times <= 0.5)
+    t, y = stats.sample_times[inside], stats.mean_ln_delta[inside]
+    dt = t - t.mean()
+    sxx = dt @ dt
+    expected = (dt @ (y - y.mean())) / sxx
+    resid = y - y.mean() - expected * dt
+    sigma2 = resid @ resid / (t.size - 2)
+    assert slope == pytest.approx(expected, rel=1e-10)
+    assert err == pytest.approx(math.sqrt(sigma2 / sxx), rel=1e-10)
 
 
 def test_auto_slope_window():
@@ -673,6 +683,8 @@ def test_mean_time_stderr_from_per_trajectory_slopes(monkeypatch):
     assert fit.slope == pytest.approx(b.mean(), rel=1e-12)
     expected = b.std(ddof=1) / math.sqrt(b.size)
     assert fit.slope_stderr == pytest.approx(expected, rel=1e-12)
+    intercept = stats.mean_first_passage[sel].mean() - fit.slope * x.mean()
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12)
 
 
 @pytest.mark.usefixtures("wide_fit_range")
@@ -825,6 +837,34 @@ def test_fit_speedup_scaling_exact_line():
     bad = [pt(n, 1.0, 0.0) if n == 3 else pt(n, 1.0, 0.1) for n in (2, 3, 4)]
     with pytest.raises(ValueError):
         fit_speedup_scaling(bad)
+    bad = [pt(n, 1.0, math.nan) if n == 3 else pt(n, 1.0, 0.1) for n in (2, 3, 4)]
+    with pytest.raises(ValueError, match="positive stderr"):
+        fit_speedup_scaling(bad)
+
+
+def test_fit_speedup_scaling_is_the_weighted_least_squares_line():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        x = np.arange(2, 2 + int(rng.integers(3, 8)), dtype=float)
+        s = rng.uniform(0.02, 0.1, x.size)
+        y = rng.uniform(0.2, 0.6) * x + rng.uniform(0.5, 1.0)
+        y += s * rng.standard_normal(x.size)
+        points = [
+            SweepPoint(
+                n=int(n), estimate=SpeedupEstimate(value=v, stderr=e),
+                bounds=speedup_bounds_for_policy("random_permutation", int(n)),
+            )
+            for n, v, e in zip(x, y, s)
+        ]
+        fit = fit_speedup_scaling(points)
+        # the weighted normal equations, weights 1/stderr^2
+        w = 1.0 / s**2
+        W, X, Y, XX, XY = w.sum(), w @ x, w @ y, w @ (x * x), w @ (x * y)
+        D = W * XX - X * X
+        assert fit.slope == pytest.approx((W * XY - X * Y) / D, rel=1e-10)
+        assert fit.intercept == pytest.approx((XX * Y - X * XY) / D, rel=1e-10)
+        assert fit.slope_stderr == pytest.approx(math.sqrt(W / D), rel=1e-10)
+        assert fit.intercept_stderr == pytest.approx(math.sqrt(XX / D), rel=1e-10)
 
 
 def test_mc_permuted_step_rate_matches_enumeration():

@@ -43,7 +43,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         ControlPolicy("none", (leading_rotation(4),))
     with pytest.raises(ValueError):
-        fixed_cycle_policy([leading_rotation(4), Permutation.identity(8)])
+        fixed_cycle_policy([leading_rotation(4), Permutation(np.arange(8))])
 
 
 def test_h_order_targets_frozen():
@@ -94,7 +94,7 @@ def test_policy_step_none_and_cycle():
         policy_step(no_control(), state, 0, rng).image, np.arange(4)
     )
     rot = leading_rotation(4)
-    fc = fixed_cycle_policy([rot, Permutation.identity(4)])
+    fc = fixed_cycle_policy([rot, Permutation(np.arange(4))])
     assert np.array_equal(policy_step(fc, state, 0, rng).image, rot.image)
     assert np.array_equal(policy_step(fc, state, 1, rng).image, np.arange(4))
     assert np.array_equal(policy_step(fc, state, 2, rng).image, rot.image)

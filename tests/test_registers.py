@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from regreadout import (
+    POLICY_KINDS,
     DiagonalState,
     Permutation,
+    SimulationParams,
+    flat_tail_state,
+    h_order_targets,
     leading_rotation,
+    speedup_bounds_for_policy,
+    two_level_state,
     z_table,
+    zsum_bounds,
 )
 from oracle import (
     apply_permutation,
@@ -43,6 +50,31 @@ def test_state_validation():
         DiagonalState(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         DiagonalState(1, np.array([np.nan, 1.0]))
+
+
+REGISTER_ENTRY_POINTS = {
+    "DiagonalState": lambda n: DiagonalState(n, [1.0]),
+    "maximally_mixed": DiagonalState.maximally_mixed,
+    "pure": lambda n: DiagonalState.pure(n, 0),
+    "two_level_state": lambda n: two_level_state(n, 1e-3),
+    "flat_tail_state": lambda n: flat_tail_state(n, 1e-3),
+    "zsum_bounds": lambda n: zsum_bounds(1e-3, n),
+    "SimulationParams": lambda n: SimulationParams(n=n),
+    "z_table": z_table,
+    "h_order_targets": h_order_targets,
+    **{
+        f"bounds_{kind}": lambda n, kind=kind: speedup_bounds_for_policy(kind, n)
+        for kind in POLICY_KINDS
+    },
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("entry", REGISTER_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_register_below_one_qubit(entry, n):
+    message = f"^register needs at least one qubit, not n={n}$"
+    with pytest.raises(ValueError, match=message):
+        REGISTER_ENTRY_POINTS[entry](n)
 
 
 def test_state_value_semantics():
@@ -85,7 +117,7 @@ def test_permutation_validation():
 
 def test_permutation_identity_and_apply():
     state = DiagonalState(2, np.array([0.4, 0.3, 0.2, 0.1]))
-    ident = Permutation.identity(4)
+    ident = Permutation(np.arange(4))
     assert np.array_equal(apply_permutation(state, ident).probs, state.probs)
     # population at i lands at image[i]
     p = Permutation(np.array([1, 2, 3, 0]))
@@ -103,7 +135,7 @@ def test_compose_means_q_then_p():
         via_compose = apply_permutation(state, compose(p, q))
         assert np.array_equal(via_steps.probs, via_compose.probs)
     with pytest.raises(ValueError):
-        compose(p, Permutation.identity(8))
+        compose(p, Permutation(np.arange(8)))
 
 
 def test_invert_round_trip():
@@ -144,7 +176,7 @@ def test_leading_rotation_two_qubits():
     out = apply_permutation(state, p)
     assert np.allclose(out.probs, [0.3, 0.2, 0.4, 0.1])
     # applying it k times is the identity
-    cyc = Permutation.identity(4)
+    cyc = Permutation(np.arange(4))
     for _ in range(3):
         cyc = compose(p, cyc)
     assert np.array_equal(cyc.image, np.arange(4))

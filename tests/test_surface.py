@@ -1,7 +1,12 @@
-"""The public surface, pinned: a new export or a new run option shows up
-here as a one-line diff, so every addition is a visible decision."""
+"""The public surface and the source size, pinned: a new export, a new
+run option or a larger src shows up here as a one-line diff, so every
+addition is a visible decision."""
 
+import ast
 import inspect
+import io
+import tokenize
+from pathlib import Path
 
 import regreadout
 import regreadout.cli
@@ -15,8 +20,8 @@ PUBLIC_NAMES = [
     "POLICY_KINDS", "ControlPolicy", "fixed_cycle_policy", "h_order_targets",
     "h_ordering_policy", "no_control", "random_permutation_policy",
     "read_cycle_file",
-    "IdentityReport", "RateEstimate", "SpeedupBounds", "all_permutation_images",
-    "flat_tail_state", "log_infidelity_rate", "nofb_mean_first_passage",
+    "IdentityReport", "RateEstimate", "SpeedupBounds", "flat_tail_state",
+    "log_infidelity_rate", "nofb_mean_first_passage",
     "nofb_mean_log_infidelity", "permutation_averaged_rate",
     "permutation_sum_identities", "speedup_bounds_for_policy",
     "two_level_state", "zsum_bounds",
@@ -37,12 +42,16 @@ ORACLE_NAMES = [
 # permutation_averaged_rate's closed form covers every n and both
 # envelope states, so its enumeration cap and envelope functions are gone.
 # The record-replay state serves only the tests, from tests/oracle.py.
-# speedup_bounds_for_policy holds every policy kind's band.
+# speedup_bounds_for_policy holds every policy kind's band.  The
+# permutation enumeration serves only the sum identities and the oracle.
 REMOVED_THEORY_NAMES = [
     "ENUMERATION_MAX_QUBITS", "two_level_permuted_rate", "flat_tail_permuted_rate",
     "linear_trajectory_state", "h_ordering_speedup_bounds",
-    "random_permutation_speedup_bounds",
+    "random_permutation_speedup_bounds", "all_permutation_images",
 ]
+
+# Every line fit is numpy's least squares.
+REMOVED_ENSEMBLE_NAMES = ["_ols"]
 
 # The parser's typed list flags replace the CLI's own list parsers.
 REMOVED_CLI_NAMES = ["_parse_epsilons", "_parse_int_list"]
@@ -60,6 +69,8 @@ SIGNATURES = {
         "epsilons",
     ],
     regreadout.regression_mean_time: ["stats"],
+    regreadout.fit_ln_delta_slope: ["stats", "t_min", "t_max"],
+    regreadout.fit_speedup_scaling: ["points"],
     regreadout.asymptotic_speedup: ["stats_nc", "stats_ctrl"],
     regreadout.speedup_bounds_for_policy: ["kind", "n"],
     regreadout.two_level_state: ["n", "delta"],
@@ -78,8 +89,12 @@ def test_public_names():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in REMOVED_THEORY_NAMES:
         assert not hasattr(regreadout.theory, name), name
+    for name in REMOVED_ENSEMBLE_NAMES:
+        assert not hasattr(regreadout.ensemble, name), name
     for name in REMOVED_CLI_NAMES:
         assert not hasattr(regreadout.cli, name), name
+    # the identity is Permutation(np.arange(d))
+    assert not hasattr(regreadout.Permutation, "identity")
     # every trajectory draws its permutations from its own control stream
     assert not hasattr(regreadout.ensemble, "BATCH_CONTROL_KEY")
 
@@ -87,3 +102,34 @@ def test_public_names():
 def test_run_signatures():
     for func, names in SIGNATURES.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__
+
+
+# `wc -l src/regreadout/*.py`, and the lines of those files that hold code
+# (no docstring, comment or blank).  A change that grows src raises these
+# in its own diff.
+SRC_LINES = 2274
+SRC_CODE_LINES = 1486
+
+
+def _code_lines(text: str) -> int:
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_src_size():
+    texts = [p.read_text() for p in Path(regreadout.__file__).parent.glob("*.py")]
+    lines = sum(text.count("\n") for text in texts)
+    code_lines = sum(_code_lines(text) for text in texts)
+    assert lines <= SRC_LINES, lines
+    assert code_lines <= SRC_CODE_LINES, code_lines

@@ -15,7 +15,6 @@ from regreadout import (
     DiagonalState,
     SimulationParams,
     SpeedupBounds,
-    all_permutation_images,
     flat_tail_state,
     log_infidelity_rate,
     nofb_mean_first_passage,
@@ -27,6 +26,7 @@ from regreadout import (
     zsum_bounds,
 )
 from regreadout.policies import POLICY_KINDS, no_control
+from regreadout.theory import _all_permutation_images
 from oracle import (
     apply_permutation,
     enumerated_permutation_average_rate,
@@ -106,7 +106,7 @@ def test_speedup_bounds_large_n_band():
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_speedup_bounds_reject_a_size_below_1(kind, n):
-    with pytest.raises(ValueError, match=f"n must be at least 1, not {n}"):
+    with pytest.raises(ValueError, match=f"at least one qubit, not n={n}"):
         speedup_bounds_for_policy(kind, n)
 
 
@@ -122,13 +122,13 @@ def test_speedup_bounds_validation():
 
 
 def test_all_permutation_images():
-    images = all_permutation_images(3)
+    images = _all_permutation_images(3)
     assert images.shape == (6, 3)
     assert np.array_equal(images[0], [0, 1, 2])
     assert np.array_equal(images[-1], [2, 1, 0])
     assert len({tuple(row) for row in images}) == 6
     with pytest.raises(ValueError):
-        all_permutation_images(9)
+        _all_permutation_images(9)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_envelope_states():
     assert np.allclose(flat.probs, [0.7, 0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
         two_level_state(2, 0.6)
-    with pytest.raises(ValueError, match="n must be at least 1"):
+    with pytest.raises(ValueError, match="at least one qubit, not n=0"):
         two_level_state(0, 1e-3)
     with pytest.raises(ValueError):
         flat_tail_state(1, 0.6)
