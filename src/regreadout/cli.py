@@ -63,13 +63,6 @@ LARGE_N_NOTE = "large n: 0.25 n <= S_RP <= 0.5 n"
 # Namespace entries that are not options a config file may set.
 NOT_CONFIG_KEYS = ("config", "check", "func", "parser")
 
-LOG_CSV = "log_infidelity.csv"
-PASSAGE_CSV = "first_passage.csv"
-SWEEP_CSV = "sweep.csv"
-BOUNDS_CSV = "bounds.csv"
-SUMMARY_JSON = "summary.json"
-MANIFEST_JSON = "manifest.json"
-
 
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Parse a `key = value` file into {key: (raw value, line number)}."""
@@ -141,12 +134,6 @@ def _build_policy(name: str, cycle_file: str | None) -> ControlPolicy:
     return fixed_cycle_policy(read_cycle_file(cycle_file))
 
 
-def _out_dir(path_text: str) -> Path:
-    out = Path(path_text)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cell(value) -> str:
     """CSV text of one value: strings and ints as they are, floats by repr."""
     if isinstance(value, (str, int)):
@@ -154,37 +141,43 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+def _options(args) -> dict:
+    """The parsed options a config file may set, but the output directory."""
+    return {
+        key: value for key, value in vars(args).items()
+        if key not in NOT_CONFIG_KEYS + ("command", "out")
+    }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(
-    out: Path, command: str, config: dict, wall_time: float, outputs: list[str],
-    censoring: dict | None = None,
-) -> None:
-    payload = {
+def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path:
+    """Create the output directory and write `files` ({name: payload} in
+    order; a dict payload as JSON, a (header, rows) payload as CSV), then
+    manifest.json, whose entries `extra` extends.  Return the directory."""
+    manifest = {
         "command": command,
         "version": __version__,
         "config": config,
         "wall_time_seconds": round(wall_time, 3),
-        "outputs": outputs,
+        "outputs": list(files),
         # the last digits of some outputs can depend on both (see
         # regreadout.ensemble), so a reader can tell hosts apart
         "usable_cpus": _usable_cpus(),
         "numpy_version": np.__version__,
+        **extra,
     }
-    if censoring is not None:
-        payload["censoring"] = censoring
-    _write_json(out / MANIFEST_JSON, payload)
+    out = Path(out_text)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in {**files, "manifest.json": manifest}.items():
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+            if isinstance(payload, dict):
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            else:
+                header, rows = payload
+                fh.write(header + "\n")
+                for row in rows:
+                    fh.write(",".join(map(_cell, row)) + "\n")
+    return out
 
 
 def _report_checks(failures: list[str]) -> int:
@@ -227,34 +220,16 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         fit_error = exc
 
-    out = _out_dir(args.out)
-    _write_rows(
-        out / LOG_CSV,
-        "t,mean_ln_delta,stderr",
-        zip(stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta),
-    )
-    _write_rows(
-        out / PASSAGE_CSV,
-        "epsilon,mean_T,stderr,censored_frac",
-        zip(
-            stats.epsilons,
-            stats.mean_first_passage,
-            stats.stderr_first_passage,
-            stats.censored_fraction,
-        ),
-    )
     max_censored = float(stats.censored_fraction.max(initial=0.0))
-    config_echo = {
-        **asdict(params),
-        "policy": args.policy,
-        "cycle_file": args.cycle_file,
-        "epsilons": [float(e) for e in epsilons],
-        "count": args.count,
-        "seed": args.seed,
+    config = {
+        **_options(args),
+        "dt": params.dt,
+        "epsilons": epsilons.tolist(),
+        "stop_epsilon": params.stop_epsilon,
     }
     summary = {
         key: value
-        for key, value in config_echo.items()
+        for key, value in config.items()
         if key not in ("cycle_file", "epsilons", "stop_epsilon")
     }
     summary.update(
@@ -269,11 +244,24 @@ def cmd_run(args) -> int:
         mean_time_points=fit.point_count if fit else None,
         max_censored_fraction=max_censored,
     )
-    _write_json(out / SUMMARY_JSON, summary)
-    _write_manifest(
-        out, "run", config_echo, wall,
-        [LOG_CSV, PASSAGE_CSV, SUMMARY_JSON],
-        censoring={"max": max_censored},
+    files = {
+        "log_infidelity.csv": (
+            "t,mean_ln_delta,stderr",
+            zip(stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta),
+        ),
+        "first_passage.csv": (
+            "epsilon,mean_T,stderr,censored_frac",
+            zip(
+                stats.epsilons,
+                stats.mean_first_passage,
+                stats.stderr_first_passage,
+                stats.censored_fraction,
+            ),
+        ),
+        "summary.json": summary,
+    }
+    out = _write_outputs(
+        args.out, "run", config, wall, files, censoring={"max": max_censored}
     )
 
     print(f"run: policy={args.policy} n={params.n} count={args.count} seed={args.seed}")
@@ -292,7 +280,7 @@ def cmd_run(args) -> int:
     else:
         print(f"  mean-time fit skipped: {fit_error}")
     print(f"  max censored fraction: {max_censored:g}")
-    print(f"  wrote {LOG_CSV}, {PASSAGE_CSV}, {SUMMARY_JSON} -> {out}")
+    print(f"  wrote {', '.join(files)} -> {out}")
 
     if not args.check:
         return 0
@@ -310,6 +298,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # fits are keyed by policy name, so a repeat would lose one
+    if len(set(args.policies)) < len(args.policies):
+        raise ValueError(f"policies repeats a policy: {list(args.policies)}")
     policies = [_build_policy(name, args.cycle_file) for name in args.policies]
     # checked before the stop is derived from them; that stop is the
     # smallest target, so there is no stop to check them against
@@ -348,10 +339,6 @@ def cmd_sweep(args) -> int:
         }
         for name, p in results
     ]
-    out = _out_dir(args.out)
-    _write_rows(
-        out / SWEEP_CSV, ",".join(points[0]), (pt.values() for pt in points)
-    )
     summary = {
         "command": "sweep",
         "n_values": args.n_values,
@@ -361,19 +348,14 @@ def cmd_sweep(args) -> int:
         "points": points,
         "fits": fits,
     }
-    _write_json(out / SUMMARY_JSON, summary)
-    config_echo = {
-        "n_values": args.n_values,
-        "policies": args.policies,
-        "gamma": args.gamma,
-        "dt": params_template.dt,
-        "max_time": args.max_time,
-        "cycle_file": args.cycle_file,
-        "epsilons": [float(e) for e in epsilons],
-        "count": args.count,
-        "seed": args.seed,
+    config = {
+        **_options(args), "dt": params_template.dt, "epsilons": epsilons.tolist()
     }
-    _write_manifest(out, "sweep", config_echo, wall, [SWEEP_CSV, SUMMARY_JSON])
+    files = {
+        "sweep.csv": (",".join(points[0]), (pt.values() for pt in points)),
+        "summary.json": summary,
+    }
+    out = _write_outputs(args.out, "sweep", config, wall, files)
 
     print("n  policy                speed-up    stderr   band")
     for pt in points:
@@ -387,7 +369,7 @@ def cmd_sweep(args) -> int:
                 f"{name}: speed-up ~ {fit['slope']:.3f} n + "
                 f"{fit['intercept']:.3f} (slope stderr {fit['slope_stderr']:.3f})"
             )
-    print(f"  wrote {SWEEP_CSV}, {SUMMARY_JSON} -> {out}")
+    print(f"  wrote {', '.join(files)} -> {out}")
 
     if not args.check:
         return 0
@@ -403,6 +385,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    start = time.perf_counter()
     rows = []
     for n in args.n_values:
         for name in ("h_ordering", "random_permutation"):
@@ -413,14 +396,11 @@ def cmd_bounds(args) -> int:
         print(f"{n:<2} {name:<22}{lower:<12.6g}{upper:.6g}")
     print(LARGE_N_NOTE)
     if args.out:
-        start = time.perf_counter()
-        out = _out_dir(args.out)
-        _write_rows(out / BOUNDS_CSV, "n,policy,bound_lo,bound_hi", rows)
-        _write_manifest(
-            out, "bounds", {"n_values": args.n_values}, time.perf_counter() - start,
-            [BOUNDS_CSV],
+        files = {"bounds.csv": ("n,policy,bound_lo,bound_hi", rows)}
+        out = _write_outputs(
+            args.out, "bounds", _options(args), time.perf_counter() - start, files
         )
-        print(f"wrote {BOUNDS_CSV} -> {out}")
+        print(f"wrote {', '.join(files)} -> {out}")
     return 0
 
 
@@ -463,9 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="key = value config file")
 
-    run = sub.add_parser("run", help="simulate one ensemble and write curves")
-    run.add_argument("--config", default=None, help="key = value config file")
+    run = sub.add_parser(
+        "run", parents=[config], help="simulate one ensemble and write curves"
+    )
     run.add_argument("--n", type=int, default=1, help="number of qubits")
     run.add_argument("--policy", choices=POLICY_KINDS, default="none")
     _add_ensemble_flags(run, max_time=3.0, out="regreadout-run")
@@ -473,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit 3 unless sanity checks pass")
     run.set_defaults(func=cmd_run, parser=run)
 
-    sweep = sub.add_parser("sweep", help="speed-up versus register size")
-    sweep.add_argument("--config", default=None)
+    sweep = sub.add_parser(
+        "sweep", parents=[config], help="speed-up versus register size"
+    )
     sweep.add_argument("--n-values", type=_comma_list(int, "int"),
                        default="2,3,4,5", help="comma-separated register sizes")
     sweep.add_argument("--policies", type=_comma_list(_policy_kind, "policy"),
@@ -487,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 3 unless every point sits in its band")
     sweep.set_defaults(func=cmd_sweep, parser=sweep)
 
-    bounds = sub.add_parser("bounds", help="print analytic speed-up bands")
-    bounds.add_argument("--config", default=None)
+    bounds = sub.add_parser(
+        "bounds", parents=[config], help="print analytic speed-up bands"
+    )
     bounds.add_argument("--n-values", type=_comma_list(int, "int"),
                         default="1,2,3,4,5")
     bounds.add_argument("--out", default=None)
@@ -496,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify-identities",
+        parents=[config],
         help="check the exact permutation sum identities",
     )
-    verify.add_argument("--config", default=None)
     verify.add_argument("--dimensions", type=_comma_list(int, "int"),
                         default="4,8",
                         help="comma-separated dimensions (4 and/or 8)")
@@ -524,13 +509,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except IntegrationError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (IntegrationError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - last-resort mapping

@@ -48,6 +48,12 @@ def test_read_config_file_errors(tmp_path):
         read_config_file(str(bad))
 
 
+MANIFEST_KEYS = {
+    "command", "config", "numpy_version", "outputs", "usable_cpus", "version",
+    "wall_time_seconds",
+}
+
+
 def test_run_writes_expected_files(tmp_path, capsys):
     out = tmp_path / "runA"
     code = run_main(
@@ -63,6 +69,12 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert len(passage) == 3
 
     summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {
+        "command", "count", "dt", "gamma", "max_censored_fraction", "max_time",
+        "mean_time_intercept", "mean_time_points", "mean_time_slope",
+        "mean_time_slope_stderr", "n", "nofb_theory_slope", "policy", "seed",
+        "slope", "slope_stderr", "slope_window",
+    }
     assert summary["command"] == "run"
     assert summary["n"] == 1
     assert summary["count"] == 20
@@ -71,12 +83,18 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert summary["mean_time_slope"] is None
 
     manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS | {"censoring"}
     assert manifest["command"] == "run"
+    # the parsed options but out, with dt and the targets resolved
+    assert set(manifest["config"]) == {
+        "count", "cycle_file", "dt", "epsilons", "gamma", "max_time", "n",
+        "policy", "seed", "stop_epsilon",
+    }
     assert manifest["config"]["epsilons"] == [1e-1, 1e-2]
     assert manifest["config"]["seed"] == 7
-    assert set(manifest["outputs"]) == {
+    assert manifest["outputs"] == [
         "log_infidelity.csv", "first_passage.csv", "summary.json",
-    }
+    ]
     assert manifest["wall_time_seconds"] >= 0.0
     # host facts that the last digits of the outputs can depend on
     assert manifest["usable_cpus"] >= 1
@@ -324,7 +342,10 @@ def test_bounds_csv_output(tmp_path):
     rows = (out / "bounds.csv").read_text().splitlines()
     assert rows[0] == "n,policy,bound_lo,bound_hi"
     assert len(rows) == 1 + 2 * 2  # two sizes, two policies
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["config"] == {"n_values": [2, 4]}
+    assert manifest["outputs"] == ["bounds.csv"]
 
 
 def test_verify_identities_cli(capsys):
@@ -360,7 +381,17 @@ def test_sweep_single_size(tmp_path, capsys):
     assert float(speedup) == pytest.approx(1.0)
     assert float(lo) == float(hi) == 1.0
     summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {
+        "command", "count", "fits", "n_values", "points", "policies", "seed",
+    }
     assert summary["fits"]["none"] is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert set(manifest["config"]) == {
+        "count", "cycle_file", "dt", "epsilons", "gamma", "max_time", "n_values",
+        "policies", "seed",
+    }
+    assert manifest["outputs"] == ["sweep.csv", "summary.json"]
     assert "checks passed" in capsys.readouterr().out
 
 
@@ -400,12 +431,21 @@ def test_sweep_checks_the_cycle_against_every_size(tmp_path, monkeypatch, capsys
 
 
 def test_sweep_rejects_a_repeated_size(monkeypatch, tmp_path, capsys):
+    """A repeated size, or a repeated policy (its fit is keyed by name),
+    is rejected before any ensemble starts."""
     calls = []
     monkeypatch.setattr(ensemble, "run_ensemble", lambda *a, **k: calls.append(a))
-    argv = ["sweep", "--n-values", "2,2,3", "--count", 1000, "--out", tmp_path]
-    assert run_main(argv) == 1
-    assert calls == []
-    assert "n_values repeats a register size: [2, 2, 3]" in capsys.readouterr().err
+    cases = [
+        (["--n-values", "2,2,3", "--count", 1000],
+         "n_values repeats a register size: [2, 2, 3]"),
+        (["--n-values", "1", "--policies", "none,none", "--count", 30,
+          "--max-time", 2, "--seed", 9],
+         "policies repeats a policy: ['none', 'none']"),
+    ]
+    for flags, message in cases:
+        assert run_main(["sweep", *flags, "--out", tmp_path]) == 1
+        assert calls == []
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_rejects_too_few_targets_in_the_fit_range(monkeypatch, tmp_path, capsys):
