@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -150,9 +151,10 @@ def _options(args) -> dict:
 
 
 def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path:
-    """Create the output directory and write `files` ({name: payload} in
-    order; a dict payload as JSON, a (header, rows) payload as CSV), then
-    manifest.json, whose entries `extra` extends.  Return the directory."""
+    """Write `files` ({name: payload} in order; a dict payload as JSON, a
+    (header, rows) payload as CSV) into the output directory, which main
+    has created, then manifest.json, whose entries `extra` extends.
+    Return the directory."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -166,7 +168,6 @@ def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path
         **extra,
     }
     out = Path(out_text)
-    out.mkdir(parents=True, exist_ok=True)
     for name, payload in {**files, "manifest.json": manifest}.items():
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             if isinstance(payload, dict):
@@ -221,6 +222,8 @@ def cmd_run(args) -> int:
         fit_error = exc
 
     max_censored = float(stats.censored_fraction.max(initial=0.0))
+    # the paper's figure of merit: the final argmax is not the true outcome
+    misread = stats.final_indices != stats.true_indices
     config = {
         **_options(args),
         "dt": params.dt,
@@ -243,6 +246,8 @@ def cmd_run(args) -> int:
         mean_time_intercept=fit.intercept if fit else None,
         mean_time_points=fit.point_count if fit else None,
         max_censored_fraction=max_censored,
+        readout_error=float(misread.mean()),
+        readout_error_stderr=float(misread.std(ddof=1)) / math.sqrt(misread.size),
     )
     files = {
         "log_infidelity.csv": (
@@ -280,6 +285,10 @@ def cmd_run(args) -> int:
     else:
         print(f"  mean-time fit skipped: {fit_error}")
     print(f"  max censored fraction: {max_censored:g}")
+    print(
+        f"  readout error: {summary['readout_error']:g} +/- "
+        f"{summary['readout_error_stderr']:g}"
+    )
     print(f"  wrote {', '.join(files)} -> {out}")
 
     if not args.check:
@@ -506,6 +515,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
+        if getattr(args, "out", None):  # so a bad path fails before any ensemble
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

@@ -2,24 +2,29 @@
 
 run_ensemble integrates many trajectories at once, one per column of a
 (2^n, trajectories) array over a compressed active set: every trajectory
-owns its per-index noise stream, sde.trajectory_noise_rng(seed, index)
-(blocks of steps are pre-drawn from it into a step-major (steps, n,
-trajectories) block) and each step goes through sde.update_columns and
-sde.infidelity_columns.  A step does only the control, the update, and
-ln(Delta) written into a (steps, trajectories) block with a freeze test;
-once per block, one resolver finds every passage of a first-passage
-target, interpolates them, and writes the grid points of the mean
-curves, and frozen columns are dropped.  H-ordering sorts population
-values rather than indices: tied populations are interchangeable.  The
-uncontrolled run from a uniform start steps n per-qubit log-odds
-instead, O(n) per trajectory-step, and takes its ln(Delta) and freezes
-from the block's log-odds history.  Under random permutations every
-trajectory also owns its control stream, sde.trajectory_control_rng(
-seed, index), so each trajectory depends only on (seed, index) under
-every policy: its indices and NaN patterns exactly, its floats bitwise
-on the no-control path and to 1e-12 relative under the other policies,
-whose BLAS product in sde.update_columns may round a column differently
-at another matrix width.  A large ensemble therefore splits into
+owns its per-index noise stream, sde.trajectory_noise_rng(seed, index),
+whose first uniform draws the trajectory's true outcome i* and whose
+normals are pre-drawn in blocks of steps into a step-major (steps, n,
+trajectories) block.  The record is dR = c*z_{label(i*)}*dt + dW, with
+label(i*) the slot the control has moved i* to, and each step goes
+through sde.update_columns and sde.infidelity_columns.  A step does only
+the control, the update, and ln(Delta) written into a (steps,
+trajectories) block with a freeze test; once per block, one resolver
+finds every passage of a first-passage target, interpolates them, and
+writes the grid points of the mean curves, and frozen columns are
+dropped.  H-ordering sorts population values rather than indices: tied
+populations are interchangeable.  The uncontrolled run from a uniform
+start sums n per-qubit log-odds instead, O(n) per trajectory-step, and
+takes its ln(Delta) and freezes from the block's log-odds history;
+asked for no targets, it steps from one record grid point to the next.
+Under random permutations every trajectory also owns its control
+stream, sde.trajectory_control_rng(seed, index), so each trajectory
+depends only on (seed, index) under every policy: its indices and NaN
+patterns exactly, its floats bitwise on the no-control path and to
+1e-12 relative under the other policies, whose column sums in
+sde.update_columns may round a column differently at another matrix
+width (measured from n = 3, at narrow widths of 2 to 16 columns; n <= 2
+was bitwise at every width).  A large ensemble therefore splits into
 contiguous index ranges (shards), one per usable CPU: the calling
 process runs the first, forked children run the rest, and the shards
 merge into one EnsembleStats that equals the one-process run in that
@@ -52,10 +57,11 @@ from .sde import (
     epsilon_targets,
     infidelity_columns,
     infidelity_log_odds,
+    record_strength,
     trajectory_control_rng,
     trajectory_noise_rng,
+    true_outcomes,
     update_columns,
-    update_log_odds,
 )
 from .theory import (
     SpeedupBounds,
@@ -112,7 +118,8 @@ class EnsembleStats:
     entries are per target epsilon; censored trajectories contribute
     max_time to the mean and to the censored fraction.  final_states is
     the (count, 2^n) array of each trajectory's populations where it
-    froze or at max_time.
+    froze or at max_time, final_indices their argmax, and true_indices
+    the slot that holds the trajectory's sampled true outcome there.
     """
 
     sample_times: np.ndarray
@@ -128,6 +135,7 @@ class EnsembleStats:
     policy_kind: str
     final_indices: np.ndarray
     final_states: np.ndarray
+    true_indices: np.ndarray
     retrodicted_indices: np.ndarray | None = None
     first_passage_times: np.ndarray | None = None
 
@@ -157,6 +165,7 @@ class _Shard:
     first_passage: np.ndarray
     final_idx: np.ndarray
     finals: np.ndarray
+    true_idx: np.ndarray
     retro: np.ndarray | None
 
 
@@ -185,17 +194,25 @@ def run_ensemble(
     Trajectory i consumes the noise stream of trajectory_noise_rng(
     master_seed, i) and, under random permutations, the control stream of
     trajectory_control_rng(master_seed, i): each step's permutation image
-    is the argsort of d = 2^n uniforms drawn from it.  So trajectory i
-    depends only on (master_seed, i) under every policy, whatever the
-    count and whichever trajectories are still running: the first m
-    trajectories of a run equal an m-trajectory run, and ensembles with
-    equal seeds are paired noise-wise across policies.  Equal means equal
-    indices and NaN patterns, with floats bitwise equal on the no-control
-    product-state path and equal to 1e-12 relative otherwise:
-    sde.update_columns multiplies by the z table through BLAS, whose
-    rounding of one column can depend on how many columns the product
-    holds (measured at n >= 4 for 100-1000 columns, and at every n for a
-    single column).  Chunks of NOISE_CHUNK trajectories draw their
+    is the argsort of d = 2^n uniforms drawn from it.  The noise stream's
+    first uniform draws the true outcome i* (sde.true_outcomes), its
+    normals the Wiener increments of the record dR = c*z_{label(i*)}*dt +
+    dW.  An open-loop control moves label(i*) by its image; H-ordering
+    sends it to h_order_targets(n)[rank], the rank counting the larger
+    populations and the equal ones in earlier slots (the stable rule of
+    the retrodiction sort).  true_indices holds the final labels, so
+    final_indices != true_indices marks a misread register.  So
+    trajectory i depends only on (master_seed, i) under every policy,
+    whatever the count and whichever trajectories are still running: the
+    first m trajectories of a run equal an m-trajectory run, and
+    ensembles with equal seeds share true outcomes and noise across
+    policies.  Equal means equal indices and NaN patterns, with floats
+    bitwise equal on the no-control product-state path and equal to
+    1e-12 relative otherwise: the normalizing column sum in
+    sde.update_columns can round a column differently at another array
+    width (measured at n = 3-5 for widths of 2-16 columns; n = 1, 2 and
+    the BLAS product z.T @ dR at n <= 5 were width-independent).
+    Chunks of NOISE_CHUNK trajectories draw their
     (steps, n) noise blocks, transposed into one (steps, n, active) block.
     Each trajectory's (steps, d) block of permutation images goes straight
     into one (steps, active, d) block, at the smallest unsigned dtype that
@@ -220,8 +237,15 @@ def run_ensemble(
     message is the one-process run's.
 
     When policy.kind is "none" and the initial populations are uniform,
-    the state is the (n, active) per-qubit log-odds (sde.update_log_odds);
-    otherwise the (2^n, active) populations.
+    the state is the (n, active) per-qubit log-odds L = c*R, a drifted
+    Brownian motion c^2*z_{i*}*t + c*W(t) that each block sums row by
+    row; otherwise the (2^n, active) populations.  Asked for no targets,
+    that path takes the record grid's intervals as its steps (the last
+    may be shorter) and draws one Normal(0, interval) increment per qubit
+    and interval: exact in law at the grid points, where it also tests
+    the stop, so a column freezes at the first grid point at or below
+    it.  Such a run reads its noise stream per grid interval, so it is
+    not noise-paired with a run of the same seed that asks for targets.
 
     A column freezes at its first step with ln(Delta) <= params.stop_ln,
     which is -inf for stop_epsilon = 0: nothing freezes, and a pure start
@@ -286,6 +310,7 @@ def run_ensemble(
         policy_kind=policy.kind,
         final_indices=res.final_idx,
         final_states=res.finals,
+        true_indices=res.true_idx,
         retrodicted_indices=res.retro,
         first_passage_times=fp if collect_first_passage else None,
     )
@@ -401,6 +426,7 @@ def _merge_shards(parts: list[_Shard]) -> _Shard:
         first_passage=cat("first_passage"),
         final_idx=cat("final_idx"),
         finals=cat("finals"),
+        true_idx=cat("true_idx"),
         retro=None if parts[0].retro is None else cat("retro"),
     )
 
@@ -424,22 +450,38 @@ def _run_shard(
 
     kind = policy.kind
     factored = kind == "none" and bool(np.all(initial == initial[0]))
+    dt = params.dt
+    # the loop's steps: dt each, or on the no-target log-odds path the
+    # record grid's intervals, drawn exactly in law
+    if factored and eps.size == 0:
+        widths = np.diff(grid_steps) * dt
+        marks = np.arange(grid_steps.size)  # loop step of each grid point
+        step_no = grid_steps  # dt-step at the end of each loop step
+    else:
+        widths = np.full(params.total_steps, dt)
+        marks, step_no = grid_steps, np.arange(params.total_steps + 1)
+    roots = np.sqrt(widths)
+    c = record_strength(params.gamma)
+    z = z_table(n)
+    # drift[:, i]: the record's drift over a dt step while i* sits in
+    # slot i; ch[k]: that drift per unit of z over loop step k
+    drift = c * dt * z
+    ch = c * widths
     if kind == "h_ordering":
         # row targets[k] takes the k-th largest population, which an
         # ascending value sort leaves in row d - 1 - k
-        h_source = np.argsort(h_order_targets(n))
+        h_targets = h_order_targets(n)
+        h_source = np.argsort(h_targets)
         h_rows = d - 1 - h_source
+        row_ids = np.arange(d)[:, None]
     elif kind == "fixed_cycle":
-        cycle_inverse = [np.argsort(p.image) for p in policy.cycle]
+        cycle_images = [p.image for p in policy.cycle]
+        cycle_inverse = [np.argsort(image) for image in cycle_images]
     block_steps = NOISE_BLOCK_STEPS
+    label_type = np.min_scalar_type(d - 1)  # of slots, images and ranks
     if kind == "random_permutation":
-        img_type = np.min_scalar_type(d - 1)
-        bound = block_steps * 8 * n // (d * img_type.itemsize)
+        bound = block_steps * 8 * n // (d * label_type.itemsize)
         block_steps = max(1, min(block_steps, bound))
-
-    dt = params.dt
-    sqrt_dt = math.sqrt(dt)
-    total_steps = params.total_steps
 
     G = grid_steps.size
     # two-pass moments of ln(Delta) over all trajectories at each grid point
@@ -460,6 +502,9 @@ def _run_shard(
     final_idx = np.full(count, amax0, dtype=np.intp)
     finals = np.tile(initial, (count, 1))
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
+    # each trajectory's true outcome, from the first uniform of its stream
+    gens = [trajectory_noise_rng(master_seed, first + i) for i in range(count)]
+    true_idx = true_outcomes(initial, np.array([gen.random() for gen in gens]))
 
     A = count if ln0 > stop_ln else 0  # a start at the stop is frozen
     active_at[0] = A
@@ -468,17 +513,19 @@ def _run_shard(
     lam = np.zeros((n, A)) if factored else np.tile(initial[:, None], (1, A))
     origin = np.tile(np.arange(d)[:, None], (1, A)) if collect_retrodiction else None
     idx = np.arange(A)
+    label = true_idx[:A].copy()  # the slot that holds each column's true outcome
     ptr = np.full(A, ptr0, dtype=np.intp)
     ln_prev = np.full(A, ln0)
-    gens = [trajectory_noise_rng(master_seed, first + i) for i in range(A)]
+    gens = gens[:A]
     ctrl_gens = (
         [trajectory_control_rng(master_seed, first + i) for i in range(A)]
         if kind == "random_permutation" else None
     )
 
-    def record_finals(w, cols):
-        """Store the final index, state and retrodicted index of columns
-        w, whose states are the columns of cols."""
+    def record_finals(w, cols, slots):
+        """Store the final index, state, true slot and retrodicted index
+        of columns w, whose states are the columns of cols and whose true
+        outcomes sit in slots."""
         if factored:
             # qubit r's bit is L[r] < 0, first qubit most significant; a
             # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
@@ -487,7 +534,6 @@ def _run_shard(
             # does not depend on how many columns freeze with it: a BLAS
             # product and a pairwise sum (which numpy takes over a single
             # column) would both let it
-            z = z_table(n)
             expo = z[0][:, None] * cols[0]
             for r in range(1, n):
                 expo += z[r][:, None] * cols[r]
@@ -496,9 +542,11 @@ def _run_shard(
         else:
             final_idx[idx[w]] = np.argmax(cols, axis=0)
         finals[idx[w]] = cols.T
+        true_idx[idx[w]] = slots
         if origin is not None:
             retro[idx[w]] = origin[final_idx[idx[w]], w]
 
+    total_steps = widths.size
     step = 0
     g_next = 1
     while A > 0 and step < total_steps:
@@ -510,75 +558,116 @@ def _run_shard(
             for j in range(m):
                 gens[j0 + j].standard_normal(out=chunk[j])
             noise[:, :, j0 : j0 + m] = chunk[:m].transpose(1, 2, 0)
-        noise *= sqrt_dt
-        if ctrl_gens is not None:
+        noise *= roots[step : step + k_steps, None, None]
+        # labels[k] holds the true outcomes' slots at step k of the block.
+        # An open-loop control moves them whatever the record says, so the
+        # block's record drift goes in at once; under H-ordering, step by
+        # step
+        labels = None
+        if kind == "random_permutation":
             # images[k, j] is column j's permutation image at step k: the
             # argsort of d uniforms from the column's own control stream
-            images = np.empty((k_steps, A, d), dtype=img_type)
+            images = np.empty((k_steps, A, d), dtype=label_type)
             for j, gen in enumerate(ctrl_gens):
                 images[:, j] = np.argsort(gen.random((k_steps, d)), axis=1)
+            offsets = np.arange(A) * d
+            labels = np.empty((k_steps, A), dtype=label_type)
+            for k in range(k_steps):
+                label = labels[k] = np.take(images[k], offsets + label)
+        elif kind == "fixed_cycle":
+            labels = np.empty((k_steps, A), dtype=label_type)
+            for k in range(k_steps):
+                image = cycle_images[(step + k) % len(cycle_images)]
+                label = labels[k] = np.take(image, label)
+        if kind == "none" and not factored:
+            noise += np.take(drift, label, axis=1)
+        elif labels is not None:
+            for r in range(n):  # no temporary as large as the block
+                noise[:, r] += np.take(drift[r], labels)
 
         # ln_blk[k, j] will be column j's ln(Delta) after step `step + k + 1`
         # and frozen_at[j] the row of its freeze, or k_steps
         frozen_at = np.full(A, k_steps)
         if factored:
-            # noise[k] becomes the log-odds after step k of the block.  Each
-            # sub-block of RESOLVE_SIZE entries, while still in cache, gives
-            # Delta, the freezes and their states, and then holds ln(Delta)
-            # over its spent first-qubit log-odds
+            # noise[k] becomes the log-odds after step k of the block, a
+            # running sum of c*dR (row by row: numpy's cumsum along the
+            # step axis took 8 times as long).  Each sub-block of
+            # RESOLVE_SIZE entries, while still in cache, takes its drift,
+            # gives Delta, the freezes and their states, and then holds
+            # ln(Delta) over its spent first-qubit log-odds
+            slot_z = np.take(z, label, axis=1)
             sub = max(1, RESOLVE_SIZE // (n * A))
             for k0 in range(0, k_steps, sub):
-                for k in range(k0, min(k0 + sub, k_steps)):
-                    lam = update_log_odds(lam, noise[k], params.gamma, dt)
-                delta = infidelity_log_odds(noise[k0 : k + 1].transpose(1, 0, 2))
+                k1 = min(k0 + sub, k_steps)
+                part = noise[k0:k1]
+                part += ch[step + k0 : step + k1, None, None] * slot_z
+                part *= c
+                part[0] += lam
+                for k in range(1, k1 - k0):
+                    part[k] += part[k - 1]
+                lam = part[-1].copy()  # the state, before its row is overwritten
+                delta = infidelity_log_odds(part.transpose(1, 0, 2))
                 ln = np.log(np.maximum(delta, LOG_FLOOR))
                 below = ln <= stop_ln
                 w = np.flatnonzero(below.any(axis=0) & (frozen_at == k_steps))
                 if w.size:
                     frozen_at[w] = k0 + np.argmax(below[:, w], axis=0)
-                    record_finals(w, noise[frozen_at[w], :, w].T)
-                lam = lam.copy()  # the state, before its row is overwritten
-                noise[k0 : k + 1, 0] = ln
+                    record_finals(w, noise[frozen_at[w], :, w].T, label[w])
+                part[:, 0] = ln
             ln_blk = noise[:, 0]
         else:
             ln_blk = np.empty((k_steps, A))
             freeze_ln = np.full(A, stop_ln)  # -inf once a column is frozen
+            columns = np.arange(A)
             for k in range(k_steps):
                 # the control moves each population, with its origin label
                 if kind == "h_ordering":
                     # tied populations are interchangeable, so lam needs
                     # only its values sorted; the labels follow the stable
-                    # index sort
+                    # index sort, under which the true outcome's rank is
+                    # the count of larger populations and of equal ones in
+                    # earlier slots
                     if origin is not None:
                         src = np.argsort(-lam, axis=0, kind="stable")[h_source]
                         origin = np.take_along_axis(origin, src, axis=0)
-                    lam = np.sort(lam, axis=0)[h_rows]
+                    v = lam[label, columns]
+                    rank = np.add.reduce(lam > v, axis=0, dtype=label_type)
+                    ordered = np.sort(lam, axis=0)
+                    if (ordered[1:] == ordered[:-1]).any():  # a tie somewhere
+                        rank += np.add.reduce(
+                            (lam == v) & (row_ids < label), axis=0, dtype=label_type
+                        )
+                    lam = ordered[h_rows]
+                    label = h_targets[rank]
+                    noise[k] += np.take(drift, label, axis=1)
                 elif kind == "random_permutation":
                     lam = _scatter_rows(lam, images[k].T)
                     if origin is not None:
                         origin = _scatter_rows(origin, images[k].T)
+                    label = labels[k]
                 elif kind == "fixed_cycle":
                     src = cycle_inverse[(step + k) % len(cycle_inverse)]
                     lam = lam[src]
                     if origin is not None:
                         origin = origin[src]
+                    label = labels[k]
 
-                lam = update_columns(lam, noise[k], params.gamma, dt)
+                lam = update_columns(lam, noise[k], params.gamma)
                 delta = infidelity_columns(lam)
                 ln = np.log(np.maximum(delta, LOG_FLOOR), out=ln_blk[k])
                 w = np.flatnonzero(ln <= freeze_ln)
                 if w.size:
-                    record_finals(w, lam[:, w])
+                    record_finals(w, lam[:, w], label[w])
                     freeze_ln[w] = -np.inf
                     frozen_at[w] = k
 
         if not np.isfinite(ln_blk).all():
             s = step + int(np.argmin(np.isfinite(ln_blk).all(axis=1))) + 1
-            raise _integration_error(f"non-finite infidelity at step {s}", s, 0)
+            raise _integration_error(f"non-finite infidelity at step {step_no[s]}", s, 0)
         # an overflowed log-odds gives Delta = 0, which LOG_FLOOR would hide
         if factored and not np.isfinite(lam).all():
             s = step + k_steps
-            raise _integration_error(f"non-finite log-odds by step {s}", s, 1)
+            raise _integration_error(f"non-finite log-odds by step {step_no[s]}", s, 1)
 
         # a frozen column keeps its freeze value at the later steps
         w = np.flatnonzero(frozen_at < k_steps)
@@ -615,8 +704,8 @@ def _run_shard(
             np.clip(frac, 0.0, 1.0, out=frac)
             fp[idx[cols[e]], p] = (step + rows[e]) * dt + frac * dt
 
-        while g_next < G and grid_steps[g_next] <= step + k_steps:
-            r = grid_steps[g_next] - step - 1
+        while g_next < G and marks[g_next] <= step + k_steps:
+            r = marks[g_next] - step - 1
             cur_ln[idx] = ln_blk[r]
             mean_ln[g_next] = cur_ln.mean()
             var_ln[g_next] = cur_ln.var(ddof=1)
@@ -627,9 +716,10 @@ def _run_shard(
 
         keep = np.flatnonzero(frozen_at == k_steps)
         ptr, ln_prev = ptr[keep], ln_blk[-1, keep]
-        noise = images = ln_blk = None  # freed before the next blocks are allocated
+        # freed before the next blocks are allocated (part is a view of noise)
+        noise = part = images = labels = ln_blk = None
         if keep.size < A:
-            lam, idx = lam[:, keep], idx[keep]
+            lam, idx, label = lam[:, keep], idx[keep], label[keep]
             if origin is not None:
                 origin = origin[:, keep]
             gens = [gens[j] for j in keep]
@@ -637,13 +727,14 @@ def _run_shard(
                 ctrl_gens = [ctrl_gens[j] for j in keep]
             A = idx.size
 
-    record_finals(np.arange(A), lam)
+    record_finals(np.arange(A), lam, label)
     mean_ln[g_next:] = cur_ln.mean()
     var_ln[g_next:] = cur_ln.var(ddof=1)
     active_at[g_next:] = A
     return _Shard(
         count=count, mean_ln=mean_ln, var_ln=var_ln, active_at=active_at,
-        first_passage=fp, final_idx=final_idx, finals=finals, retro=retro,
+        first_passage=fp, final_idx=final_idx, finals=finals, true_idx=true_idx,
+        retro=retro,
     )
 
 
@@ -900,6 +991,8 @@ def mc_permuted_step_rate(
     probs = state.probs
     ln0 = math.log(_rate_infidelity(state))
     sqrt_dt = math.sqrt(dt)
+    strength = record_strength(gamma)
+    z = z_table(n)
     rows = max(1, min(MC_CHUNK_ROWS, MC_CHUNK_ROWS * 8 // d))
 
     def chunk(c: int):
@@ -910,7 +1003,11 @@ def mc_permuted_step_rate(
         lamp = np.empty((d, m))
         lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
         dW = rng.standard_normal((m, n)) * sqrt_dt
-        delta = infidelity_columns(update_columns(lamp, dW.T, gamma, dt))
+        # the one-step record around the posterior mean <Z^r>, dropped
+        # before the infidelity is taken
+        delta = infidelity_columns(
+            update_columns(lamp, strength * dt * (z @ lamp) + dW.T, gamma)
+        )
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         # two-pass within the chunk, merged across chunks
         mean = float(dl.mean())

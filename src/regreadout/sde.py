@@ -1,27 +1,32 @@
 """The measurement step of the conditional register state under
 independent continuous z measurements of every qubit.
 
-Each qubit r produces a measurement record increment
+The measurement is QND: the register holds one true basis index i*,
+drawn from the initial populations, and each qubit r produces a
+measurement record increment
 
-    dR[r] = 2*sqrt(2*gamma) * <Z^r> dt + dW[r],
+    dR[r] = 2*sqrt(2*gamma) * z_{label(i*)}^r dt + dW[r],
 
-with independent Wiener increments dW[r] ~ Normal(0, dt) and <Z^r> the
-unshifted (+1/-1) expectation in the current state.  Because the state
-stays diagonal, the conditional update only reweights populations.  It
-is integrated with the multiplicative update
+with independent Wiener increments dW[r] ~ Normal(0, dt) and label(i*)
+the slot that the control has moved i* to (Jacobs & Steck,
+arXiv:quant-ph/0611067; Wiseman & Milburn, Quantum Measurement and
+Control, ch. 4).  Because the state stays diagonal, the conditional
+update only reweights populations.  It is the multiplicative update
 
     lam_i *= exp(2*sqrt(2*gamma) * sum_r z_i^r * dR[r]),
 
-then normalization.  Composed over steps this equals the closed-form
-conditional state given the accumulated record, so it is unconditionally
+then normalization, which is the exact Bayes posterior given the record
+at any dt, because |z_i|^2 = n for every i.  It is unconditionally
 positive and remains valid for arbitrarily collapsed states.
-
-update_columns and infidelity_columns take that step and the infidelity
+update_columns takes that step and infidelity_columns the infidelity
 Delta = 1 - max_i lam_i for many trajectories at once, held one per
-column of a (2^n, trajectories) array.  The ensemble runner and the
-Monte Carlo rate estimator both step through them.  update_log_odds and
-infidelity_log_odds do the step on product states, held as
-(n, trajectories) per-qubit log-odds: O(n), not O(2^n).
+column of a (2^n, trajectories) array.  The ensemble runner forms its
+record from the true outcome; the Monte Carlo rate estimator forms its
+one-step record around the posterior mean <Z^r> instead.  Without
+control the per-qubit log-odds L[r] = 2*sqrt(2*gamma)*R[r] of a uniform
+start are a drifted Brownian motion, 8*gamma*z_{i*}^r*t +
+2*sqrt(2*gamma)*W[r](t), which the runner sums directly;
+infidelity_log_odds reads Delta from them.
 
 SimulationParams holds the physical and numerical parameters of a run,
 epsilon_targets checks a grid of infidelity targets, and
@@ -53,7 +58,7 @@ class IntegrationError(RuntimeError):
 
 
 def record_strength(gamma: float) -> float:
-    """Coupling 2*sqrt(2*gamma) of <Z^r> into the record dR[r]."""
+    """Coupling 2*sqrt(2*gamma) of z^r into the record dR[r]."""
     return 2.0 * math.sqrt(2.0 * gamma)
 
 
@@ -112,23 +117,27 @@ def epsilon_targets(epsilons, stop_epsilon: float) -> np.ndarray:
     return eps
 
 
-def update_columns(
-    lam: np.ndarray, dW: np.ndarray, gamma: float, dt: float
-) -> np.ndarray:
+def update_columns(lam: np.ndarray, dR: np.ndarray, gamma: float) -> np.ndarray:
     """The multiplicative update for every column of a (2^n, trajectories)
-    population array, driven by the columns' (n, trajectories) Wiener
-    increments, with the record dR = 2*sqrt(2*gamma)*<Z^r>*dt + dW.
-    Returns the normalized posterior columns as a new array."""
-    z = z_table(dW.shape[0])
+    population array, given the columns' (n, trajectories) record
+    increments dR.  Returns the normalized posterior columns as a new
+    array."""
     c = record_strength(gamma)
-    dR = c * dt * (z @ lam) + dW
-    new = z.T @ dR
+    new = z_table(dR.shape[0]).T @ dR
     new *= c
     new -= new.max(axis=0)  # the largest weight becomes 1; no overflow
     np.exp(new, out=new)
     new *= lam
     new /= new.sum(axis=0)
     return new
+
+
+def true_outcomes(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The true indices i* ~ probs of uniforms u in [0, 1): the inverse
+    CDF on cumsum(probs), never an index of zero probability (should the
+    rounded sum fall short of u)."""
+    i = np.searchsorted(np.cumsum(probs), u, side="right")
+    return np.minimum(i, np.flatnonzero(probs)[-1])
 
 
 def infidelity_columns(lam: np.ndarray) -> np.ndarray:
@@ -140,20 +149,6 @@ def infidelity_columns(lam: np.ndarray) -> np.ndarray:
     tail = lam.copy()
     tail[amax, np.arange(lam.shape[1])] = 0.0
     return tail.sum(axis=0)
-
-
-def update_log_odds(L: np.ndarray, dW: np.ndarray, gamma: float, dt: float) -> np.ndarray:
-    """The step of update_columns for a product state: column j of the
-    (n, trajectories) array L holds L[r] = c*R[r] (c =
-    record_strength(gamma)), half the log-odds of qubit r's z = +1, so
-    <Z^r> = tanh(L[r]), dR = c*dt*tanh(L) + dW and the new log-odds are
-    L + c*dR.  They are written over the spent increments dW, which is
-    returned; L is left as it was."""
-    c = record_strength(gamma)
-    dW += c * dt * np.tanh(L)
-    dW *= c
-    dW += L
-    return dW
 
 
 def infidelity_log_odds(L: np.ndarray) -> np.ndarray:
@@ -170,7 +165,9 @@ def infidelity_log_odds(L: np.ndarray) -> np.ndarray:
 def trajectory_noise_rng(master_seed: int, index: int = 0) -> np.random.Generator:
     """Measurement-noise stream of trajectory `index` under a master seed:
     default_rng(SeedSequence(master_seed, spawn_key=(index, 0)))'s stream,
-    built without default_rng's dispatch on its argument's type."""
+    built without default_rng's dispatch on its argument's type.  Its
+    first uniform draws the trajectory's true outcome (true_outcomes),
+    and its standard normals then give the Wiener increments."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index, 0)))
     )

@@ -6,9 +6,9 @@ per step: the steppers (exact_step, euler_step), the policy step
 apply_permutation, sample_uniform_permutation), retrodiction through the
 accumulated control frame, and simulate_trajectory, which strings them
 together on the same per-index noise and control streams as
-regreadout.ensemble.run_ensemble, drawing each random permutation from
-them the same way.  The tests compare the batched runner against it
-under every policy.  enumerated_permutation_average_rate is the
+regreadout.ensemble.run_ensemble, drawing the true outcome and each
+random permutation from them the same way.  The tests compare the
+batched runner against it under every policy.  enumerated_permutation_average_rate is the
 brute-force reference for theory.permutation_averaged_rate's closed
 form, and linear_trajectory_state replays an uncontrolled trajectory's
 final state from its accumulated record alone.  The oracle keeps its own arithmetic on purpose and is not part of
@@ -133,11 +133,21 @@ def generate_increments(
     state: DiagonalState, params: SimulationParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw the n record increments dR = 2*sqrt(2*gamma)*<Z^r>*dt + dW for
-    one step from the given state."""
+    one step from the given state: the record's law over the true outcome,
+    to first order in dt, which the one-step tests of the steppers use."""
     z = z_table(state.n)
     expect = z @ state.probs
     dw = rng.normal(0.0, math.sqrt(params.dt), size=state.n)
     return record_strength(params.gamma) * expect * params.dt + dw
+
+
+def true_record(
+    n: int, slot: int, params: SimulationParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw the n record increments dR = 2*sqrt(2*gamma)*z_slot^r*dt + dW
+    for one step while the true outcome sits in `slot`."""
+    dw = rng.normal(0.0, math.sqrt(params.dt), size=n)
+    return record_strength(params.gamma) * z_table(n)[:, slot] * params.dt + dw
 
 
 def euler_step(
@@ -189,7 +199,8 @@ class TrajectoryResult:
     first_passage maps each infidelity target to the interpolated crossing
     time, or None if the trajectory was censored at max_time before
     reaching it.  records is the integrated record R[r], the sum of dR[r]
-    over every step taken.
+    over every step taken.  true_index is the slot that holds the sampled
+    true outcome at the end.
     """
 
     sample_times: np.ndarray
@@ -199,6 +210,7 @@ class TrajectoryResult:
     cumulative_control: Permutation
     records: np.ndarray
     final_state: DiagonalState
+    true_index: BasisIndex
 
     def censored(self) -> list[float]:
         return [eps for eps, t in self.first_passage.items() if t is None]
@@ -221,7 +233,10 @@ def simulate_trajectory(
     trajectory stops.  The trajectory ends at the first step with
     ln(max(Delta, LOG_FLOOR)) <= params.stop_ln, the rule of
     run_ensemble, or at max_time, whichever comes first; stop_epsilon = 0
-    never stops early, not even from a pure start (Delta = 0).
+    never stops early, not even from a pure start (Delta = 0).  The first
+    uniform of the noise stream draws the true outcome from the initial
+    populations by inverse CDF, each control permutation moves its slot,
+    and the record drifts with that slot's z eigenvalues.
     """
     eps = epsilon_targets(epsilons, params.stop_epsilon).tolist()
     if record_every < 1:
@@ -239,6 +254,9 @@ def simulate_trajectory(
     control_rng = trajectory_control_rng(master_seed, trajectory_index)
 
     d = state.probs.size
+    u = noise_rng.random()
+    slot = int(np.searchsorted(np.cumsum(state.probs), u, side="right"))
+    slot = min(slot, int(np.flatnonzero(state.probs)[-1]))
     cumulative = Permutation(np.arange(d))
     total_steps = params.total_steps
     dt = params.dt
@@ -264,7 +282,8 @@ def simulate_trajectory(
         if policy.kind != "none":
             state = apply_permutation(state, perm)
             cumulative = compose(perm, cumulative)
-        dR = generate_increments(state, params, noise_rng)
+            slot = int(perm.image[slot])
+        dR = true_record(params.n, slot, params, noise_rng)
         state = exact_step(state, dR, params)
         records += dR
         step += 1
@@ -293,6 +312,7 @@ def simulate_trajectory(
         cumulative_control=cumulative,
         records=records,
         final_state=state,
+        true_index=slot,
     )
 
 

@@ -47,7 +47,7 @@ from regreadout import (
     z_table,
     zsum_bounds,
 )
-from regreadout.sde import update_columns
+from regreadout.sde import true_outcomes, update_columns
 from oracle import apply_permutation, euler_step, exact_step, h_order
 PROFILE = os.environ.get("ACCEPTANCE_PROFILE", "ci").lower()
 if PROFILE not in ("ci", "full"):
@@ -348,12 +348,15 @@ def test_acceptance_8_simulator_invariants(capsys):
             dr = 2.0 * math.sqrt(2.0) * expect * params.dt + dw
             state = stepper(state, dr, params)
             worst_norm = max(worst_norm, abs(float(state.probs.sum()) - 1.0))
-    # and the production kernel every runner steps through, on its own stream
+    # and the production kernel every runner steps through, on its own
+    # stream, with the record of a true outcome drawn from its first uniform
     rng = trajectory_noise_rng(890)
     lam = np.full((8, 1), 1.0 / 8)
+    true = true_outcomes(lam[:, 0], rng.random())
     for _ in range(2000):
         dw = rng.normal(0.0, math.sqrt(params.dt), size=(3, 1))
-        lam = update_columns(lam, dw, params.gamma, params.dt)
+        dr = 2.0 * math.sqrt(2.0) * z_table(3)[:, [true]] * params.dt + dw
+        lam = update_columns(lam, dr, params.gamma)
         worst_norm = max(worst_norm, abs(float(lam.sum()) - 1.0))
     if worst_norm > 1e-10:
         failures.append(f"normalization drift {worst_norm:.2e}")

@@ -11,6 +11,7 @@ import pytest
 
 from regreadout import (
     SimulationParams,
+    h_ordering_policy,
     SpeedupBounds,
     SpeedupEstimate,
     SweepPoint,
@@ -73,7 +74,8 @@ def test_run_writes_expected_files(tmp_path, capsys):
         "command", "count", "dt", "gamma", "max_censored_fraction", "max_time",
         "mean_time_intercept", "mean_time_points", "mean_time_slope",
         "mean_time_slope_stderr", "n", "nofb_theory_slope", "policy", "seed",
-        "slope", "slope_stderr", "slope_window",
+        "readout_error", "readout_error_stderr", "slope", "slope_stderr",
+        "slope_window",
     }
     assert summary["command"] == "run"
     assert summary["n"] == 1
@@ -252,6 +254,45 @@ def test_run_reports_the_mean_time_fit_of_its_ensemble(tmp_path, capsys):
     assert f"+/- {fit.slope_stderr:.5f}" in capsys.readouterr().out
 
 
+def test_run_reports_the_readout_error_of_its_ensemble(tmp_path, capsys):
+    """summary.json's readout error is the fraction of trajectories whose
+    final argmax is not the slot of their true outcome, with the stderr
+    of that fraction."""
+    out = tmp_path / "readout"
+    argv = ["run", "--n", 2, "--policy", "h_ordering", "--count", 200,
+            "--max-time", 0.1, "--epsilons", "1e-1,1e-2", "--seed", 4,
+            "--out", out]
+    assert run_main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    params = SimulationParams(n=2, max_time=0.1, stop_epsilon=cli.RUN_STOP_EPSILON)
+    stats = run_ensemble(params, h_ordering_policy(), [1e-1, 1e-2], 200, 4)
+    misread = stats.final_indices != stats.true_indices
+    assert 0.0 < misread.mean() < 0.5
+    assert summary["readout_error"] == misread.mean()
+    assert summary["readout_error_stderr"] == pytest.approx(
+        misread.std(ddof=1) / math.sqrt(200), rel=1e-12
+    )
+    assert f"readout error: {misread.mean():g}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_unusable_out_fails_before_any_ensemble(tmp_path, monkeypatch, capsys, command):
+    """--out below a regular file exits 2 before the simulation starts."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(cli, "run_ensemble", spy)
+    monkeypatch.setattr(cli, "speedup_scaling_sweep", spy)
+    (tmp_path / "afile").write_text("")
+    argv = [command, "--count", 20, "--max-time", 0.2, "--out", tmp_path / "afile" / "sub"]
+    assert run_main(argv) == 2
+    assert calls == []
+    assert "runtime error" in capsys.readouterr().err
+
+
 def test_integration_failure_exits_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -261,7 +302,8 @@ def test_integration_failure_exits_2(tmp_path, capsys):
              "--out", tmp_path / "x"]
         )
     assert code == 2
-    assert "runtime error: non-finite infidelity at step 2" in capsys.readouterr().err
+    # the record drifts with the true outcome's z from the first step on
+    assert "runtime error: non-finite infidelity at step 1" in capsys.readouterr().err
     # the no-control log-odds overflow too, where Delta underflows to 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -165,14 +165,14 @@ def test_column_step_matches_single_steps(n):
         lam[[d - 1, 1], 1] = 0.5  # two tied maxima, the first at index 1
     lam /= lam.sum(axis=0)
     dW = rng.normal(0.0, math.sqrt(params.dt), size=(n, 7))
-    new = update_columns(lam, dW, params.gamma, params.dt)
+    c = record_strength(params.gamma)
+    dR = c * (z_table(n) @ lam) * params.dt + dW
+    new = update_columns(lam, dR, params.gamma)
     delta = infidelity_columns(new)
     delta0 = infidelity_columns(lam)
-    c = record_strength(params.gamma)
     for a in range(lam.shape[1]):
         state = DiagonalState(n, lam[:, a])
-        dR = c * (z_table(n) @ state.probs) * params.dt + dW[:, a]
-        ref = exact_step(state, dR, params)
+        ref = exact_step(state, dR[:, a], params)
         assert np.allclose(new[:, a], ref.probs, rtol=1e-12, atol=1e-12)
         assert delta[a] == pytest.approx(ref.infidelity(), rel=1e-12)
         assert delta0[a] == pytest.approx(state.infidelity(), rel=1e-12)
