@@ -21,6 +21,7 @@ DEFAULT_MASTER_SEED so runs are reproducible out of the box.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure,
 3 a requested check failed (--check, or a FAIL from verify-identities).
+A failed command removes the --out directories it made while empty.
 """
 
 from __future__ import annotations
@@ -513,22 +514,32 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    made: list[Path] = []  # the directories made for --out, deepest first
     try:
         args = parse_args(argv)
         if getattr(args, "out", None):  # so a bad path fails before any ensemble
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+            out = Path(args.out)
+            made = [p for p in (out, *out.parents) if not p.exists()]
+            out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        code = 0 if exc.code in (0, None) else 1
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except (IntegrationError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # pragma: no cover - last-resort mapping
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if code:  # a failed command leaves no empty directory of its own
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # not empty, or mkdir failed before it
+                break
+    return code
 
 
 if __name__ == "__main__":

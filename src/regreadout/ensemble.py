@@ -8,15 +8,17 @@ normals are pre-drawn in blocks of steps into a step-major (steps, n,
 trajectories) block.  The record is dR = c*z_{label(i*)}*dt + dW, with
 label(i*) the slot the control has moved i* to, and each step goes
 through sde.update_columns and sde.infidelity_columns.  A step does only
-the control, the update, and ln(Delta) written into a (steps,
-trajectories) block with a freeze test; once per block, one resolver
-finds every passage of a first-passage target, interpolates them, and
-writes the grid points of the mean curves, and frozen columns are
-dropped.  H-ordering sorts population values rather than indices: tied
-populations are interchangeable.  The uncontrolled run from a uniform
-start sums n per-qubit log-odds instead, O(n) per trajectory-step, and
-takes its ln(Delta) and freezes from the block's log-odds history;
-asked for no targets, it steps from one record grid point to the next.
+the control (both open-loop kinds move columns by a block of permutation
+images, a fixed cycle's shared by every column), the record's drift, the
+update, and ln(Delta) written into a (steps, trajectories) block with a
+freeze test; once per block, one resolver finds every passage of a
+first-passage target, interpolates them, and writes the grid points of
+the mean curves, and frozen columns are dropped.  H-ordering sorts
+population values rather than indices: tied populations are
+interchangeable.  The uncontrolled run from a uniform start sums n
+per-qubit log-odds instead, O(n) per trajectory-step, and takes its
+ln(Delta) and freezes from the block's log-odds history; asked for no
+targets, it steps from one record grid point to the next.
 Under random permutations every trajectory also owns its control
 stream, sde.trajectory_control_rng(seed, index), so each trajectory
 depends only on (seed, index) under every policy: its indices and NaN
@@ -146,9 +148,13 @@ class EnsembleStats:
 
 
 def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Copy of x with row j of each column c moved to row img[j, c]."""
+    """Copy of x with row j of each column c moved to row img[j, c]; a
+    one-column img moves every column's rows alike."""
     out = np.empty_like(x)
-    out[img, np.arange(x.shape[1])] = x
+    if img.shape[1] == 1:
+        out[img[:, 0]] = x
+    else:
+        out[img, np.arange(x.shape[1])] = x
     return out
 
 
@@ -214,11 +220,13 @@ def run_ensemble(
     the BLAS product z.T @ dR at n <= 5 were width-independent).
     Chunks of NOISE_CHUNK trajectories draw their
     (steps, n) noise blocks, transposed into one (steps, n, active) block.
-    Each trajectory's (steps, d) block of permutation images goes straight
-    into one (steps, active, d) block, at the smallest unsigned dtype that
-    holds d - 1, and a block under random permutations is cut short so
-    that its images take no more bytes than a full noise block (see
-    NOISE_BLOCK_STEPS).  So its memory is bounded at every n, and the
+    Both open-loop controls fill one block of permutation images: random
+    permutations one (steps, active, d) block at the smallest unsigned
+    dtype that holds d - 1, cut short so that it takes no more bytes than
+    a full noise block (see NOISE_BLOCK_STEPS), a fixed cycle one
+    (steps, 1, d) block that every trajectory shares.  A step moves the
+    populations, origin labels and label(i*) by it, and then adds the
+    drift c*z_{label(i*)}*dt.  So memory is bounded at every n, and the
     outputs do not depend on the block length, in the sense above.
 
     An ensemble of at least 2 * SHARD_MIN trajectories, on a host where
@@ -463,10 +471,9 @@ def _run_shard(
     roots = np.sqrt(widths)
     c = record_strength(params.gamma)
     z = z_table(n)
-    # drift[:, i]: the record's drift over a dt step while i* sits in
-    # slot i; ch[k]: that drift per unit of z over loop step k
-    drift = c * dt * z
+    # ch[k]: the record's drift over loop step k per unit of z_{label(i*)}
     ch = c * widths
+    label_type = np.min_scalar_type(d - 1)  # of random images, slots and ranks
     if kind == "h_ordering":
         # row targets[k] takes the k-th largest population, which an
         # ascending value sort leaves in row d - 1 - k
@@ -475,13 +482,8 @@ def _run_shard(
         h_rows = d - 1 - h_source
         row_ids = np.arange(d)[:, None]
     elif kind == "fixed_cycle":
-        cycle_images = [p.image for p in policy.cycle]
-        cycle_inverse = [np.argsort(image) for image in cycle_images]
-    block_steps = NOISE_BLOCK_STEPS
-    label_type = np.min_scalar_type(d - 1)  # of slots, images and ranks
-    if kind == "random_permutation":
-        bound = block_steps * 8 * n // (d * label_type.itemsize)
-        block_steps = max(1, min(block_steps, bound))
+        # intp, an index type that needs no cast in the step
+        cycle_images = np.array([[p.image] for p in policy.cycle])
 
     G = grid_steps.size
     # two-pass moments of ln(Delta) over all trajectories at each grid point
@@ -517,10 +519,11 @@ def _run_shard(
     ptr = np.full(A, ptr0, dtype=np.intp)
     ln_prev = np.full(A, ln0)
     gens = gens[:A]
-    ctrl_gens = (
-        [trajectory_control_rng(master_seed, first + i) for i in range(A)]
-        if kind == "random_permutation" else None
-    )
+    block_steps, ctrl_gens = NOISE_BLOCK_STEPS, None
+    if kind == "random_permutation":
+        bound = block_steps * 8 * n // (d * label_type.itemsize)
+        block_steps = max(1, min(block_steps, bound))
+        ctrl_gens = [trajectory_control_rng(master_seed, first + i) for i in range(A)]
 
     def record_finals(w, cols, slots):
         """Store the final index, state, true slot and retrodicted index
@@ -559,31 +562,18 @@ def _run_shard(
                 gens[j0 + j].standard_normal(out=chunk[j])
             noise[:, :, j0 : j0 + m] = chunk[:m].transpose(1, 2, 0)
         noise *= roots[step : step + k_steps, None, None]
-        # labels[k] holds the true outcomes' slots at step k of the block.
-        # An open-loop control moves them whatever the record says, so the
-        # block's record drift goes in at once; under H-ordering, step by
-        # step
-        labels = None
+        # images[k, j] is column j's permutation image at step k of the
+        # block: under random permutations the argsort of d uniforms from
+        # the column's own control stream, for a fixed cycle the step's
+        # image in a single column that every column shares
         if kind == "random_permutation":
-            # images[k, j] is column j's permutation image at step k: the
-            # argsort of d uniforms from the column's own control stream
             images = np.empty((k_steps, A, d), dtype=label_type)
             for j, gen in enumerate(ctrl_gens):
                 images[:, j] = np.argsort(gen.random((k_steps, d)), axis=1)
-            offsets = np.arange(A) * d
-            labels = np.empty((k_steps, A), dtype=label_type)
-            for k in range(k_steps):
-                label = labels[k] = np.take(images[k], offsets + label)
+            offsets = np.arange(A) * d  # of column j's image in images[k]
         elif kind == "fixed_cycle":
-            labels = np.empty((k_steps, A), dtype=label_type)
-            for k in range(k_steps):
-                image = cycle_images[(step + k) % len(cycle_images)]
-                label = labels[k] = np.take(image, label)
-        if kind == "none" and not factored:
-            noise += np.take(drift, label, axis=1)
-        elif labels is not None:
-            for r in range(n):  # no temporary as large as the block
-                noise[:, r] += np.take(drift[r], labels)
+            images = cycle_images[(step + np.arange(k_steps)) % len(cycle_images)]
+            offsets = 0
 
         # ln_blk[k, j] will be column j's ln(Delta) after step `step + k + 1`
         # and frozen_at[j] the row of its freeze, or k_steps
@@ -639,18 +629,14 @@ def _run_shard(
                         )
                     lam = ordered[h_rows]
                     label = h_targets[rank]
-                    noise[k] += np.take(drift, label, axis=1)
-                elif kind == "random_permutation":
+                elif kind != "none":
                     lam = _scatter_rows(lam, images[k].T)
                     if origin is not None:
                         origin = _scatter_rows(origin, images[k].T)
-                    label = labels[k]
-                elif kind == "fixed_cycle":
-                    src = cycle_inverse[(step + k) % len(cycle_inverse)]
-                    lam = lam[src]
-                    if origin is not None:
-                        origin = origin[src]
-                    label = labels[k]
+                    label = np.take(images[k], offsets + label)
+                # the record's drift, from the true outcome's slot after the
+                # control
+                noise[k] += ch[step + k] * np.take(z, label, axis=1)
 
                 lam = update_columns(lam, noise[k], params.gamma)
                 delta = infidelity_columns(lam)
@@ -717,7 +703,7 @@ def _run_shard(
         keep = np.flatnonzero(frozen_at == k_steps)
         ptr, ln_prev = ptr[keep], ln_blk[-1, keep]
         # freed before the next blocks are allocated (part is a view of noise)
-        noise = part = images = labels = ln_blk = None
+        noise = part = images = ln_blk = None
         if keep.size < A:
             lam, idx, label = lam[:, keep], idx[keep], label[keep]
             if origin is not None:
@@ -1000,8 +986,8 @@ def mc_permuted_step_rate(
         m = min(rows, samples - c * rows)
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(c, 2)))
         # probs under a fresh permutation per column; the index array dies here
-        lamp = np.empty((d, m))
-        lamp[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = probs[:, None]
+        lamp = _scatter_rows(np.broadcast_to(probs[:, None], (d, m)),
+                             np.argsort(rng.random((m, d)), axis=1).T)
         dW = rng.standard_normal((m, n)) * sqrt_dt
         # the one-step record around the posterior mean <Z^r>, dropped
         # before the infidelity is taken

@@ -82,8 +82,9 @@ class SimulationParams:
             raise ValueError("dt must be positive and finite")
         if self.dt * self.gamma > DT_GAMMA_WARN:
             warnings.warn(
-                f"dt*gamma = {self.dt * self.gamma:.3g} is large; the "
-                "discretized record statistics degrade above 0.01",
+                f"dt*gamma = {self.dt * self.gamma:.3g} is above {DT_GAMMA_WARN:g}: "
+                "the control acts, and passages and the stop are checked, "
+                "only once per step",
                 stacklevel=3,  # past the generated __init__, to the caller
             )
         if not (self.max_time > 0.0 and math.isfinite(self.max_time)):

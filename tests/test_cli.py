@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ from regreadout.cli import main, parse_args, read_config_file
 
 def run_main(argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Every test runs in its own directory, so a default --out lands
+    there and not in the checkout."""
+    monkeypatch.chdir(tmp_path)
 
 
 def test_read_config_file(tmp_path):
@@ -293,6 +302,21 @@ def test_an_unusable_out_fails_before_any_ensemble(tmp_path, monkeypatch, capsys
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_rejected_command_leaves_no_directory_behind(tmp_path, capsys, command):
+    """--out is made before the subcommand checks its arguments, so a
+    command that exits 1 removes the directories it made for it, parents
+    included, and keeps one that was there before."""
+    argv = [command, "--count", 5, "--max-time", 0.1, "--epsilons", "1e-2,nan"]
+    assert run_main(argv + ["--out", tmp_path / "x" / "y"]) == 1
+    assert run_main(argv) == 1  # the default --out, in the working directory
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    assert run_main(argv + ["--out", tmp_path / "kept"]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert "epsilon targets must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_integration_failure_exits_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -530,6 +554,8 @@ def test_the_large_n_opt_in_is_not_a_config_key(tmp_path, capsys):
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "regreadout.cli", "bounds", "--n-values", "2"],
+        # the package's own directory, as the working directory has moved
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True,
         text=True,
         timeout=60,

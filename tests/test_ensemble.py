@@ -107,6 +107,17 @@ BATCH_POLICIES = {
 DENSE = np.logspace(-1.0, -4.0, 301)
 
 
+def period3_cycle(n):
+    """A fixed cycle of three distinct permutations on 2**n slots; 3 does
+    not divide NOISE_BLOCK_STEPS, so its phase moves from block to block."""
+    d = 2**n
+    swap = np.arange(d)
+    swap[[0, d - 1]] = [d - 1, 0]
+    return fixed_cycle_policy(
+        [leading_rotation(d), Permutation(swap), Permutation(np.roll(np.arange(d), 1))]
+    )
+
+
 def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
     """Run `count` trajectories in the batch and compare each with the
     reference trajectory of the same (seed, index), the mean ln(Delta)
@@ -168,7 +179,8 @@ def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
     + [
         pytest.param(BATCH_POLICIES[name], 3, DENSE, True, id=f"{name}-n3-dense")
         for name in ("none", "h_ordering", "random_permutation")
-    ],
+    ]
+    + [pytest.param(period3_cycle(n), n, EPS3, True, id=f"cycle3-n{n}") for n in (2, 3)],
 )
 def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
     """The vectorized runner reproduces the reference single-trajectory
@@ -180,6 +192,8 @@ def test_batch_matches_single_trajectories(policy, n, epsilons, retro):
     one on a block's last step under h_ordering at n = 3)."""
     params = SimulationParams(n=n, max_time=0.6, stop_epsilon=1e-4)
     stats = check_against_oracle(params, policy, epsilons, 6, retro)
+    # trajectories run on into a later noise block (a cycle's phase too)
+    assert stats.active_fraction[stats.sample_times > NOISE_BLOCK_STEPS * params.dt].any()
     if len(epsilons) > len(EPS3):
         steps = np.floor(stats.first_passage_times / params.dt)
         same_step = (steps[:, 1:] == steps[:, :-1]) & (steps[:, 1:] > 0)
@@ -342,6 +356,8 @@ def force_shards(monkeypatch, cpus):
 def shard_policy(name, n):
     if name == "fixed_cycle":
         return fixed_cycle_policy([leading_rotation(2**n)])
+    if name == "cycle3":
+        return period3_cycle(n)
     return BATCH_POLICIES[name]
 
 
@@ -349,6 +365,7 @@ def shard_policy(name, n):
     "name, n, cpus",
     [pytest.param(name, n, 2, id=f"{name}-n{n}")
      for name in BATCH_POLICIES for n in (2, 3, 5)]
+    + [pytest.param("cycle3", n, 2, id=f"cycle3-n{n}") for n in (2, 3)]
     + [pytest.param("random_permutation", 3, 3, id="random_permutation-n3-3way")],
 )
 def test_shards_merge_to_the_one_process_run(monkeypatch, name, n, cpus):

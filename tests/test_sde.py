@@ -62,7 +62,12 @@ def test_params_validation():
 
 
 def test_dt_warning_names_the_caller():
-    with pytest.warns(UserWarning) as record:
+    """The update is exact at any dt; what dt still sets is named."""
+    message = (
+        r"dt\*gamma = 0.05 is above 0.01: the control acts, and passages "
+        r"and the stop are checked, only once per step"
+    )
+    with pytest.warns(UserWarning, match=message) as record:
         SimulationParams(n=1, dt=0.05)
     assert record[0].filename == __file__
 
