@@ -484,13 +484,6 @@ def test_h_ordering_retrodiction_leaves_trajectories_unchanged(n):
             )
 
 
-# Fields that carry per-trajectory values or the spread of ln(Delta).  They
-# had 1e-9 while the record's drift was the posterior mean and fed each
-# path's rounding back into the state; with the true outcome's drift
-# the two paths differ by at most 3.2e-13 relative (n = 1..5, seed 5).
-PER_TRAJECTORY_FIELDS = ("stderr_ln_delta", "final_states", "first_passage_times")
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_no_control_matches_identity_cycle(n):
     """The factorised no-control runner (per-qubit log-odds) agrees with
@@ -508,9 +501,8 @@ def test_no_control_matches_identity_cycle(n):
             if field.name == "policy_kind":
                 continue
             if isinstance(x, np.ndarray) and x.dtype.kind == "f":
-                rtol = 1e-9 if field.name in PER_TRAJECTORY_FIELDS else 1e-12
                 # NaN patterns must match too
-                np.testing.assert_allclose(x, y, rtol=rtol, atol=0, err_msg=field.name)
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=field.name)
             else:
                 assert np.array_equal(x, y), field.name
 
