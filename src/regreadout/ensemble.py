@@ -2,8 +2,8 @@
 
 run_ensemble integrates many trajectories at once, one per column of a
 (2^n, trajectories) array over a compressed active set: every trajectory
-owns its per-index noise stream, sde.trajectory_noise_rng(seed, index),
-whose first uniform draws the trajectory's true outcome i* and whose
+owns its per-index noise stream, sde.trajectory_noise_rng(seed, index).
+Its first uniform draws the trajectory's true outcome i*, and its
 normals are pre-drawn in blocks of steps into a step-major (steps, n,
 trajectories) block.  The record is dR = c*z_{label(i*)}*dt + dW, with
 label(i*) the slot the control has moved i* to, and each step goes
@@ -20,7 +20,10 @@ per-qubit log-odds instead, O(n) per trajectory-step, and takes its
 ln(Delta) and freezes from the block's log-odds history; asked for no
 targets, it steps from one record grid point to the next.
 Under random permutations every trajectory also owns its control
-stream, sde.trajectory_control_rng(seed, index), so each trajectory
+stream, sde.trajectory_control_rng(seed, index).  A shard builds each
+kind of stream for its whole index range in one bulk call, and every
+stream is still bitwise default_rng(SeedSequence(seed, spawn_key=(index,
+tag)))'s, with tag 0 for noise and 1 for control.  So each trajectory
 depends only on (seed, index) under every policy: its indices and NaN
 patterns exactly, its floats bitwise on the no-control path and to
 1e-12 relative under the other policies, whose column sums in
@@ -56,6 +59,7 @@ from .sde import (
     LOG_FLOOR,
     IntegrationError,
     SimulationParams,
+    _keyed_streams,
     epsilon_targets,
     infidelity_columns,
     infidelity_log_odds,
@@ -200,7 +204,10 @@ def run_ensemble(
     Trajectory i consumes the noise stream of trajectory_noise_rng(
     master_seed, i) and, under random permutations, the control stream of
     trajectory_control_rng(master_seed, i): each step's permutation image
-    is the argsort of d = 2^n uniforms drawn from it.  The noise stream's
+    is the argsort of d = 2^n uniforms drawn from it.  Each shard builds
+    the streams of its index range in one bulk call per kind, bitwise
+    default_rng(SeedSequence(master_seed, spawn_key=(i, tag)))'s streams
+    with tag 0 for noise and 1 for control.  The noise stream's
     first uniform draws the true outcome i* (sde.true_outcomes), its
     normals the Wiener increments of the record dR = c*z_{label(i*)}*dt +
     dW.  An open-loop control moves label(i*) by its image; H-ordering
@@ -505,7 +512,7 @@ def _run_shard(
     finals = np.tile(initial, (count, 1))
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
     # each trajectory's true outcome, from the first uniform of its stream
-    gens = [trajectory_noise_rng(master_seed, first + i) for i in range(count)]
+    gens = trajectory_noise_rng(master_seed, range(first, first + count))
     true_idx = true_outcomes(initial, np.array([gen.random() for gen in gens]))
 
     A = count if ln0 > stop_ln else 0  # a start at the stop is frozen
@@ -523,7 +530,7 @@ def _run_shard(
     if kind == "random_permutation":
         bound = block_steps * 8 * n // (d * label_type.itemsize)
         block_steps = max(1, min(block_steps, bound))
-        ctrl_gens = [trajectory_control_rng(master_seed, first + i) for i in range(A)]
+        ctrl_gens = trajectory_control_rng(master_seed, range(first, first + A))
 
     def record_finals(w, cols, slots):
         """Store the final index, state, true slot and retrodicted index
@@ -959,9 +966,11 @@ def mc_permuted_step_rate(
 
     The samples go in chunks of MC_CHUNK_ROWS (MC_CHUNK_ROWS * 8 // d
     once d > 8, so that memory stays bounded at every n), chunk c drawing
-    from its own stream SeedSequence(master_seed, spawn_key=(c, 2)), a key
-    no trajectory stream uses.  The chunks run on a pool of one thread per
-    usable CPU (their numpy calls release the GIL), and their moments
+    from its own stream default_rng(SeedSequence(master_seed,
+    spawn_key=(c, 2))), a tag no trajectory stream uses; all chunks'
+    streams are built in one bulk call, like a shard's trajectory
+    streams.  The chunks run on a pool of one thread per usable CPU
+    (their numpy calls release the GIL), and their moments
     merge in chunk order, so the estimate depends only on (master_seed,
     samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
     if samples < 2:
@@ -981,10 +990,9 @@ def mc_permuted_step_rate(
     z = z_table(n)
     rows = max(1, min(MC_CHUNK_ROWS, MC_CHUNK_ROWS * 8 // d))
 
-    def chunk(c: int):
-        """(count, mean, M2) of chunk c's ln(Delta) changes."""
+    def chunk(c: int, rng: np.random.Generator):
+        """(count, mean, M2) of chunk c's ln(Delta) changes, drawn from rng."""
         m = min(rows, samples - c * rows)
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(c, 2)))
         # probs under a fresh permutation per column; the index array dies here
         lamp = _scatter_rows(np.broadcast_to(probs[:, None], (d, m)),
                              np.argsort(rng.random((m, d)), axis=1).T)
@@ -1001,8 +1009,9 @@ def mc_permuted_step_rate(
         return m, mean, float(dev @ dev)
 
     chunks = -(-samples // rows)
+    streams = _keyed_streams(master_seed, range(chunks), 2)
     with ThreadPoolExecutor(min(_usable_cpus(), chunks)) as pool:
-        _, mean_dl, m2 = reduce(_merge_moments, pool.map(chunk, range(chunks)))
+        _, mean_dl, m2 = reduce(_merge_moments, pool.map(chunk, range(chunks), streams))
     var_dl = m2 / (samples - 1)
     return RateEstimate(
         value=mean_dl / dt,

@@ -31,7 +31,10 @@ infidelity_log_odds reads Delta from them.
 SimulationParams holds the physical and numerical parameters of a run,
 epsilon_targets checks a grid of infidelity targets, and
 trajectory_noise_rng and trajectory_control_rng are the per-index noise
-and control streams under a master seed.
+and control streams under a master seed.  A range of indices gets its
+streams in one bulk pass that runs numpy's SeedSequence arithmetic on a
+column of indices; each is still bitwise
+default_rng(SeedSequence(seed, spawn_key=(index, tag)))'s stream.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .registers import _register_dim, z_table
 
@@ -163,24 +168,96 @@ def infidelity_log_odds(L: np.ndarray) -> np.ndarray:
     return q / (1.0 + q)
 
 
-def trajectory_noise_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Measurement-noise stream of trajectory `index` under a master seed:
-    default_rng(SeedSequence(master_seed, spawn_key=(index, 0)))'s stream,
-    built without default_rng's dispatch on its argument's type.  Its
-    first uniform draws the trajectory's true outcome (true_outcomes),
-    and its standard normals then give the Wiener increments."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index, 0)))
-    )
+# numpy's SeedSequence constants: the hash constants of its entropy
+# mixing (A) and of generate_state (B)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 
 
-def trajectory_control_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Control stream (random-permutation draws) of trajectory `index`:
-    each step's permutation image is the argsort of 2^n uniforms from it.
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of value (an int, or a uint32 array) under
+    the hash constant const: the hash, and the constant it leaves."""
+    new = const * mult & _M32
+    value = (value ^ const) * new & _M32
+    return value ^ value >> 16, new
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words (ints, or uint32 arrays)."""
+    x = ((0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32)) & _M32
+    return x ^ x >> 16
+
+
+class _SeedWords(ISeedSequence):
+    """One stream's PCG64 seed, computed beforehand: what its
+    SeedSequence's generate_state(4, np.uint64) returns."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("only holds a PCG64 seed, 4 uint64 words")
+        return self.words
+
+
+def _keyed_streams(master_seed: int, index: int | range, tag: int):
+    """The stream of default_rng(SeedSequence(master_seed, spawn_key=(i,
+    tag))) for index i, or a list of them for a range of indices, built in
+    bulk and bitwise equal.  numpy's SeedSequence is fixed uint32
+    arithmetic: it hashes the seed's first 4 words, zero-padded, into its
+    4-word pool and mixes them, which is done once here; then it mixes in
+    any further seed words and the key words, and generate_state hashes
+    the pool, which is done on one uint32 column over the indices.  A negative seed or index raises ValueError,
+    as SeedSequence does, and so does an index above 2**32 - 1 (more than
+    one word), which the column does not hold."""
+    keys = index if isinstance(index, range) else range(index, index + 1)
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, not {master_seed!r}")
+    if keys and not (0 <= keys[0] <= _M32 and 0 <= keys[-1] <= _M32):
+        raise ValueError(f"trajectory indices must lie in [0, 2**32), not {index!r}")
+    seed = int(master_seed)
+    words = [seed >> s & _M32 for s in range(0, max(128, seed.bit_length()), 32)]
+    const, pool = _INIT_A, [0] * 4
+    for dst in range(4):
+        pool[dst], const = _hashmix(words[dst], const, _MULT_A)
+    for src, dst in permutations(range(4), 2):  # SeedSequence's order
+        h, const = _hashmix(pool[src], const, _MULT_A)
+        pool[dst] = _mix(pool[dst], h)
+    # keys[0] + j*step, exact modulo 2**32 since every key fits one word
+    column = np.arange(len(keys), dtype=np.uint32) * (keys.step % 2**32) + keys.start % 2**32
+    for word in words[4:] + [column, tag]:
+        for dst in range(4):
+            h, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    const, state = _INIT_B, [0] * 8
+    for i in range(8):
+        state[i], const = _hashmix(pool[i % 4], const, _MULT_B)
+    # little-endian word pairs; PCG64 reads a row's memory, so rows are contiguous
+    state = np.array(state, dtype=np.uint64)
+    rows = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    gens = [np.random.Generator(np.random.PCG64(_SeedWords(r))) for r in rows]
+    return gens if isinstance(index, range) else gens[0]
+
+
+def trajectory_noise_rng(master_seed: int, index: int | range = 0):
+    """Measurement-noise stream of trajectory `index` under a master seed,
+    or the list of them for a range of indices: built in bulk
+    (_keyed_streams), and bitwise default_rng(SeedSequence(master_seed,
+    spawn_key=(index, 0)))'s stream.  Its first uniform draws the
+    trajectory's true outcome (true_outcomes), and its standard normals
+    then give the Wiener increments."""
+    return _keyed_streams(master_seed, index, 0)
+
+
+def trajectory_control_rng(master_seed: int, index: int | range = 0):
+    """Control stream (random-permutation draws) of trajectory `index`, or
+    the list of them for a range of indices: built in bulk, and bitwise
+    default_rng(SeedSequence(master_seed, spawn_key=(index, 1)))'s stream.
+    Each step's permutation image is the argsort of 2^n uniforms from it.
 
     Kept separate from the noise stream so open-loop permutation
     sequences are identical whatever the measurement record does.
     """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index, 1)))
-    )
+    return _keyed_streams(master_seed, index, 1)

@@ -297,7 +297,7 @@ def _twin_integrator_gap_mse(dt, rows=1000, total_time=0.1, seed=13):
     steps = int(round(total_time / dt))
     params = SimulationParams(n=n, dt=dt, max_time=total_time, stop_epsilon=1e-30)
     dW = np.stack(
-        [trajectory_noise_rng(seed, i).standard_normal((steps, n)) for i in range(rows)]
+        [rng.standard_normal((steps, n)) for rng in trajectory_noise_rng(seed, range(rows))]
     ) * math.sqrt(dt)
     lam_x = np.full((rows, d), 1.0 / d)
     lam_e = np.full((rows, d), 1.0 / d)

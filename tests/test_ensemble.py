@@ -292,7 +292,7 @@ def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name, n):
     rows = []
     control_rng = ensemble.trajectory_control_rng
     monkeypatch.setattr(ensemble, "trajectory_control_rng",
-                        lambda *a: _RowCounter(control_rng(*a), rows))
+                        lambda *a: [_RowCounter(g, rows) for g in control_rng(*a)])
     runs = []
     default = ensemble.RESOLVE_SIZE
     for steps, size in ((NOISE_BLOCK_STEPS, default), (1, default), (7, default),
@@ -359,6 +359,31 @@ def shard_policy(name, n):
     if name == "cycle3":
         return period3_cycle(n)
     return BATCH_POLICIES[name]
+
+
+def test_a_shard_builds_its_streams_in_one_call_each(monkeypatch):
+    """A one-process random-permutation run builds all its noise streams
+    in one call and all its control streams in another, and constructs
+    no SeedSequence: the streams are built in bulk, not per trajectory."""
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    calls = []
+    for name in ("trajectory_noise_rng", "trajectory_control_rng"):
+        def counted(*args, make=getattr(ensemble, name), name=name):
+            calls.append(name)
+            return make(*args)
+        monkeypatch.setattr(ensemble, name, counted)
+    seed_sequence, built = np.random.SeedSequence, []
+
+    def counted_seed_sequence(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+    params = SimulationParams(n=2, max_time=0.05)
+    stats = run_ensemble(params, random_permutation_policy(), EPS3, 1000, 9)
+    assert stats.trajectory_count == 1000
+    assert sorted(calls) == ["trajectory_control_rng", "trajectory_noise_rng"]
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Record generation, the exact and euler steps, and single trajectories."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from regreadout.policies import no_control, random_permutation_policy
 from regreadout.registers import z_table
 from regreadout.sde import (
     DEFAULT_DT_GAMMA,
+    _keyed_streams,
     infidelity_columns,
     record_strength,
     trajectory_control_rng,
@@ -210,15 +212,31 @@ def test_trajectory_rngs_are_independent_streams():
 
 
 def test_trajectory_rngs_are_the_default_rng_streams():
-    """Built without default_rng, the streams are still bitwise its own."""
-    for seed, index in ((0, 0), (123, 1), (2**40 + 7, 999)):
-        for make, key in ((trajectory_noise_rng, 0), (trajectory_control_rng, 1)):
-            ref = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(index, key))
-            )
-            rng = make(seed, index)
-            assert np.array_equal(rng.random(6), ref.random(6))
-            assert np.array_equal(rng.standard_normal(6), ref.standard_normal(6))
+    """Built in bulk, without SeedSequence, the noise (tag 0), control
+    (tag 1) and estimator chunk (tag 2) streams are still bitwise
+    default_rng(SeedSequence(seed, spawn_key=(index, tag)))'s, for seeds of
+    one to seven 32-bit words and indices up to 2**32 - 1, one at a time or
+    a range at once.  Should numpy change its seed mixing, this fails."""
+    makers = (trajectory_noise_rng, trajectory_control_rng, partial(_keyed_streams, tag=2))
+    indices = [*range(300), 2**31, 2**32 - 1, 0, 299, 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**200 + 3):
+        for tag, make in enumerate(makers):
+            rngs = (make(seed, range(300)) + make(seed, range(2**31, 2**32, 2**31 - 1))
+                    + [make(seed, i) for i in (0, 299, 2**32 - 1)])
+            assert len(rngs) == len(indices)
+            for index, rng in zip(indices, rngs):
+                ref = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(index, tag))
+                )
+                assert np.array_equal(rng.random(8), ref.random(8)), (seed, index, tag)
+                assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+    # SeedSequence rejects a negative seed or index; an index of two words
+    # is rejected rather than given another stream
+    for seed, index in ((-1, 0), (0, -1), (0, range(-1, 3)), (0, 2**32),
+                        (0, range(2**32 - 1, 2**32 + 1))):
+        for make in makers:
+            with pytest.raises(ValueError):
+                make(seed, index)
 
 
 def test_trajectory_validation():
