@@ -10,101 +10,14 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .registers import (
-    DiagonalState,
-    Permutation,
-    leading_rotation,
-    z_table,
-)
-from .sde import (
-    IntegrationError,
-    SimulationParams,
-    trajectory_control_rng,
-    trajectory_noise_rng,
-)
-from .policies import (
-    POLICY_KINDS,
-    ControlPolicy,
-    fixed_cycle_policy,
-    h_order_targets,
-    h_ordering_policy,
-    no_control,
-    random_permutation_policy,
-    read_cycle_file,
-)
-from .theory import (
-    IdentityReport,
-    RateEstimate,
-    SpeedupBounds,
-    flat_tail_state,
-    log_infidelity_rate,
-    nofb_mean_first_passage,
-    nofb_mean_log_infidelity,
-    permutation_averaged_rate,
-    permutation_sum_identities,
-    speedup_bounds_for_policy,
-    two_level_state,
-    zsum_bounds,
-)
-from .ensemble import (
-    EnsembleStats,
-    MeanTimeFit,
-    ScalingFit,
-    SpeedupEstimate,
-    SweepPoint,
-    asymptotic_speedup,
-    auto_slope_window,
-    default_epsilon_grid,
-    fit_ln_delta_slope,
-    fit_speedup_scaling,
-    mc_permuted_step_rate,
-    regression_mean_time,
-    run_ensemble,
-    speedup_scaling_sweep,
-)
+from . import ensemble, policies, registers, sde, theory
+from .registers import *
+from .sde import *
+from .policies import *
+from .theory import *
+from .ensemble import *
 
 __all__ = [
-    "__version__",
-    "DiagonalState",
-    "Permutation",
-    "leading_rotation",
-    "z_table",
-    "IntegrationError",
-    "SimulationParams",
-    "trajectory_control_rng",
-    "trajectory_noise_rng",
-    "POLICY_KINDS",
-    "ControlPolicy",
-    "fixed_cycle_policy",
-    "h_order_targets",
-    "h_ordering_policy",
-    "no_control",
-    "random_permutation_policy",
-    "read_cycle_file",
-    "IdentityReport",
-    "RateEstimate",
-    "SpeedupBounds",
-    "flat_tail_state",
-    "log_infidelity_rate",
-    "nofb_mean_first_passage",
-    "nofb_mean_log_infidelity",
-    "permutation_averaged_rate",
-    "permutation_sum_identities",
-    "speedup_bounds_for_policy",
-    "two_level_state",
-    "zsum_bounds",
-    "EnsembleStats",
-    "MeanTimeFit",
-    "ScalingFit",
-    "SpeedupEstimate",
-    "SweepPoint",
-    "asymptotic_speedup",
-    "auto_slope_window",
-    "default_epsilon_grid",
-    "fit_ln_delta_slope",
-    "fit_speedup_scaling",
-    "mc_permuted_step_rate",
-    "regression_mean_time",
-    "run_ensemble",
-    "speedup_scaling_sweep",
+    "__version__", *registers.__all__, *sde.__all__, *policies.__all__,
+    *theory.__all__, *ensemble.__all__,
 ]

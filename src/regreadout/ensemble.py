@@ -76,6 +76,14 @@ from .theory import (
     speedup_bounds_for_policy,
 )
 
+__all__ = [
+    "EnsembleStats", "MeanTimeFit", "ScalingFit", "SpeedupEstimate",
+    "SweepPoint", "asymptotic_speedup", "auto_slope_window",
+    "default_epsilon_grid", "fit_ln_delta_slope", "fit_speedup_scaling",
+    "mc_permuted_step_rate", "regression_mean_time", "run_ensemble",
+    "speedup_scaling_sweep",
+]
+
 # Steps pre-drawn per trajectory between active-set compressions.  Under
 # random permutations a block takes at most NOISE_BLOCK_STEPS * 8 * n //
 # (d * itemsize) steps (at least 1), so that its (steps, active, d) images
@@ -960,9 +968,17 @@ def mc_permuted_step_rate(
     master_seed: int,
 ) -> RateEstimate:
     """Monte Carlo single-step estimate of the permutation-averaged
-    log-infidelity rate: each sample draws a uniform permutation of the
-    state, takes one exact integration step, and measures the change of
-    ln(Delta) over dt.
+    log-infidelity rate: each sample draws a true outcome i* ~ state.probs
+    and a uniform permutation of the state that sends i* to slot 0, takes
+    one step of the runner's kernel on the record dR = c*z_0*dt + dW =
+    c*dt + dW, and measures the change of ln(Delta) over dt.
+
+    The change has the law it has under an unconditioned permutation,
+    with i* in slot s and dR = c*z_s*dt + dW: relabelling every slot j
+    as j XOR s keeps Delta and makes the permutation uniform among those
+    that send i* to slot 0, and since z_{j XOR s} = z_j*z_s entrywise, it
+    turns the drift into c*dt on every qubit and multiplies each dW[r]
+    by z_s^r = +-1, which keeps its law.
 
     The samples go in chunks of MC_CHUNK_ROWS (MC_CHUNK_ROWS * 8 // d
     once d > 8, so that memory stays bounded at every n), chunk c drawing
@@ -986,22 +1002,22 @@ def mc_permuted_step_rate(
     probs = state.probs
     ln0 = math.log(_rate_infidelity(state))
     sqrt_dt = math.sqrt(dt)
-    strength = record_strength(gamma)
-    z = z_table(n)
+    drift = record_strength(gamma) * dt
     rows = max(1, min(MC_CHUNK_ROWS, MC_CHUNK_ROWS * 8 // d))
 
     def chunk(c: int, rng: np.random.Generator):
         """(count, mean, M2) of chunk c's ln(Delta) changes, drawn from rng."""
         m = min(rows, samples - c * rows)
-        # probs under a fresh permutation per column; the index array dies here
-        lamp = _scatter_rows(np.broadcast_to(probs[:, None], (d, m)),
-                             np.argsort(rng.random((m, d)), axis=1).T)
-        dW = rng.standard_normal((m, n)) * sqrt_dt
-        # the one-step record around the posterior mean <Z^r>, dropped
-        # before the infidelity is taken
-        delta = infidelity_columns(
-            update_columns(lamp, strength * dt * (z @ lamp) + dW.T, gamma)
-        )
+        # slot k of sample j holds population src[j, k], i* in slot 0; u
+        # and src are freed once spent, which keeps the peak RSS down
+        u = rng.random((m, d))
+        u[np.arange(m), true_outcomes(probs, rng.random(m))] = -1.0
+        src = np.argsort(u, axis=1)
+        del u
+        lamp = probs[src].T
+        del src
+        record = rng.standard_normal((m, n)) * sqrt_dt + drift
+        delta = infidelity_columns(update_columns(lamp, record.T, gamma))
         dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         # two-pass within the chunk, merged across chunks
         mean = float(dl.mean())

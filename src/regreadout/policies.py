@@ -7,7 +7,10 @@ fast as possible), open-loop uniformly random permutations resampled every
 step, and user-supplied deterministic cycles.  A ControlPolicy names the
 protocol; run_ensemble applies it.  The module also holds the Hamming
 ordering's vertex visit order (h_order_targets) and the cycle file
-reader.
+reader.  At n <= 3 Hamming ordering is the locally optimal feedback: of
+all placements that keep the largest population in slot 0, it maximizes
+sum_r <Z~^r>^2, to which the instantaneous decay rate of <ln Delta> is
+proportional.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from .registers import Permutation, _register_dim
+
+__all__ = [
+    "POLICY_KINDS", "ControlPolicy", "fixed_cycle_policy",
+    "h_order_targets", "h_ordering_policy", "no_control",
+    "random_permutation_policy", "read_cycle_file",
+]
 
 POLICY_KINDS = ("none", "h_ordering", "random_permutation", "fixed_cycle")
 

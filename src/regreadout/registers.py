@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["DiagonalState", "Permutation", "leading_rotation", "z_table"]
+
 # Basis states are plain integers in [0, 2**n).
 BasisIndex = int
 

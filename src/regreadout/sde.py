@@ -20,13 +20,13 @@ at any dt, because |z_i|^2 = n for every i.  It is unconditionally
 positive and remains valid for arbitrarily collapsed states.
 update_columns takes that step and infidelity_columns the infidelity
 Delta = 1 - max_i lam_i for many trajectories at once, held one per
-column of a (2^n, trajectories) array.  The ensemble runner forms its
-record from the true outcome; the Monte Carlo rate estimator forms its
-one-step record around the posterior mean <Z^r> instead.  Without
-control the per-qubit log-odds L[r] = 2*sqrt(2*gamma)*R[r] of a uniform
-start are a drifted Brownian motion, 8*gamma*z_{i*}^r*t +
-2*sqrt(2*gamma)*W[r](t), which the runner sums directly;
-infidelity_log_odds reads Delta from them.
+column of a (2^n, trajectories) array.  The ensemble runner steps
+through them on this record, and the Monte Carlo rate estimator takes
+one step of them on it from a permuted start.  Without control the
+per-qubit log-odds L[r] = 2*sqrt(2*gamma)*R[r] of a uniform start are a
+drifted Brownian motion, 8*gamma*z_{i*}^r*t + 2*sqrt(2*gamma)*W[r](t),
+which the runner sums directly; infidelity_log_odds reads Delta from
+them.
 
 SimulationParams holds the physical and numerical parameters of a run,
 epsilon_targets checks a grid of infidelity targets, and
@@ -49,6 +49,11 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .registers import _register_dim, z_table
 
+__all__ = [
+    "IntegrationError", "SimulationParams", "trajectory_control_rng",
+    "trajectory_noise_rng",
+]
+
 DEFAULT_DT_GAMMA = 6.25e-4     # default step size in units of 1/gamma
 DEFAULT_STOP_EPSILON = 1e-6
 DT_GAMMA_WARN = 0.01
@@ -58,8 +63,8 @@ LOG_FLOOR = 5e-324
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a step produces an invalid state (dt too large, or a
-    non-finite value appeared in the update)."""
+    """Raised when a run meets a non-finite infidelity or an overflowed
+    no-control log-odds; the exact step itself is valid at any dt."""
 
 
 def record_strength(gamma: float) -> float:
@@ -209,9 +214,10 @@ def _keyed_streams(master_seed: int, index: int | range, tag: int):
     arithmetic: it hashes the seed's first 4 words, zero-padded, into its
     4-word pool and mixes them, which is done once here; then it mixes in
     any further seed words and the key words, and generate_state hashes
-    the pool, which is done on one uint32 column over the indices.  A negative seed or index raises ValueError,
-    as SeedSequence does, and so does an index above 2**32 - 1 (more than
-    one word), which the column does not hold."""
+    the pool, which is done on one uint32 column over the indices.  A
+    negative seed or index raises ValueError, as SeedSequence does, and so
+    does an index above 2**32 - 1 (more than one word), which the column
+    does not hold."""
     keys = index if isinstance(index, range) else range(index, index + 1)
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ValueError(f"the seed must be a non-negative integer, not {master_seed!r}")

@@ -29,6 +29,14 @@ from numpy.polynomial import legendre
 from .policies import POLICY_KINDS
 from .registers import DiagonalState, _register_dim, z_table
 
+__all__ = [
+    "IdentityReport", "RateEstimate", "SpeedupBounds", "flat_tail_state",
+    "log_infidelity_rate", "nofb_mean_first_passage",
+    "nofb_mean_log_infidelity", "permutation_averaged_rate",
+    "permutation_sum_identities", "speedup_bounds_for_policy",
+    "two_level_state", "zsum_bounds",
+]
+
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
 NOFB_RATE = 16.0
 

@@ -1,5 +1,6 @@
 """Batched ensembles, fits, speed-up estimates, and their statistics."""
 
+import itertools
 import math
 import multiprocessing
 import threading
@@ -38,13 +39,13 @@ from regreadout import (
 )
 import regreadout.ensemble as ensemble
 from regreadout.ensemble import NOISE_BLOCK_STEPS
-from regreadout.registers import z_table
 from regreadout.sde import (
     LOG_FLOOR,
     IntegrationError,
     infidelity_columns,
     record_strength,
     trajectory_noise_rng,
+    true_outcomes,
     update_columns,
 )
 from oracle import retrodict, simulate_trajectory
@@ -700,6 +701,50 @@ def test_retrodiction_collection():
         assert np.all(stats.retrodicted_indices == k)
 
 
+@pytest.mark.parametrize(
+    "probs, chi2_max",
+    [
+        # 0.999 quantiles of chi-squared at 3 and 7 degrees of freedom
+        ((0.4, 0.3, 0.2, 0.1), 16.27),
+        ((0.25, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06, 0.04), 24.32),
+    ],
+)
+def test_readout_measures_the_start_in_the_computational_basis(probs, chi2_max):
+    """From a mixed start, the retrodicted outcome is a computational-basis
+    measurement of lambda(0) under every policy: its histogram passes a
+    chi-squared test against lambda(0).  Runs of one seed share each
+    trajectory's true outcome, so wherever a policy's run and the
+    no-control run both read the register correctly, their retrodicted
+    indices agree exactly."""
+    probs = np.array(probs)
+    n = int(math.log2(probs.size))
+    params = SimulationParams(n=n, max_time=2.0, stop_epsilon=1e-3)
+    count = 4000
+    policies = [
+        no_control(), h_ordering_policy(), random_permutation_policy(),
+        fixed_cycle_policy([leading_rotation(probs.size)]),
+    ]
+    runs = [
+        run_ensemble(
+            params, policy, [], count, 9100, record_every=64,
+            initial_state=DiagonalState(n, probs), collect_retrodiction=True,
+        )
+        for policy in policies
+    ]
+    base = runs[0]
+    base_ok = base.final_indices == base.true_indices
+    for stats in runs:
+        observed = np.bincount(stats.retrodicted_indices, minlength=probs.size)
+        expected = count * probs
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < chi2_max, (stats.policy_kind, chi2)
+        both_ok = base_ok & (stats.final_indices == stats.true_indices)
+        assert both_ok.mean() > 0.99
+        assert np.array_equal(
+            stats.retrodicted_indices[both_ok], base.retrodicted_indices[both_ok]
+        )
+
+
 @pytest.fixture
 def wide_fit_range(monkeypatch):
     """Fit mean times over [1e-4, 1e-2], where the small test grid
@@ -1015,13 +1060,14 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
     changes = []
     for c, m in enumerate((1000, 1000, 500)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, 2)))
-        lam = np.empty((d, m))
-        lam[np.argsort(rng.random((m, d)), axis=1).T, np.arange(m)] = (
-            state.probs[:, None]
-        )
+        u = rng.random((m, d))
+        # the true outcome i* takes slot 0, the others the argsort order
+        # of their uniforms
+        u[np.arange(m), true_outcomes(state.probs, rng.random(m))] = -1.0
+        lam = state.probs[np.argsort(u, axis=1)].T
+        # the true-outcome record, with z_0 = (1, ..., 1)
         dW = rng.standard_normal((m, state.n)) * math.sqrt(dt)
-        # the one-step record around the posterior mean <Z^r>
-        dR = record_strength(gamma) * dt * (z_table(state.n) @ lam) + dW.T
+        dR = record_strength(gamma) * dt + dW.T
         delta = infidelity_columns(update_columns(lam, dR, gamma))
         changes.append(np.log(delta) - math.log(state.infidelity()))
     dl = np.concatenate(changes)
@@ -1029,6 +1075,42 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
     assert est.stderr == pytest.approx(
         dl.std(ddof=1) / math.sqrt(samples) / dt, rel=1e-12
     )
+
+
+def test_mc_permuted_step_rate_samples_the_true_outcome_into_slot_0(monkeypatch):
+    """Each sample's start holds its true outcome i* ~ lambda in slot 0 and
+    the other populations in uniformly random order, so with distinct
+    populations each of the 24 arrangements at n = 2 has probability
+    lambda_{i*}/6; and its record is c*dt plus zero-mean noise on every
+    qubit."""
+    starts, records = [], []
+
+    def capturing_update(lam, dR, gamma):
+        starts.append(lam.copy())
+        records.append(dR.copy())
+        return update_columns(lam, dR, gamma)
+
+    monkeypatch.setattr(ensemble, "update_columns", capturing_update)
+    probs = np.array([0.4, 0.3, 0.2, 0.1])
+    gamma, dt, samples = 1.0, 2e-4, 60_000
+    mc_permuted_step_rate(DiagonalState(2, probs), gamma, dt, samples, 2026)
+    lam, dR = np.hstack(starts), np.hstack(records)
+    assert lam.shape == (4, samples)
+
+    # population index held by each slot of each start
+    held = np.argmax(lam[:, :, None] == probs, axis=2)
+    observed, expected = [], []
+    for cell in itertools.permutations(range(4)):
+        observed.append(np.all(held == np.array(cell)[:, None], axis=0).sum())
+        expected.append(samples * probs[cell[0]] / 6)
+    observed, expected = np.array(observed), np.array(expected)
+    assert observed.sum() == samples  # every start is an arrangement
+    # the 0.999 quantile of chi-squared at 23 degrees of freedom
+    assert ((observed - expected) ** 2 / expected).sum() < 49.73
+
+    noise = dR - record_strength(gamma) * dt
+    stderr = noise.std(axis=1, ddof=1) / math.sqrt(samples)
+    assert np.all(np.abs(noise.mean(axis=1)) < 4.0 * stderr)
 
 
 def test_mc_permuted_step_rate_does_not_depend_on_the_cpu_count(monkeypatch):

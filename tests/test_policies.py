@@ -15,7 +15,9 @@ from regreadout import (
     no_control,
     random_permutation_policy,
     read_cycle_file,
+    z_table,
 )
+from regreadout.theory import _all_permutation_images
 from oracle import (
     apply_permutation,
     compose,
@@ -85,6 +87,25 @@ def test_h_order_of_ordered_state_is_identity():
 def test_h_order_tie_break_is_stable():
     state = DiagonalState(1, np.array([0.5, 0.5]))
     assert np.array_equal(h_order(state).image, [0, 1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h_ordering_is_the_locally_optimal_placement(n):
+    """At n <= 3, H-ordering maximizes the instantaneous decay rate of
+    <ln Delta>, which is proportional to sum_r <Z~^r>^2 (as in
+    theory.log_infidelity_rate), over every placement that keeps the
+    largest population in slot 0: 3! placements at n = 2, 7! at n = 3."""
+    d = 2**n
+    ztilde = z_table(n) - 1.0  # zero at slot 0, which holds the maximum
+    placements = _all_permutation_images(d - 1)
+    rng = np.random.default_rng(16)
+    for probs in rng.dirichlet(np.ones(d), size=300):
+        ranked = np.sort(probs)[::-1]
+        ordered = np.empty(d)
+        ordered[h_order_targets(n)] = ranked
+        h_rate = np.sum((ztilde @ ordered) ** 2)
+        rates = np.sum((ranked[1:][placements] @ ztilde[:, 1:].T) ** 2, axis=1)
+        assert h_rate >= rates.max() * (1.0 - 1e-12)
 
 
 def test_policy_step_none_and_cycle():
