@@ -132,8 +132,10 @@ class EnsembleStats:
     entries are per target epsilon; censored trajectories contribute
     max_time to the mean and to the censored fraction.  final_states is
     the (count, 2^n) array of each trajectory's populations where it
-    froze or at max_time, final_indices their argmax, and true_indices
-    the slot that holds the trajectory's sampled true outcome there.
+    froze or at max_time, final_indices their argmax on every path (the
+    first index on a tie), retrodicted_indices the origin label at that
+    argmax, and true_indices the slot that holds the trajectory's sampled
+    true outcome there.
     """
 
     sample_times: np.ndarray
@@ -176,12 +178,10 @@ class _Shard:
     the ddof=1 variance of ln(Delta) over them and their active count at
     each grid point, and their per-trajectory arrays in index order."""
 
-    count: int
     mean_ln: np.ndarray
     var_ln: np.ndarray
     active_at: np.ndarray
     first_passage: np.ndarray
-    final_idx: np.ndarray
     finals: np.ndarray
     true_idx: np.ndarray
     retro: np.ndarray | None
@@ -288,8 +288,9 @@ def run_ensemble(
     directly.
     H-ordering sorts population values, since tied populations are
     interchangeable.  For retrodiction an origin label moves with each
-    population (under H-ordering by the stable index sort), and the
-    retrodicted index is the label that ends at the final index.
+    population (under H-ordering by the stable index sort).  On both
+    state paths the final index is the argmax of the final populations,
+    and the retrodicted index the origin label at that argmax.
     """
     if count < 2:
         raise ValueError("an ensemble needs at least 2 trajectories")
@@ -331,7 +332,7 @@ def run_ensemble(
         trajectory_count=count,
         params=params,
         policy_kind=policy.kind,
-        final_indices=res.final_idx,
+        final_indices=np.argmax(res.finals, axis=1),
         final_states=res.finals,
         true_indices=res.true_idx,
         retrodicted_indices=res.retro,
@@ -435,19 +436,18 @@ def _merge_shards(parts: list[_Shard]) -> _Shard:
     moments merged at every grid point, the active counts summed and the
     per-trajectory arrays concatenated."""
     count, mean, m2 = reduce(
-        _merge_moments, [(p.count, p.mean_ln, p.var_ln * (p.count - 1)) for p in parts]
+        _merge_moments,
+        [(len(p.finals), p.mean_ln, p.var_ln * (len(p.finals) - 1)) for p in parts],
     )
 
     def cat(field):
         return np.concatenate([getattr(p, field) for p in parts])
 
     return _Shard(
-        count=count,
         mean_ln=mean,
         var_ln=m2 / (count - 1),
         active_at=sum(p.active_at for p in parts),
         first_passage=cat("first_passage"),
-        final_idx=cat("final_idx"),
         finals=cat("finals"),
         true_idx=cat("true_idx"),
         retro=None if parts[0].retro is None else cat("retro"),
@@ -516,7 +516,6 @@ def _run_shard(
     ptr0 = int(np.sum(ln_tgt >= ln0))
     fp[:, :ptr0] = 0.0
     cur_ln = np.full(count, ln0)
-    final_idx = np.full(count, amax0, dtype=np.intp)
     finals = np.tile(initial, (count, 1))
     retro = np.full(count, amax0, dtype=np.intp) if collect_retrodiction else None
     # each trajectory's true outcome, from the first uniform of its stream
@@ -532,7 +531,6 @@ def _run_shard(
     idx = np.arange(A)
     label = true_idx[:A].copy()  # the slot that holds each column's true outcome
     ptr = np.full(A, ptr0, dtype=np.intp)
-    ln_prev = np.full(A, ln0)
     gens = gens[:A]
     block_steps, ctrl_gens = NOISE_BLOCK_STEPS, None
     if kind == "random_permutation":
@@ -541,13 +539,10 @@ def _run_shard(
         ctrl_gens = trajectory_control_rng(master_seed, range(first, first + A))
 
     def record_finals(w, cols, slots):
-        """Store the final index, state, true slot and retrodicted index
-        of columns w, whose states are the columns of cols and whose true
+        """Store the final state, true slot and retrodicted index of
+        columns w, whose states are the columns of cols and whose true
         outcomes sit in slots."""
         if factored:
-            # qubit r's bit is L[r] < 0, first qubit most significant; a
-            # tie (L[r] = 0) takes bit 0, the first index, like np.argmax
-            final_idx[idx[w]] = (1 << np.arange(n - 1, -1, -1)) @ (cols < 0.0)
             # both sums run in a fixed order, so that a column's rounding
             # does not depend on how many columns freeze with it: a BLAS
             # product and a pairwise sum (which numpy takes over a single
@@ -557,12 +552,10 @@ def _run_shard(
                 expo += z[r][:, None] * cols[r]
             cols = np.exp(expo - expo.max(axis=0))
             cols /= np.cumsum(cols, axis=0)[-1]
-        else:
-            final_idx[idx[w]] = np.argmax(cols, axis=0)
         finals[idx[w]] = cols.T
         true_idx[idx[w]] = slots
         if origin is not None:
-            retro[idx[w]] = origin[final_idx[idx[w]], w]
+            retro[idx[w]] = origin[np.argmax(cols, axis=0), w]
 
     total_steps = widths.size
     step = 0
@@ -622,7 +615,6 @@ def _run_shard(
             ln_blk = noise[:, 0]
         else:
             ln_blk = np.empty((k_steps, A))
-            freeze_ln = np.full(A, stop_ln)  # -inf once a column is frozen
             columns = np.arange(A)
             for k in range(k_steps):
                 # the control moves each population, with its origin label
@@ -656,10 +648,9 @@ def _run_shard(
                 lam = update_columns(lam, noise[k], params.gamma)
                 delta = infidelity_columns(lam)
                 ln = np.log(np.maximum(delta, LOG_FLOOR), out=ln_blk[k])
-                w = np.flatnonzero(ln <= freeze_ln)
+                w = np.flatnonzero((ln <= stop_ln) & (frozen_at == k_steps))
                 if w.size:
                     record_finals(w, lam[:, w], label[w])
-                    freeze_ln[w] = -np.inf
                     frozen_at[w] = k
 
         if not np.isfinite(ln_blk).all():
@@ -693,7 +684,9 @@ def _run_shard(
             # each passage, interpolated linearly in ln(Delta) over its step
             cols, rows, p0, p1 = map(np.concatenate, zip(*events))
             new = ln_blk[rows, cols]
-            prev = np.where(rows > 0, ln_blk[rows - 1, cols], ln_prev[cols])
+            # before a block's first step: cur_ln holds the previous block's
+            # last ln(Delta) until the grid points below overwrite it
+            prev = np.where(rows > 0, ln_blk[rows - 1, cols], cur_ln[idx[cols]])
             counts = p1 - p0
             e = np.repeat(np.arange(counts.size), counts)  # event of each passage
             p = np.arange(e.size) - (np.cumsum(counts) - counts - p0)[e]
@@ -716,7 +709,7 @@ def _run_shard(
         step += k_steps
 
         keep = np.flatnonzero(frozen_at == k_steps)
-        ptr, ln_prev = ptr[keep], ln_blk[-1, keep]
+        ptr = ptr[keep]
         # freed before the next blocks are allocated (part is a view of noise)
         noise = part = images = ln_blk = None
         if keep.size < A:
@@ -733,9 +726,8 @@ def _run_shard(
     var_ln[g_next:] = cur_ln.var(ddof=1)
     active_at[g_next:] = A
     return _Shard(
-        count=count, mean_ln=mean_ln, var_ln=var_ln, active_at=active_at,
-        first_passage=fp, final_idx=final_idx, finals=finals, true_idx=true_idx,
-        retro=retro,
+        mean_ln=mean_ln, var_ln=var_ln, active_at=active_at, first_passage=fp,
+        finals=finals, true_idx=true_idx, retro=retro,
     )
 
 

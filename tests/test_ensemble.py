@@ -134,6 +134,8 @@ def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
         collect_first_passage=True,
         collect_retrodiction=retro,
     )
+    # the readout is the most probable final state, on every path
+    assert np.array_equal(stats.final_indices, np.argmax(stats.final_states, axis=1))
     # ln(Delta) of each reference trajectory at each grid point; one that
     # has stopped holds the ln(Delta) of its stop step
     ln = np.empty((count, stats.sample_times.size))
@@ -222,7 +224,10 @@ def assert_same_trajectories(a, b, name):
     indices and NaN patterns equal, floats bitwise equal on the no-control
     path and to 1e-12 relative under the other policies, whose column
     sum in sde.update_columns may round a column differently at another
-    matrix width."""
+    matrix width.  Each run reads its final index as the argmax of its
+    final state."""
+    for run in (a, b):
+        assert np.array_equal(run.final_indices, np.argmax(run.final_states, axis=1))
     for field in ("final_indices", "true_indices", "retrodicted_indices"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for field in ("final_states", "first_passage_times"):

@@ -117,8 +117,8 @@ def test_run_signatures():
 # `wc -l src/regreadout/*.py`, and the lines of those files that hold code
 # (no docstring, comment or blank).  A change that grows src raises these
 # in its own diff.
-SRC_LINES = 2399
-SRC_CODE_LINES = 1502
+SRC_LINES = 2397
+SRC_CODE_LINES = 1491
 
 
 def _code_lines(text: str) -> int:
