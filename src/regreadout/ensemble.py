@@ -108,8 +108,6 @@ MC_CHUNK_ROWS = 100_000
 CENSOR_LIMIT = 1e-3
 # Target range [lo, hi] of the mean-time fits behind every speed-up.
 FIT_RANGE = (1e-6, 1e-4)
-# A run whose censoring at any target exceeds this has too short a max_time.
-EXCESS_CENSORING = 0.10
 # auto_slope_window fits where at least this fraction is still evolving.
 SLOPE_ACTIVE_FRACTION = 0.999
 # Grid spacing, in steps, of the mean curves of speedup_scaling_sweep.
@@ -130,12 +128,14 @@ class EnsembleStats:
     that reached stop_epsilon keeps contributing its final value, and
     active_fraction records how many were still evolving.  First-passage
     entries are per target epsilon; censored trajectories contribute
-    max_time to the mean and to the censored fraction.  final_states is
-    the (count, 2^n) array of each trajectory's populations where it
-    froze or at max_time, final_indices their argmax on every path (the
-    first index on a tie), retrodicted_indices the origin label at that
-    argmax, and true_indices the slot that holds the trajectory's sampled
-    true outcome there.
+    max_time to the mean and to the censored fraction.  Every result
+    carries first_passage_times, the (count, targets) passage times (NaN
+    where censored) behind those means and the mean-time fits.
+    final_states is the (count, 2^n) array of each trajectory's
+    populations where it froze or at max_time, final_indices their argmax
+    on every path (the first index on a tie), retrodicted_indices the
+    origin label at that argmax, and true_indices the slot that holds the
+    trajectory's sampled true outcome there.
     """
 
     sample_times: np.ndarray
@@ -152,13 +152,8 @@ class EnsembleStats:
     final_indices: np.ndarray
     final_states: np.ndarray
     true_indices: np.ndarray
+    first_passage_times: np.ndarray
     retrodicted_indices: np.ndarray | None = None
-    first_passage_times: np.ndarray | None = None
-
-    @property
-    def has_excessive_censoring(self) -> bool:
-        """True when any target's censored fraction exceeds EXCESS_CENSORING."""
-        return bool(np.any(self.censored_fraction > EXCESS_CENSORING))
 
 
 def _scatter_rows(x: np.ndarray, img: np.ndarray) -> np.ndarray:
@@ -290,12 +285,12 @@ def run_ensemble(
     interchangeable.  For retrodiction an origin label moves with each
     population (under H-ordering by the stable index sort).  On both
     state paths the final index is the argmax of the final populations,
-    and the retrodicted index the origin label at that argmax.
+    and the retrodicted index the origin label at that argmax.  Every
+    result carries the passage times; collect_first_passage is ignored,
+    and ROADMAP item 8 deletes it with the benchmark's call of it.
     """
-    if count < 2:
-        raise ValueError("an ensemble needs at least 2 trajectories")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_whole("count", count, 2)
+    _check_whole("record_every", record_every, 1)
     eps = epsilon_targets(epsilons, params.stop_epsilon)
     state0 = initial_state or DiagonalState.maximally_mixed(params.n)
     if state0.n != params.n:
@@ -335,9 +330,15 @@ def run_ensemble(
         final_indices=np.argmax(res.finals, axis=1),
         final_states=res.finals,
         true_indices=res.true_idx,
+        first_passage_times=fp,
         retrodicted_indices=res.retro,
-        first_passage_times=fp if collect_first_passage else None,
     )
+
+
+def _check_whole(name: str, value, least: int) -> None:
+    """Reject a value that is not an integer of at least `least`."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 def _check_cycle_fits(policy: ControlPolicy, n: int) -> None:
@@ -783,14 +784,9 @@ def regression_mean_time(stats: EnsembleStats) -> MeanTimeFit:
     therefore the delete-one jackknife stderr, exact for this statistic,
     and it carries the correlation between targets that share
     trajectories.  The intercept puts the line through the means, as
-    least squares does.  Needs stats.first_passage_times.
+    least squares does.
     """
     fp = stats.first_passage_times
-    if fp is None:
-        raise ValueError(
-            "the mean-time fit needs per-trajectory passage times: "
-            "run_ensemble(..., collect_first_passage=True)"
-        )
     eps_lo, eps_hi = FIT_RANGE
     in_range = (stats.epsilons >= eps_lo) & (stats.epsilons <= eps_hi)
     sel = in_range & (stats.censored_fraction <= CENSOR_LIMIT)
@@ -904,15 +900,11 @@ def speedup_scaling_sweep(
             _check_cycle_fits(policy, params.n)
     sweeps: list[list[SweepPoint]] = [[] for _ in policies]
     for params in sizes:
-        stats_nc = run_ensemble(
-            params, no_control(), epsilons, count, master_seed,
-            record_every=SWEEP_RECORD_EVERY, collect_first_passage=True,
-        )
+        stats_nc = run_ensemble(params, no_control(), epsilons, count, master_seed,
+                                record_every=SWEEP_RECORD_EVERY)
         for policy, points in zip(policies, sweeps):
-            stats_ctrl = run_ensemble(
-                params, policy, epsilons, count, master_seed,
-                record_every=SWEEP_RECORD_EVERY, collect_first_passage=True,
-            )
+            stats_ctrl = run_ensemble(params, policy, epsilons, count, master_seed,
+                                      record_every=SWEEP_RECORD_EVERY)
             points.append(
                 SweepPoint(
                     n=params.n,
@@ -981,8 +973,7 @@ def mc_permuted_step_rate(
     (their numpy calls release the GIL), and their moments
     merge in chunk order, so the estimate depends only on (master_seed,
     samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_whole("samples", samples, 2)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     # imported here, not at module level: its import takes milliseconds

@@ -18,15 +18,15 @@ update only reweights populations.  It is the multiplicative update
 then normalization, which is the exact Bayes posterior given the record
 at any dt, because |z_i|^2 = n for every i.  It is unconditionally
 positive and remains valid for arbitrarily collapsed states.
-update_columns takes that step and infidelity_columns the infidelity
-Delta = 1 - max_i lam_i for many trajectories at once, held one per
-column of a (2^n, trajectories) array.  The ensemble runner steps
-through them on this record, and the Monte Carlo rate estimator takes
-one step of them on it from a permuted start.  Without control the
-per-qubit log-odds L[r] = 2*sqrt(2*gamma)*R[r] of a uniform start are a
-drifted Brownian motion, 8*gamma*z_{i*}^r*t + 2*sqrt(2*gamma)*W[r](t),
-which the runner sums directly; infidelity_log_odds reads Delta from
-them.
+update_columns takes that step and infidelity_columns (registers', the
+one definition) the infidelity Delta = 1 - max_i lam_i for many
+trajectories at once, held one per column of a (2^n, trajectories)
+array.  The ensemble runner steps through them on this record, and the
+Monte Carlo rate estimator takes one step of them on it from a permuted
+start.  Without control the per-qubit log-odds L[r] = 2*sqrt(2*gamma)*R[r]
+of a uniform start are a drifted Brownian motion, 8*gamma*z_{i*}^r*t +
+2*sqrt(2*gamma)*W[r](t), which the runner sums directly;
+infidelity_log_odds reads Delta from them.
 
 SimulationParams holds the physical and numerical parameters of a run,
 epsilon_targets checks a grid of infidelity targets, and
@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .registers import _register_dim, z_table
+from .registers import _register_dim, infidelity_columns, z_table
 
 __all__ = [
     "IntegrationError", "SimulationParams", "trajectory_control_rng",
@@ -149,17 +149,6 @@ def true_outcomes(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     rounded sum fall short of u)."""
     i = np.searchsorted(np.cumsum(probs), u, side="right")
     return np.minimum(i, np.flatnonzero(probs)[-1])
-
-
-def infidelity_columns(lam: np.ndarray) -> np.ndarray:
-    """Each column's infidelity, summed over the non-maximal entries (as
-    DiagonalState.infidelity) rather than taken as 1 - max."""
-    # argmax before the copy: the other order raised the peak RSS of a
-    # 200k-column step (an earlier mc_permuted_step_rate chunk) by 9 MB
-    amax = np.argmax(lam, axis=0)
-    tail = lam.copy()
-    tail[amax, np.arange(lam.shape[1])] = 0.0
-    return tail.sum(axis=0)
 
 
 def infidelity_log_odds(L: np.ndarray) -> np.ndarray:

@@ -205,6 +205,24 @@ def test_missing_config_file():
     assert run_main(["run", "--config", "/nonexistent/x.cfg"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--config", "--cycle-file"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_an_unreadable_input_file_exits_1(tmp_path, capsys, flag, kind):
+    """A --config or --cycle-file that cannot be read, a directory or a
+    file that is not UTF-8, is a bad argument: exit 1 on an error line
+    that names the path."""
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\n")
+    argv = ["run", "--n", 2, "--policy", "fixed_cycle", "--count", 5,
+            "--out", tmp_path / "out", flag, path]
+    assert run_main(argv) == 1
+    assert f"error: cannot read {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert run_main(["run", "--n", 0, "--count", 5]) == 1
     assert "at least one qubit" in capsys.readouterr().err
@@ -245,10 +263,7 @@ def test_run_reports_the_mean_time_fit_of_its_ensemble(tmp_path, capsys):
     params = SimulationParams(
         n=2, max_time=summary["max_time"], stop_epsilon=cli.RUN_STOP_EPSILON
     )
-    stats = run_ensemble(
-        params, no_control(), default_epsilon_grid(), 60, 3,
-        collect_first_passage=True,
-    )
+    stats = run_ensemble(params, no_control(), default_epsilon_grid(), 60, 3)
     fit = regression_mean_time(stats)
     assert summary["mean_time_slope"] == fit.slope
     assert summary["mean_time_slope_stderr"] == fit.slope_stderr

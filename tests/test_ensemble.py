@@ -38,6 +38,7 @@ from regreadout import (
     two_level_state,
 )
 import regreadout.ensemble as ensemble
+from regreadout.cli import EXCESS_CENSORING
 from regreadout.ensemble import NOISE_BLOCK_STEPS
 from regreadout.sde import (
     LOG_FLOOR,
@@ -88,6 +89,23 @@ def test_run_ensemble_validation():
         run_ensemble(params, no_control(), EPS3, 4, 0, record_every=0)
 
 
+def test_whole_number_arguments_are_checked_where_they_enter():
+    """A fractional count, record_every or samples is rejected by name,
+    not run on an irregular record grid or failed deep inside numpy;
+    numpy integers are accepted."""
+    params = small_params(max_time=0.01)
+    with pytest.raises(ValueError, match="record_every"):
+        run_ensemble(params, no_control(), [], 4, 0, record_every=2.5)
+    with pytest.raises(ValueError, match="count"):
+        run_ensemble(params, no_control(), EPS3, 1000.0, 0)
+    with pytest.raises(ValueError, match="samples"):
+        mc_permuted_step_rate(two_level_state(2, 1e-3), 1.0, 2e-4, 1000.0, 0)
+    stats = run_ensemble(params, no_control(), [], np.int64(4), 0,
+                         record_every=np.int64(2))
+    assert stats.trajectory_count == 4
+    assert np.array_equal(stats.sample_times, np.arange(0, 17, 2) * params.dt)
+
+
 def test_run_ensemble_is_deterministic():
     params = small_params(n=2, max_time=0.5)
     a = run_ensemble(params, random_permutation_policy(), EPS3, 8, 3)
@@ -131,7 +149,6 @@ def check_against_oracle(params, policy, epsilons, count, retro, seed=99):
         count,
         seed,
         record_every=4,
-        collect_first_passage=True,
         collect_retrodiction=retro,
     )
     # the readout is the most probable final state, on every path
@@ -251,9 +268,8 @@ def test_first_trajectories_do_not_depend_on_the_count(name, n):
     runs freeze and compact different active sets."""
     policy = BATCH_POLICIES[name]
     params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
-    collect = dict(collect_retrodiction=True, collect_first_passage=True)
-    big = run_ensemble(params, policy, EPS3, 300, 21, **collect)
-    small = run_ensemble(params, policy, EPS3, 100, 21, **collect)
+    big = run_ensemble(params, policy, EPS3, 300, 21, collect_retrodiction=True)
+    small = run_ensemble(params, policy, EPS3, 100, 21, collect_retrodiction=True)
     # compaction drops frozen columns while others still run
     assert np.any((big.active_fraction > 0.0) & (big.active_fraction < 1.0))
     first = replace(
@@ -308,7 +324,7 @@ def test_outputs_do_not_depend_on_the_block_length(monkeypatch, name, n):
         rows.clear()
         runs.append(run_ensemble(
             params, policy, DENSE, 60, 4, record_every=5,
-            collect_retrodiction=True, collect_first_passage=True,
+            collect_retrodiction=True,
         ))
         if name == "random_permutation" and steps == NOISE_BLOCK_STEPS:
             itemsize = np.min_scalar_type(2**n - 1).itemsize
@@ -407,7 +423,7 @@ def test_shards_merge_to_the_one_process_run(monkeypatch, name, n, cpus):
     relative.  No child outlives the call."""
     policy = shard_policy(name, n)
     params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
-    collect = dict(collect_retrodiction=True, collect_first_passage=True)
+    collect = dict(collect_retrodiction=True)
     force_shards(monkeypatch, 1)
     one = run_ensemble(params, policy, EPS3, 151, 8, **collect)
     force_shards(monkeypatch, cpus)
@@ -497,7 +513,7 @@ def test_h_ordering_retrodiction_leaves_trajectories_unchanged(n):
         runs = [
             run_ensemble(
                 params, h_ordering_policy(), EPS3, 40, 17,
-                collect_first_passage=True, collect_retrodiction=retro, **kw,
+                collect_retrodiction=retro, **kw,
             )
             for retro in (False, True)
         ]
@@ -522,7 +538,7 @@ def test_no_control_matches_identity_cycle(n):
     identity permutations; also for an ensemble shorter than one step,
     whose log-odds all tie at 0."""
     identity = fixed_cycle_policy([Permutation(np.arange(2**n))])
-    collect = dict(collect_retrodiction=True, collect_first_passage=True)
+    collect = dict(collect_retrodiction=True)
     for params in (SimulationParams(n=n), SimulationParams(n=n, max_time=1e-4)):
         grid = default_epsilon_grid()
         a = run_ensemble(params, no_control(), grid, 300, 5, **collect)
@@ -674,7 +690,7 @@ def test_first_passage_agrees_with_theory_scaling():
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
     stats = run_ensemble(params, no_control(), eps, 400, 21)
-    assert not stats.has_excessive_censoring
+    assert not np.any(stats.censored_fraction > EXCESS_CENSORING)
     # mean times grow by ln(10)/16 per decade
     gaps = np.diff(stats.mean_first_passage)
     assert np.all(gaps > 0.0)
@@ -686,7 +702,7 @@ def test_censoring_is_reported():
     stats = run_ensemble(params, no_control(), [1e-1, 1e-5], 30, 7)
     j = 1
     assert stats.censored_fraction[j] > 0.5
-    assert stats.has_excessive_censoring
+    assert np.any(stats.censored_fraction > EXCESS_CENSORING)
     # censored rows contribute max_time, so the mean is a lower bound
     assert stats.mean_first_passage[j] <= 0.05 + 1e-12
 
@@ -761,9 +777,7 @@ def wide_fit_range(monkeypatch):
 def test_regression_mean_time_recovers_rate(monkeypatch):
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     eps = np.logspace(-1, -4, 10)
-    stats = run_ensemble(
-        params, no_control(), eps, 400, 23, collect_first_passage=True
-    )
+    stats = run_ensemble(params, no_control(), eps, 400, 23)
     fit = regression_mean_time(stats)
     assert fit.slope == pytest.approx(1.0 / 16.0, rel=0.15)
     assert fit.point_count >= 5
@@ -777,9 +791,7 @@ def test_regression_mean_time_recovers_rate(monkeypatch):
 def test_asymptotic_speedup_of_identical_ensembles_is_one():
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
     eps = np.logspace(-1, -4, 10)
-    stats = run_ensemble(
-        params, no_control(), eps, 200, 6, collect_first_passage=True
-    )
+    stats = run_ensemble(params, no_control(), eps, 200, 6)
     est = asymptotic_speedup(stats, stats)
     assert est.value == pytest.approx(1.0)
     assert est.stderr > 0.0
@@ -788,9 +800,7 @@ def test_asymptotic_speedup_of_identical_ensembles_is_one():
 def _passage_ensemble(count, max_time, seed):
     params = SimulationParams(n=1, max_time=max_time, stop_epsilon=1e-4)
     eps = np.logspace(-1, -4, 10)
-    return run_ensemble(
-        params, no_control(), eps, count, seed, collect_first_passage=True
-    )
+    return run_ensemble(params, no_control(), eps, count, seed)
 
 
 @pytest.mark.usefixtures("wide_fit_range")
@@ -836,13 +846,29 @@ def test_mean_time_stderr_from_per_trajectory_slopes(monkeypatch):
 
 
 @pytest.mark.usefixtures("wide_fit_range")
-def test_mean_time_fit_needs_passage_times():
+def test_every_result_feeds_the_mean_time_fit():
+    """A default run_ensemble result carries its (count, targets) passage
+    times, so it feeds the mean-time fit and the speed-up, and the
+    ignored collect_first_passage changes no field."""
     params = SimulationParams(n=1, max_time=2.5, stop_epsilon=1e-4)
-    stats = run_ensemble(params, no_control(), np.logspace(-1, -4, 10), 40, 29)
-    with pytest.raises(ValueError, match="collect_first_passage=True"):
-        regression_mean_time(stats)
-    with pytest.raises(ValueError, match="collect_first_passage=True"):
-        asymptotic_speedup(stats, stats)
+    eps = np.logspace(-1, -4, 10)
+    stats = run_ensemble(params, no_control(), eps, 40, 29)
+    assert stats.first_passage_times.shape == (40, 10)
+    assert regression_mean_time(stats).slope > 0.0
+    assert asymptotic_speedup(stats, stats).value == pytest.approx(1.0)
+    for flag in (False, True):
+        other = run_ensemble(params, no_control(), eps, 40, 29,
+                             collect_first_passage=flag)
+        for f in fields(EnsembleStats):
+            a, b = getattr(stats, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=True), f.name
+            else:
+                assert a == b, f.name
+    # a run without targets still carries the array, with no columns
+    empty = run_ensemble(params, no_control(), [], 5, 3)
+    assert empty.first_passage_times.shape == (5, 0)
 
 
 def test_speedup_estimate_validation():

@@ -317,9 +317,7 @@ def test_stop_zero_runs_to_max_time():
     for policy in (no_control(), h_ordering_policy()):
         for state in (DiagonalState.pure(2, 3), two_level_state(2, 0.2)):
             kw = dict(initial_state=state, record_every=4)
-            stats = run_ensemble(
-                params, policy, deep, 3, 8, collect_first_passage=True, **kw
-            )
+            stats = run_ensemble(params, policy, deep, 3, 8, **kw)
             assert np.all(stats.active_fraction == 1.0)
             for i in range(3):
                 ref = simulate_trajectory(params, policy, deep, 8, i, **kw)
