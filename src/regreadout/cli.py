@@ -10,14 +10,17 @@ Subcommands:
 Each subcommand's argparse parser is the only table of its options: every
 flag carries its own type, choices and default (a list flag parses into a
 tuple), and the library call that takes the values checks them before it
-starts any work.  Any option can also come from a plain-text config file
-of `key = value` lines (`--config`), whose keys are the flag names with
-underscores (`max_time`, `n_values`, `cycle_file`); `config` and
-`check` cannot be set from a file.  The subcommand's own parser coerces
-the file's values, so a bad one, a list item too, is reported with its
-file and line.  Explicit command line flags win over the file, and the
-file wins over the built-in defaults.  The master seed defaults to
-DEFAULT_MASTER_SEED so runs are reproducible out of the box.
+starts any work.  The master seed defaults to DEFAULT_MASTER_SEED so runs
+are reproducible out of the box.
+
+This is the only module that opens a file.  Its two text inputs are
+UTF-8, one entry per line, blank lines and `#` comments skipped, and an
+error names PATH:LINE.  A --config file holds `key = value` lines, keyed
+by the flag names with underscores (`max_time`, `n_values`,
+`cycle_file`; not `config` or `check`), each value coerced by the
+subcommand's own flag; explicit flags win over the file, and the file
+over the defaults.  A --cycle-file holds the cycle of policy
+fixed_cycle, one permutation image per line as space-separated slots.
 
 Exit codes: 0 success, 1 bad arguments, config or input files, 2 runtime
 failure (--out trouble too), 3 a requested check failed (--check, or a
@@ -40,7 +43,6 @@ import numpy as np
 from . import __version__
 from .ensemble import (
     _usable_cpus,
-    auto_slope_window,
     default_epsilon_grid,
     fit_ln_delta_slope,
     fit_speedup_scaling,
@@ -48,12 +50,8 @@ from .ensemble import (
     run_ensemble,
     speedup_scaling_sweep,
 )
-from .policies import (
-    POLICY_KINDS,
-    ControlPolicy,
-    fixed_cycle_policy,
-    read_cycle_file,
-)
+from .policies import POLICY_KINDS, ControlPolicy
+from .registers import Permutation
 from .sde import IntegrationError, SimulationParams, epsilon_targets
 from .theory import NOFB_RATE, permutation_sum_identities, speedup_bounds_for_policy
 
@@ -64,36 +62,60 @@ RUN_STOP_EPSILON = 1e-20
 LARGE_N_NOTE = "large n: 0.25 n <= S_RP <= 0.5 n"
 # run --check fails above this censoring at any target: too short a max_time.
 EXCESS_CENSORING = 0.10
+# run fits its slope where at least this fraction is still evolving.
+SLOPE_ACTIVE_FRACTION = 0.999
 # Namespace entries that are not options a config file may set.
 NOT_CONFIG_KEYS = ("config", "check", "func", "parser")
+
+
+def _input_lines(path):
+    """Yield (line number, stripped text) of each line of a UTF-8 text
+    file that is neither blank nor a `#` comment.  A file that cannot be
+    opened or read is a bad argument, a ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read {path}: {reason}") from None
 
 
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Parse a `key = value` file into {key: (raw value, line number)}."""
     entries: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = (value, lineno)
+    for lineno, line in _input_lines(path):
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = (value.strip(), lineno)
     return entries
 
 
-def _read_input(reader, path):
-    """reader(path); a file it cannot open or read is a bad argument."""
-    try:
-        return reader(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"cannot read {path}: {reason}") from None
+def read_cycle_file(path) -> list[Permutation]:
+    """Parse a cycle file: one permutation per line, its image as
+    space-separated slots.  A malformed line, or a dimension other than
+    the first permutation's, is a ValueError naming PATH:LINE."""
+    perms: list[Permutation] = []
+    for lineno, line in _input_lines(path):
+        try:
+            perm = Permutation([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if perms and perm.dimension != perms[0].dimension:
+            raise ValueError(
+                f"{path}:{lineno}: permutation has dimension "
+                f"{perm.dimension}, the first has {perms[0].dimension}"
+            )
+        perms.append(perm)
+    if not perms:
+        raise ValueError(f"{path}: no permutations found")
+    return perms
 
 
 def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -102,7 +124,7 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
     # a bad value raises ArgumentError, reported below as path:line
     parser.exit_on_error = False
     values = {}
-    for key, (text, lineno) in _read_input(read_config_file, path).items():
+    for key, (text, lineno) in read_config_file(path).items():
         if key not in defaults or key in NOT_CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         flag = "--" + key.replace("_", "-")
@@ -144,7 +166,7 @@ def _build_policy(name: str, cycle_file: str | None) -> ControlPolicy:
         return ControlPolicy(name)
     if cycle_file is None:
         raise ValueError("policy fixed_cycle requires --cycle-file")
-    return fixed_cycle_policy(_read_input(read_cycle_file, cycle_file))
+    return ControlPolicy(name, tuple(read_cycle_file(cycle_file)))
 
 
 def _cell(value) -> str:
@@ -162,11 +184,10 @@ def _options(args) -> dict:
     }
 
 
-def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path:
+def _write_outputs(out_text, command, config, wall_time, files) -> Path:
     """Write `files` ({name: payload} in order; a dict payload as JSON, a
     (header, rows) payload as CSV) into the output directory, which main
-    has created, then manifest.json, whose entries `extra` extends.
-    Return the directory."""
+    has created, then manifest.json.  Return the directory."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -177,7 +198,6 @@ def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path
         # regreadout.ensemble), so a reader can tell hosts apart
         "usable_cpus": _usable_cpus(),
         "numpy_version": np.__version__,
-        **extra,
     }
     out = Path(out_text)
     for name, payload in {**files, "manifest.json": manifest}.items():
@@ -191,6 +211,17 @@ def _write_outputs(out_text, command, config, wall_time, files, **extra) -> Path
                 for row in rows:
                     fh.write(",".join(map(_cell, row)) + "\n")
     return out
+
+
+def auto_slope_window(stats) -> tuple[float, float]:
+    """Latter half of the time range where at least SLOPE_ACTIVE_FRACTION
+    of the trajectories was still evolving; falls back to the latter half
+    of the whole run when freezing starts immediately."""
+    good = np.where(stats.active_fraction >= SLOPE_ACTIVE_FRACTION)[0]
+    t_end = stats.sample_times[good[-1]] if good.size else stats.sample_times[-1]
+    if t_end <= 0.0:
+        t_end = stats.sample_times[-1]
+    return 0.5 * t_end, t_end
 
 
 def _report_checks(failures: list[str]) -> int:
@@ -275,9 +306,7 @@ def cmd_run(args) -> int:
         ),
         "summary.json": summary,
     }
-    out = _write_outputs(
-        args.out, "run", config, wall, files, censoring={"max": max_censored}
-    )
+    out = _write_outputs(args.out, "run", config, wall, files)
 
     print(f"run: policy={args.policy} n={params.n} count={args.count} seed={args.seed}")
     if slope is not None:

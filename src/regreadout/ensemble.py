@@ -54,7 +54,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .policies import ControlPolicy, h_order_targets, no_control
-from .registers import DiagonalState, z_table
+from .registers import DiagonalState, _positive, z_table
 from .sde import (
     LOG_FLOOR,
     IntegrationError,
@@ -78,10 +78,9 @@ from .theory import (
 
 __all__ = [
     "EnsembleStats", "MeanTimeFit", "ScalingFit", "SpeedupEstimate",
-    "SweepPoint", "asymptotic_speedup", "auto_slope_window",
-    "default_epsilon_grid", "fit_ln_delta_slope", "fit_speedup_scaling",
-    "mc_permuted_step_rate", "regression_mean_time", "run_ensemble",
-    "speedup_scaling_sweep",
+    "SweepPoint", "asymptotic_speedup", "default_epsilon_grid",
+    "fit_ln_delta_slope", "fit_speedup_scaling", "mc_permuted_step_rate",
+    "regression_mean_time", "run_ensemble", "speedup_scaling_sweep",
 ]
 
 # Steps pre-drawn per trajectory between active-set compressions.  Under
@@ -108,8 +107,6 @@ MC_CHUNK_ROWS = 100_000
 CENSOR_LIMIT = 1e-3
 # Target range [lo, hi] of the mean-time fits behind every speed-up.
 FIT_RANGE = (1e-6, 1e-4)
-# auto_slope_window fits where at least this fraction is still evolving.
-SLOPE_ACTIVE_FRACTION = 0.999
 # Grid spacing, in steps, of the mean curves of speedup_scaling_sweep.
 SWEEP_RECORD_EVERY = 64
 
@@ -750,17 +747,6 @@ def fit_ln_delta_slope(
     return float(slope), math.sqrt(cov[0, 0])
 
 
-def auto_slope_window(stats: EnsembleStats) -> tuple[float, float]:
-    """Latter half of the time range where at least SLOPE_ACTIVE_FRACTION
-    of the trajectories was still evolving; falls back to the latter half
-    of the whole run when freezing starts immediately."""
-    good = np.where(stats.active_fraction >= SLOPE_ACTIVE_FRACTION)[0]
-    t_end = stats.sample_times[good[-1]] if good.size else stats.sample_times[-1]
-    if t_end <= 0.0:
-        t_end = stats.sample_times[-1]
-    return 0.5 * t_end, t_end
-
-
 @dataclass(frozen=True)
 class MeanTimeFit:
     """Line fit of mean first-passage time against ln(1/epsilon)."""
@@ -882,7 +868,10 @@ def speedup_scaling_sweep(
     """
     if epsilons is None:
         epsilons = default_epsilon_grid()
-    sizes = [replace(params_template, n=int(n)) for n in n_values]
+    with warnings.catch_warnings():
+        # the template has warned of its dt once; n does not change that
+        warnings.simplefilter("ignore", UserWarning)
+        sizes = [replace(params_template, n=int(n)) for n in n_values]
     if len({params.n for params in sizes}) < len(sizes):
         raise ValueError(f"n_values repeats a register size: {list(n_values)}")
     if not policies:
@@ -974,8 +963,8 @@ def mc_permuted_step_rate(
     merge in chunk order, so the estimate depends only on (master_seed,
     samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
     _check_whole("samples", samples, 2)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _positive("gamma", gamma)
+    _positive("dt", dt)
     # imported here, not at module level: its import takes milliseconds
     # that runs without this estimator need not pay
     from concurrent.futures import ThreadPoolExecutor

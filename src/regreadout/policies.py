@@ -5,18 +5,18 @@ no-control baseline: closed-loop Hamming ordering (sort the populations
 onto the hypercube so measurement distinguishes the leading candidates as
 fast as possible), open-loop uniformly random permutations resampled every
 step, and user-supplied deterministic cycles.  A ControlPolicy names the
-protocol; run_ensemble applies it.  The module also holds the Hamming
-ordering's vertex visit order (h_order_targets) and the cycle file
-reader.  At n <= 3 Hamming ordering is the locally optimal feedback: of
-all placements that keep the largest population in slot 0, it maximizes
-sum_r <Z~^r>^2, to which the instantaneous decay rate of <ln Delta> is
-proportional.  At n = 4, 5 it is a heuristic, with a gap measured only
-from below, on 1,800 H-ordered states per n (600 trajectories at each of
-T = 0.02, 0.1, 0.3; seeds 77-79): the best swap of two slots other than
-slot 0 raised the sum in 32% and 57.5% of them, by a median of 6.8e-5
-and 1.7e-5 relative, at most 1.2e-3 and 9.1e-4; steepest pairwise-swap
-ascent to a local optimum took the n = 5 figures to 4.4e-5 and 9.8e-4
-and the n = 4 ones nowhere beyond the first swap.
+protocol; run_ensemble applies it.  The module reads no file (the
+command line parses a --cycle-file), and holds the Hamming ordering's
+vertex visit order (h_order_targets).  At n <= 3 Hamming ordering is the
+locally optimal feedback: of all placements that keep the largest
+population in slot 0, it maximizes sum_r <Z~^r>^2, to which the
+instantaneous decay rate of <ln Delta> is proportional.  At n = 4, 5 it
+is a heuristic, with a gap measured only from below, on 1,800 H-ordered
+states per n (600 trajectories at each of T = 0.02, 0.1, 0.3; seeds
+77-79): the best swap of two slots other than slot 0 raised the sum in
+32% and 57.5% of them, by a median of 6.8e-5 and 1.7e-5 relative, at
+most 1.2e-3 and 9.1e-4; steepest pairwise-swap ascent to a local optimum
+took the n = 5 figures to 4.4e-5 and 9.8e-4, and left n = 4's alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .registers import Permutation, _register_dim
 __all__ = [
     "POLICY_KINDS", "ControlPolicy", "fixed_cycle_policy",
     "h_order_targets", "h_ordering_policy", "no_control",
-    "random_permutation_policy", "read_cycle_file",
+    "random_permutation_policy",
 ]
 
 POLICY_KINDS = ("none", "h_ordering", "random_permutation", "fixed_cycle")
@@ -86,31 +86,3 @@ def h_order_targets(n: int) -> np.ndarray:
     targets = np.array([0] + rest, dtype=np.int64)
     targets.setflags(write=False)
     return targets
-
-
-def read_cycle_file(path) -> list[Permutation]:
-    """Parse a cycle file: one permutation per line, space-separated image.
-
-    Blank lines and lines starting with '#' are skipped.  Raises
-    ValueError naming the offending line on malformed input or on a
-    dimension other than the first permutation's.
-    """
-    perms: list[Permutation] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                perm = Permutation([int(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if perms and perm.dimension != perms[0].dimension:
-                raise ValueError(
-                    f"{path}: line {lineno}: permutation has dimension "
-                    f"{perm.dimension}, the first has {perms[0].dimension}"
-                )
-            perms.append(perm)
-    if not perms:
-        raise ValueError(f"{path}: no permutations found")
-    return perms

@@ -30,6 +30,12 @@ def _register_dim(n: int) -> int:
     return 1 << n
 
 
+def _positive(name: str, value: float) -> None:
+    """Reject a rate, step or duration that is not positive and finite."""
+    if not 0.0 < value < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @lru_cache(maxsize=None)
 def z_table(n: int) -> np.ndarray:
     """(n, 2^n) eigenvalue table; row r-1 belongs to qubit r. Read-only."""
@@ -109,10 +115,11 @@ class Permutation:
 
     def __post_init__(self) -> None:
         image = np.array(self.image, dtype=np.int64)
-        object.__setattr__(self, "image", image)
         d = image.size
-        if image.ndim != 1 or d == 0:
+        # the int cast truncates a fractional slot, which must not pass
+        if image.ndim != 1 or d == 0 or not np.array_equal(image, self.image):
             raise ValueError("image must be a nonempty 1-d integer array")
+        object.__setattr__(self, "image", image)
         counts = np.bincount(image, minlength=d) if image.min() >= 0 else None
         if counts is None or image.max() >= d or np.any(counts != 1):
             raise ValueError("image must be a bijection on [0, d)")

@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .registers import _register_dim, infidelity_columns, z_table
+from .registers import _positive, _register_dim, infidelity_columns, z_table
 
 __all__ = [
     "IntegrationError", "SimulationParams", "trajectory_control_rng",
@@ -84,12 +84,10 @@ class SimulationParams:
 
     def __post_init__(self) -> None:
         _register_dim(self.n)
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be positive and finite")
+        _positive("gamma", self.gamma)
         if self.dt is None:
             object.__setattr__(self, "dt", DEFAULT_DT_GAMMA / self.gamma)
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+        _positive("dt", self.dt)
         if self.dt * self.gamma > DT_GAMMA_WARN:
             warnings.warn(
                 f"dt*gamma = {self.dt * self.gamma:.3g} is above {DT_GAMMA_WARN:g}: "
@@ -97,8 +95,7 @@ class SimulationParams:
                 "only once per step",
                 stacklevel=3,  # past the generated __init__, to the caller
             )
-        if not (self.max_time > 0.0 and math.isfinite(self.max_time)):
-            raise ValueError("max_time must be positive and finite")
+        _positive("max_time", self.max_time)
         if not 0.0 <= self.stop_epsilon < 1.0:  # NaN fails too
             raise ValueError("stop_epsilon must lie in [0, 1)")
 

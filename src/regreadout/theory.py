@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .policies import POLICY_KINDS
-from .registers import DiagonalState, _register_dim, z_table
+from .registers import DiagonalState, _positive, _register_dim, z_table
 
 __all__ = [
     "IdentityReport", "RateEstimate", "SpeedupBounds", "flat_tail_state",
@@ -50,6 +50,7 @@ def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:
     smooth (Gauss-Hermite in X_r meets the kink of |X_r| at 0)."""
     if not 1 <= n <= 3:
         raise ValueError("the quadrature supports 1 <= n <= 3")
+    _positive("gamma", gamma)
     if t <= 0.0:
         return math.log(1.0 - 0.5**n)
     mu = NOFB_RATE * gamma * t
@@ -80,6 +81,7 @@ def nofb_mean_first_passage(epsilon: float, gamma: float = 1.0) -> float:
     epsilon = 1/2 on, where the start already qualifies."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    _positive("gamma", gamma)
     if epsilon >= 0.5:
         return 0.0
     a = math.log((1.0 - epsilon) / epsilon)
@@ -122,6 +124,7 @@ def _rate_infidelity(state: DiagonalState) -> float:
 
 def _rate(zsum: float, delta: float, gamma: float) -> RateEstimate:
     """-4*gamma * zsum * (1-Delta)^2 / Delta^2, zsum = sum_r <Z~^r>^2."""
+    _positive("gamma", gamma)
     return RateEstimate(-4.0 * gamma * zsum * (1.0 - delta) ** 2 / delta**2)
 
 

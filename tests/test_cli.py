@@ -24,7 +24,7 @@ from regreadout import (
     regression_mean_time,
     run_ensemble,
 )
-from regreadout.cli import main, parse_args, read_config_file
+from regreadout.cli import main, parse_args, read_config_file, read_cycle_file
 
 
 def run_main(argv):
@@ -56,6 +56,37 @@ def test_read_config_file_errors(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError, match=":1: expected"):
         read_config_file(str(bad))
+
+
+def test_read_cycle_file(tmp_path):
+    path = tmp_path / "cycle.txt"
+    path.write_text("# comment\n\n2 0 1 3\n0 1 2 3\n")
+    perms = read_cycle_file(path)
+    assert len(perms) == 2
+    assert np.array_equal(perms[0].image, [2, 0, 1, 3])
+    assert np.array_equal(perms[1].image, np.arange(4))
+
+
+def test_read_cycle_file_dimension_check(tmp_path):
+    path = tmp_path / "cycle.txt"
+    path.write_text("0 1\n0 2 1\n")
+    with pytest.raises(ValueError, match=":2: "):
+        read_cycle_file(path)
+
+
+def test_read_cycle_file_malformed(tmp_path):
+    bad_token = tmp_path / "a.txt"
+    bad_token.write_text("0 x 2\n")
+    with pytest.raises(ValueError, match=":1: "):
+        read_cycle_file(bad_token)
+    not_bijection = tmp_path / "b.txt"
+    not_bijection.write_text("0 1 2 3\n0 0 1 2\n")
+    with pytest.raises(ValueError, match=":2: "):
+        read_cycle_file(not_bijection)
+    empty = tmp_path / "c.txt"
+    empty.write_text("# nothing here\n")
+    with pytest.raises(ValueError, match="no permutations"):
+        read_cycle_file(empty)
 
 
 MANIFEST_KEYS = {
@@ -94,7 +125,7 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert summary["mean_time_slope"] is None
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == MANIFEST_KEYS | {"censoring"}
+    assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == "run"
     # the parsed options but out, with dt and the targets resolved
     assert set(manifest["config"]) == {

@@ -18,7 +18,6 @@ from regreadout import (
     SweepPoint,
     SpeedupEstimate,
     asymptotic_speedup,
-    auto_slope_window,
     default_epsilon_grid,
     fit_ln_delta_slope,
     fit_speedup_scaling,
@@ -38,7 +37,7 @@ from regreadout import (
     two_level_state,
 )
 import regreadout.ensemble as ensemble
-from regreadout.cli import EXCESS_CENSORING
+from regreadout.cli import EXCESS_CENSORING, auto_slope_window
 from regreadout.ensemble import NOISE_BLOCK_STEPS
 from regreadout.sde import (
     LOG_FLOOR,
@@ -974,6 +973,19 @@ def test_sweep_checks_its_inputs_before_any_ensemble(
     with pytest.raises(ValueError, match=message):
         speedup_scaling_sweep(n_values, policies, template, 40, 5, epsilons=epsilons)
     assert calls == []
+
+
+def test_sweep_does_not_warn_about_dt_again():
+    """The per-size copies of the template differ only in n, and the dt
+    warning does not depend on n: the template's own warning, at its
+    caller, is the only one."""
+    with pytest.warns(UserWarning) as record:
+        template = SimulationParams(n=2, dt=0.02, max_time=1.0)
+        with pytest.raises(ValueError, match="fit range"):
+            speedup_scaling_sweep([2, 3], [random_permutation_policy()], template,
+                                  40, 5, epsilons=[1e-1, 1e-2])
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 @pytest.mark.usefixtures("wide_fit_range")

@@ -1,4 +1,4 @@
-"""Control protocols, Hamming ordering, retrodiction, cycle files."""
+"""Control protocols, Hamming ordering, retrodiction."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from regreadout import (
     leading_rotation,
     no_control,
     random_permutation_policy,
-    read_cycle_file,
     z_table,
 )
 from regreadout.theory import _all_permutation_images
@@ -175,34 +174,3 @@ def test_trajectory_retrodiction_recovers_prepared_index(policy):
             initial_state=DiagonalState.pure(2, k),
         )
         assert retrodict(res.final_index, res.cumulative_control) == k
-
-
-def test_read_cycle_file(tmp_path):
-    path = tmp_path / "cycle.txt"
-    path.write_text("# comment\n\n2 0 1 3\n0 1 2 3\n")
-    perms = read_cycle_file(path)
-    assert len(perms) == 2
-    assert np.array_equal(perms[0].image, [2, 0, 1, 3])
-    assert np.array_equal(perms[1].image, np.arange(4))
-
-
-def test_read_cycle_file_dimension_check(tmp_path):
-    path = tmp_path / "cycle.txt"
-    path.write_text("0 1\n0 2 1\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_cycle_file(path)
-
-
-def test_read_cycle_file_malformed(tmp_path):
-    bad_token = tmp_path / "a.txt"
-    bad_token.write_text("0 x 2\n")
-    with pytest.raises(ValueError, match="line 1"):
-        read_cycle_file(bad_token)
-    not_bijection = tmp_path / "b.txt"
-    not_bijection.write_text("0 1 2 3\n0 0 1 2\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_cycle_file(not_bijection)
-    empty = tmp_path / "c.txt"
-    empty.write_text("# nothing here\n")
-    with pytest.raises(ValueError, match="no permutations"):
-        read_cycle_file(empty)

@@ -11,6 +11,11 @@ from regreadout import (
     flat_tail_state,
     h_order_targets,
     leading_rotation,
+    log_infidelity_rate,
+    mc_permuted_step_rate,
+    nofb_mean_first_passage,
+    nofb_mean_log_infidelity,
+    permutation_averaged_rate,
     speedup_bounds_for_policy,
     two_level_state,
     z_table,
@@ -77,6 +82,34 @@ def test_every_entry_point_rejects_a_register_below_one_qubit(entry, n):
         REGISTER_ENTRY_POINTS[entry](n)
 
 
+STATE = two_level_state(2, 1e-3)
+POSITIVE_ENTRY_POINTS = {
+    "SimulationParams-gamma": ("gamma", lambda v: SimulationParams(n=1, gamma=v)),
+    "SimulationParams-dt": ("dt", lambda v: SimulationParams(n=1, dt=v)),
+    "SimulationParams-max_time": (
+        "max_time", lambda v: SimulationParams(n=1, max_time=v)),
+    "mc_permuted_step_rate-gamma": (
+        "gamma", lambda v: mc_permuted_step_rate(STATE, v, 1e-3, 1000, 0)),
+    "mc_permuted_step_rate-dt": (
+        "dt", lambda v: mc_permuted_step_rate(STATE, 1.0, v, 1000, 0)),
+    "log_infidelity_rate": ("gamma", lambda v: log_infidelity_rate(STATE, v)),
+    "permutation_averaged_rate": (
+        "gamma", lambda v: permutation_averaged_rate(STATE, v)),
+    "nofb_mean_first_passage": (
+        "gamma", lambda v: nofb_mean_first_passage(0.01, v)),
+    "nofb_mean_log_infidelity": (
+        "gamma", lambda v: nofb_mean_log_infidelity(0.5, 2, v)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", POSITIVE_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_rate_or_step_that_is_not_positive(entry, value):
+    name, call = POSITIVE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        call(value)
+
+
 def test_state_value_semantics():
     probs = np.array([0.25, 0.75])
     state = DiagonalState(1, probs)
@@ -113,6 +146,13 @@ def test_permutation_validation():
         Permutation(np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         Permutation(np.array([-1, 0]))
+
+
+def test_permutation_rejects_a_fractional_slot():
+    with pytest.raises(ValueError, match="integer"):
+        Permutation([0.5, 1.7])
+    # an integral float is a slot
+    assert np.array_equal(Permutation([1.0, 0.0]).image, [1, 0])
 
 
 def test_permutation_identity_and_apply():
