@@ -22,6 +22,11 @@ subcommand's own flag; explicit flags win over the file, and the file
 over the defaults.  A --cycle-file holds the cycle of policy
 fixed_cycle, one permutation image per line as space-separated slots.
 
+Each output file holds one kind of fact: manifest.json the options and
+the host, summary.json only what the command computed, and the CSVs the
+curves and points.  A command prints its results, then writes and
+reports its files; a --check verdict comes last.
+
 Exit codes: 0 success, 1 bad arguments, config or input files, 2 runtime
 failure (--out trouble too), 3 a requested check failed (--check, or a
 FAIL from verify-identities).
@@ -184,10 +189,11 @@ def _options(args) -> dict:
     }
 
 
-def _write_outputs(out_text, command, config, wall_time, files) -> Path:
+def _write_outputs(out_text, command, config, wall_time, files) -> None:
     """Write `files` ({name: payload} in order; a dict payload as JSON, a
     (header, rows) payload as CSV) into the output directory, which main
-    has created, then manifest.json.  Return the directory."""
+    has created, then manifest.json, the one record of the options, and
+    report the files written."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -210,7 +216,7 @@ def _write_outputs(out_text, command, config, wall_time, files) -> Path:
                 fh.write(header + "\n")
                 for row in rows:
                     fh.write(",".join(map(_cell, row)) + "\n")
-    return out
+    print(f"  wrote {', '.join(files)} -> {out}")
 
 
 def auto_slope_window(stats) -> tuple[float, float]:
@@ -265,48 +271,19 @@ def cmd_run(args) -> int:
     max_censored = float(stats.censored_fraction.max(initial=0.0))
     # the paper's figure of merit: the final argmax is not the true outcome
     misread = stats.final_indices != stats.true_indices
-    config = {
-        **_options(args),
-        "dt": params.dt,
-        "epsilons": epsilons.tolist(),
-        "stop_epsilon": params.stop_epsilon,
-    }
     summary = {
-        key: value
-        for key, value in config.items()
-        if key not in ("cycle_file", "epsilons", "stop_epsilon")
+        "slope": slope,
+        "slope_stderr": slope_err,
+        "slope_window": list(window) if window else None,
+        "nofb_theory_slope": nofb_slope,
+        "mean_time_slope": fit.slope if fit else None,
+        "mean_time_slope_stderr": fit.slope_stderr if fit else None,
+        "mean_time_intercept": fit.intercept if fit else None,
+        "mean_time_points": fit.point_count if fit else None,
+        "max_censored_fraction": max_censored,
+        "readout_error": float(misread.mean()),
+        "readout_error_stderr": float(misread.std(ddof=1)) / math.sqrt(misread.size),
     }
-    summary.update(
-        command="run",
-        slope=slope,
-        slope_stderr=slope_err,
-        slope_window=list(window) if window else None,
-        nofb_theory_slope=nofb_slope,
-        mean_time_slope=fit.slope if fit else None,
-        mean_time_slope_stderr=fit.slope_stderr if fit else None,
-        mean_time_intercept=fit.intercept if fit else None,
-        mean_time_points=fit.point_count if fit else None,
-        max_censored_fraction=max_censored,
-        readout_error=float(misread.mean()),
-        readout_error_stderr=float(misread.std(ddof=1)) / math.sqrt(misread.size),
-    )
-    files = {
-        "log_infidelity.csv": (
-            "t,mean_ln_delta,stderr",
-            zip(stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta),
-        ),
-        "first_passage.csv": (
-            "epsilon,mean_T,stderr,censored_frac",
-            zip(
-                stats.epsilons,
-                stats.mean_first_passage,
-                stats.stderr_first_passage,
-                stats.censored_fraction,
-            ),
-        ),
-        "summary.json": summary,
-    }
-    out = _write_outputs(args.out, "run", config, wall, files)
 
     print(f"run: policy={args.policy} n={params.n} count={args.count} seed={args.seed}")
     if slope is not None:
@@ -328,7 +305,29 @@ def cmd_run(args) -> int:
         f"  readout error: {summary['readout_error']:g} +/- "
         f"{summary['readout_error_stderr']:g}"
     )
-    print(f"  wrote {', '.join(files)} -> {out}")
+    config = {
+        **_options(args),
+        "dt": params.dt,
+        "epsilons": epsilons.tolist(),
+        "stop_epsilon": params.stop_epsilon,
+    }
+    files = {
+        "log_infidelity.csv": (
+            "t,mean_ln_delta,stderr",
+            zip(stats.sample_times, stats.mean_ln_delta, stats.stderr_ln_delta),
+        ),
+        "first_passage.csv": (
+            "epsilon,mean_T,stderr,censored_frac",
+            zip(
+                stats.epsilons,
+                stats.mean_first_passage,
+                stats.stderr_first_passage,
+                stats.censored_fraction,
+            ),
+        ),
+        "summary.json": summary,
+    }
+    _write_outputs(args.out, "run", config, wall, files)
 
     if not args.check:
         return 0
@@ -376,48 +375,28 @@ def cmd_sweep(args) -> int:
             fits[name] = None
     wall = time.perf_counter() - start
 
-    points = [
-        {
-            "n": p.n,
-            "policy": name,
-            "speedup": p.estimate.value,
-            "stderr": p.estimate.stderr,
-            "bound_lo": p.bounds.lower,
-            "bound_hi": p.bounds.upper,
-        }
+    rows = [
+        (p.n, name, p.estimate.value, p.estimate.stderr, p.bounds.lower,
+         p.bounds.upper)
         for name, p in results
     ]
-    summary = {
-        "command": "sweep",
-        "n_values": args.n_values,
-        "policies": args.policies,
-        "count": args.count,
-        "seed": args.seed,
-        "points": points,
-        "fits": fits,
-    }
-    config = {
-        **_options(args), "dt": params_template.dt, "epsilons": epsilons.tolist()
-    }
-    files = {
-        "sweep.csv": (",".join(points[0]), (pt.values() for pt in points)),
-        "summary.json": summary,
-    }
-    out = _write_outputs(args.out, "sweep", config, wall, files)
-
     print("n  policy                speed-up    stderr   band")
-    for pt in points:
-        print(
-            f"{pt['n']:<3}{pt['policy']:<22}{pt['speedup']:<12.4f}"
-            f"{pt['stderr']:<9.4f}[{pt['bound_lo']:.4f}, {pt['bound_hi']:.4f}]"
-        )
+    for n, name, value, err, lo, hi in rows:
+        print(f"{n:<3}{name:<22}{value:<12.4f}{err:<9.4f}[{lo:.4f}, {hi:.4f}]")
     for name, fit in fits.items():
         if fit:
             print(
                 f"{name}: speed-up ~ {fit['slope']:.3f} n + "
                 f"{fit['intercept']:.3f} (slope stderr {fit['slope_stderr']:.3f})"
             )
-    print(f"  wrote {', '.join(files)} -> {out}")
+    config = {
+        **_options(args), "dt": params_template.dt, "epsilons": epsilons.tolist()
+    }
+    files = {
+        "sweep.csv": ("n,policy,speedup,stderr,bound_lo,bound_hi", rows),
+        "summary.json": {"fits": fits},
+    }
+    _write_outputs(args.out, "sweep", config, wall, files)
 
     if not args.check:
         return 0
@@ -445,10 +424,9 @@ def cmd_bounds(args) -> int:
     print(LARGE_N_NOTE)
     if args.out:
         files = {"bounds.csv": ("n,policy,bound_lo,bound_hi", rows)}
-        out = _write_outputs(
+        _write_outputs(
             args.out, "bounds", _options(args), time.perf_counter() - start, files
         )
-        print(f"wrote {', '.join(files)} -> {out}")
     return 0
 
 

@@ -7,11 +7,11 @@ Its first uniform draws the trajectory's true outcome i*, and its
 normals are pre-drawn in blocks of steps into a step-major (steps, n,
 trajectories) block.  The record is dR = c*z_{label(i*)}*dt + dW, with
 label(i*) the slot the control has moved i* to, and each step goes
-through sde.update_columns and sde.infidelity_columns.  A step does only
-the control (both open-loop kinds move columns by a block of permutation
-images, a fixed cycle's shared by every column), the record's drift, the
-update, and ln(Delta) written into a (steps, trajectories) block with a
-freeze test; once per block, one resolver finds every passage of a
+through sde.update_columns and registers.infidelity_columns.  A step
+does only the control (both open-loop kinds move columns by a block of
+permutation images, a fixed cycle's shared by every column), the
+record's drift, the update, and ln(Delta) written into a (steps,
+trajectories) block with a freeze test; once per block, one resolver finds every passage of a
 first-passage target, interpolates them, and writes the grid points of
 the mean curves, and frozen columns are dropped.  H-ordering sorts
 population values rather than indices: tied populations are
@@ -54,14 +54,13 @@ from functools import partial, reduce
 import numpy as np
 
 from .policies import ControlPolicy, h_order_targets, no_control
-from .registers import DiagonalState, _positive, z_table
+from .registers import DiagonalState, _positive, infidelity_columns, z_table
 from .sde import (
     LOG_FLOOR,
     IntegrationError,
     SimulationParams,
     _keyed_streams,
     epsilon_targets,
-    infidelity_columns,
     infidelity_log_odds,
     record_strength,
     trajectory_control_rng,

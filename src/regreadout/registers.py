@@ -88,7 +88,9 @@ class DiagonalState:
     @classmethod
     def pure(cls, n: int, index: BasisIndex) -> "DiagonalState":
         d = _register_dim(n)
-        if not 0 <= index < d:
+        # a bool would pass as 0 or 1 and a float would fail as an index
+        whole = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+        if not (whole and 0 <= index < d):
             raise ValueError(f"basis index {index} out of range for n={n}")
         probs = np.zeros(d)
         probs[index] = 1.0
@@ -114,11 +116,18 @@ class Permutation:
     image: np.ndarray
 
     def __post_init__(self) -> None:
-        image = np.array(self.image, dtype=np.int64)
+        message = "image must be a nonempty 1-d integer array"
+        try:
+            # inf or 1e30 raises from a list; from an array it casts to a
+            # wrong slot, which the check below rejects
+            with np.errstate(invalid="ignore"):
+                image = np.array(self.image, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(message) from None
         d = image.size
         # the int cast truncates a fractional slot, which must not pass
         if image.ndim != 1 or d == 0 or not np.array_equal(image, self.image):
-            raise ValueError("image must be a nonempty 1-d integer array")
+            raise ValueError(message)
         object.__setattr__(self, "image", image)
         counts = np.bincount(image, minlength=d) if image.min() >= 0 else None
         if counts is None or image.max() >= d or np.any(counts != 1):

@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .registers import _positive, _register_dim, infidelity_columns, z_table
+from .registers import _positive, _register_dim, z_table
 
 __all__ = [
     "IntegrationError", "SimulationParams", "trajectory_control_rng",

@@ -34,7 +34,7 @@ __all__ = [
     "log_infidelity_rate", "nofb_mean_first_passage",
     "nofb_mean_log_infidelity", "permutation_averaged_rate",
     "permutation_sum_identities", "speedup_bounds_for_policy",
-    "two_level_state", "zsum_bounds",
+    "two_level_state",
 ]
 
 # With no control, <ln Delta> falls at NOFB_RATE * gamma asymptotically.
@@ -48,9 +48,11 @@ def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:
     quadrature, 128 nodes per qubit, over the folded normal density of
     |X_r| on [max(0, mean - 8 sd), mean + 8 sd], where the integrand is
     smooth (Gauss-Hermite in X_r meets the kink of |X_r| at 0)."""
-    if not 1 <= n <= 3:
-        raise ValueError("the quadrature supports 1 <= n <= 3")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 3):
+        raise ValueError(f"the quadrature supports n = 1, 2 or 3, not {n!r}")
     _positive("gamma", gamma)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, not {t!r}")
     if t <= 0.0:
         return math.log(1.0 - 0.5**n)
     mu = NOFB_RATE * gamma * t
@@ -145,25 +147,15 @@ def log_infidelity_rate(state: DiagonalState, gamma: float = 1.0) -> RateEstimat
     return _rate(float(expect @ expect), delta, gamma)
 
 
-def zsum_bounds(delta: float, n: int) -> tuple[float, float]:
-    """Bounds on sum_r <Z~^r>^2 for an H-ordered state with infidelity
-    delta: the flat-tail state attains the lower bound, the two-level
-    state (tail at the all-ones index) the upper."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    d = _register_dim(n)
-    lower = n * d**2 / (d - 1) ** 2 * delta**2
-    upper = 4.0 * n * delta**2
-    return lower, upper
-
-
 def speedup_bounds_for_policy(kind: str, n: int) -> SpeedupBounds:
     """Analytic band to overlay on a measured speed-up of this policy kind.
 
     Each edge is zsum / (4*Delta^2) as Delta -> 0, the ratio of the rate
-    to the no-control one.  For H-ordering the edges are zsum_bounds': the
-    flat-tail state gives the lower, D^2/(D-1)^2 * n/4, and the two-level
-    state the upper, n.  For the open-loop kinds (random permutations, and
+    to the no-control one.  For H-ordering, 4*Delta^2 times the band
+    sandwiches zsum = sum_r <Z~^r>^2 of every H-ordered state of
+    infidelity Delta: the flat-tail state attains the lower edge,
+    D^2/(D-1)^2 * n/4, and the two-level state (tail at the all-ones
+    index) the upper, n.  For the open-loop kinds (random permutations, and
     a fixed cycle, which can at best track them) they are those of
     permutation_averaged_rate's closed form: the flat-tail state gives the
     same lower edge, and the two-level state the upper, n*D/(2*(D-1)),

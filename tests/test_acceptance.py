@@ -35,11 +35,11 @@ from regreadout import (
     random_permutation_policy,
     regression_mean_time,
     run_ensemble,
+    speedup_bounds_for_policy,
     speedup_scaling_sweep,
     trajectory_noise_rng,
     two_level_state,
     z_table,
-    zsum_bounds,
 )
 from regreadout.cli import EXCESS_CENSORING
 from regreadout.sde import true_outcomes, update_columns
@@ -424,9 +424,10 @@ def test_acceptance_8_simulator_invariants(capsys):
         zsum = np.sum(moments**2, axis=1)
         tail = ordered.copy()
         tail[np.arange(10_000), peak] = 0.0
-        deltas = tail.sum(axis=1).tolist()
-        bounds = np.array([zsum_bounds(delta, n) for delta in deltas])
-        inside = (bounds[:, 0] < zsum) & (zsum < bounds[:, 1])
+        deltas = tail.sum(axis=1)
+        band = speedup_bounds_for_policy("h_ordering", n)
+        scale = 4 * deltas**2
+        inside = (scale * band.lower < zsum) & (zsum < scale * band.upper)
         outside += int(np.count_nonzero(~inside))
     if outside:
         failures.append(f"{outside} states outside the zsum sandwich")

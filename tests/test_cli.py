@@ -109,17 +109,14 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert passage[0] == "epsilon,mean_T,stderr,censored_frac"
     assert len(passage) == 3
 
+    # what the run computed; its options are manifest.json's alone
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {
-        "command", "count", "dt", "gamma", "max_censored_fraction", "max_time",
-        "mean_time_intercept", "mean_time_points", "mean_time_slope",
-        "mean_time_slope_stderr", "n", "nofb_theory_slope", "policy", "seed",
+        "max_censored_fraction", "mean_time_intercept", "mean_time_points",
+        "mean_time_slope", "mean_time_slope_stderr", "nofb_theory_slope",
         "readout_error", "readout_error_stderr", "slope", "slope_stderr",
         "slope_window",
     }
-    assert summary["command"] == "run"
-    assert summary["n"] == 1
-    assert summary["count"] == 20
     assert summary["nofb_theory_slope"] == -16.0
     # 2 epsilon points cannot support the mean-time regression
     assert summary["mean_time_slope"] is None
@@ -134,6 +131,8 @@ def test_run_writes_expected_files(tmp_path, capsys):
     }
     assert manifest["config"]["epsilons"] == [1e-1, 1e-2]
     assert manifest["config"]["seed"] == 7
+    assert manifest["config"]["n"] == 1
+    assert manifest["config"]["count"] == 20
     assert manifest["outputs"] == [
         "log_infidelity.csv", "first_passage.csv", "summary.json",
     ]
@@ -143,6 +142,11 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert manifest["numpy_version"] == np.__version__
     captured = capsys.readouterr()
     assert "policy=none" in captured.out
+    # one report of the files, after the results
+    assert captured.out.count("wrote") == 1
+    assert captured.out.splitlines()[-1] == (
+        f"  wrote log_infidelity.csv, first_passage.csv, summary.json -> {out}"
+    )
 
 
 def test_run_stops_at_its_deepest_target(tmp_path):
@@ -180,10 +184,10 @@ def test_config_file_layering(tmp_path):
         ["run", "--config", cfg, "--count", 25, "--seed", 3, "--out", out]
     )
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["n"] == 2
-    assert summary["count"] == 25
-    assert summary["max_time"] == 0.3
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["n"] == 2
+    assert config["count"] == 25
+    assert config["max_time"] == 0.3
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -291,8 +295,9 @@ def test_run_reports_the_mean_time_fit_of_its_ensemble(tmp_path, capsys):
     code = run_main(["run", "--n", 2, "--count", 60, "--seed", 3, "--out", out])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
+    config = json.loads((out / "manifest.json").read_text())["config"]
     params = SimulationParams(
-        n=2, max_time=summary["max_time"], stop_epsilon=cli.RUN_STOP_EPSILON
+        n=2, max_time=config["max_time"], stop_epsilon=cli.RUN_STOP_EPSILON
     )
     stats = run_ensemble(params, no_control(), default_epsilon_grid(), 60, 3)
     fit = regression_mean_time(stats)
@@ -448,9 +453,10 @@ def test_bounds_rejects_a_size_below_1(capsys):
     assert "at least one qubit, not n=0" in err
 
 
-def test_bounds_csv_output(tmp_path):
+def test_bounds_csv_output(tmp_path, capsys):
     out = tmp_path / "bounds"
     assert run_main(["bounds", "--n-values", "2,4", "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(f"\n  wrote bounds.csv -> {out}\n")
     rows = (out / "bounds.csv").read_text().splitlines()
     assert rows[0] == "n,policy,bound_lo,bound_hi"
     assert len(rows) == 1 + 2 * 2  # two sizes, two policies
@@ -492,11 +498,9 @@ def test_sweep_single_size(tmp_path, capsys):
     # none against none with a shared seed is exactly flat
     assert float(speedup) == pytest.approx(1.0)
     assert float(lo) == float(hi) == 1.0
+    # the points are sweep.csv's alone, the options manifest.json's
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {
-        "command", "count", "fits", "n_values", "points", "policies", "seed",
-    }
-    assert summary["fits"]["none"] is None
+    assert summary == {"fits": {"none": None}}
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
     assert set(manifest["config"]) == {
@@ -504,7 +508,10 @@ def test_sweep_single_size(tmp_path, capsys):
         "policies", "seed",
     }
     assert manifest["outputs"] == ["sweep.csv", "summary.json"]
-    assert "checks passed" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == [
+        f"  wrote sweep.csv, summary.json -> {out}", "  checks passed",
+    ]
 
 
 def test_a_censored_mean_time_fit_names_its_cause(tmp_path, capsys):

@@ -39,10 +39,10 @@ from regreadout import (
 import regreadout.ensemble as ensemble
 from regreadout.cli import EXCESS_CENSORING, auto_slope_window
 from regreadout.ensemble import NOISE_BLOCK_STEPS
+from regreadout.registers import infidelity_columns
 from regreadout.sde import (
     LOG_FLOOR,
     IntegrationError,
-    infidelity_columns,
     record_strength,
     trajectory_noise_rng,
     true_outcomes,

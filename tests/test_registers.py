@@ -19,7 +19,6 @@ from regreadout import (
     speedup_bounds_for_policy,
     two_level_state,
     z_table,
-    zsum_bounds,
 )
 from oracle import (
     apply_permutation,
@@ -63,7 +62,6 @@ REGISTER_ENTRY_POINTS = {
     "pure": lambda n: DiagonalState.pure(n, 0),
     "two_level_state": lambda n: two_level_state(n, 1e-3),
     "flat_tail_state": lambda n: flat_tail_state(n, 1e-3),
-    "zsum_bounds": lambda n: zsum_bounds(1e-3, n),
     "SimulationParams": lambda n: SimulationParams(n=n),
     "z_table": z_table,
     "h_order_targets": h_order_targets,
@@ -146,6 +144,24 @@ def test_permutation_validation():
         Permutation(np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         Permutation(np.array([-1, 0]))
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, "1", None])
+def test_pure_rejects_an_index_that_is_not_an_integer(index):
+    """A bool is not an index: as a mask it would select every slot."""
+    with pytest.raises(ValueError, match="^basis index .+ out of range for n=2$"):
+        DiagonalState.pure(2, index)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [[np.inf, 0.0], [1e30, 0.0], np.array([np.inf, 0.0]), np.array([1e30, 0.0]),
+     [None, 0]],
+    ids=["inf", "1e30", "inf-array", "1e30-array", "None"],
+)
+def test_permutation_rejects_a_slot_that_does_not_convert(image):
+    with pytest.raises(ValueError, match="^image must be a nonempty 1-d integer array$"):
+        Permutation(image)
 
 
 def test_permutation_rejects_a_fractional_slot():

@@ -15,11 +15,10 @@ from regreadout import (
     two_level_state,
 )
 from regreadout.policies import no_control, random_permutation_policy
-from regreadout.registers import z_table
+from regreadout.registers import infidelity_columns, z_table
 from regreadout.sde import (
     DEFAULT_DT_GAMMA,
     _keyed_streams,
-    infidelity_columns,
     record_strength,
     trajectory_control_rng,
     trajectory_noise_rng,

@@ -23,7 +23,6 @@ from regreadout import (
     permutation_sum_identities,
     speedup_bounds_for_policy,
     two_level_state,
-    zsum_bounds,
 )
 from regreadout.policies import no_control
 from regreadout.theory import _all_permutation_images
@@ -58,26 +57,24 @@ def test_nofb_mean_first_passage_values():
         nofb_mean_first_passage(1.0)
 
 
-def test_zsum_bounds_frozen_example():
-    lower, upper = zsum_bounds(0.1, 2)
-    assert lower == pytest.approx(0.035556, rel=1e-4)
-    assert upper == pytest.approx(0.08)
-    with pytest.raises(ValueError):
-        zsum_bounds(0.0, 2)
-    with pytest.raises(ValueError):
-        zsum_bounds(1.0, 2)
+def test_h_ordering_zsum_edges_frozen_example():
+    band = speedup_bounds_for_policy("h_ordering", 2)
+    delta = 0.1
+    assert 4.0 * delta**2 * band.lower == pytest.approx(0.035556, rel=1e-4)
+    assert 4.0 * delta**2 * band.upper == pytest.approx(0.08)
 
 
-def test_zsum_bounds_attained_by_envelope_states():
+def test_h_ordering_zsum_edges_attained_by_envelope_states():
     for n in (1, 2, 3, 4):
         delta = 0.05
-        lower, upper = zsum_bounds(delta, n)
+        band = speedup_bounds_for_policy("h_ordering", n)
         two = log_infidelity_rate(two_level_state(n, delta))
         flat = log_infidelity_rate(flat_tail_state(n, delta))
-        scale = -4.0 * (1.0 - delta) ** 2 / delta**2
-        # rate = scale * zsum, so the envelope states hit the two ends
-        assert two.value == pytest.approx(scale * upper, rel=1e-12)
-        assert flat.value == pytest.approx(scale * lower, rel=1e-12)
+        # rate = -4 (1 - Delta)^2 / Delta^2 * zsum, and the zsum edges are
+        # 4 Delta^2 times the band: the envelope states hit the two ends
+        scale = -16.0 * (1.0 - delta) ** 2
+        assert two.value == pytest.approx(scale * band.upper, rel=1e-12)
+        assert flat.value == pytest.approx(scale * band.lower, rel=1e-12)
 
 
 def test_speedup_bounds_frozen_examples():
@@ -335,5 +332,21 @@ def test_nofb_mean_log_infidelity_limits():
     assert nofb_mean_log_infidelity(0.0, 3) == pytest.approx(math.log(7 / 8))
     # one qubit, late: E ln(1 - sigma(|X|)) -> -E|X| = -16 gamma t
     assert nofb_mean_log_infidelity(4.0, 1, 0.5) == pytest.approx(-32.0, rel=1e-4)
-    with pytest.raises(ValueError):
-        nofb_mean_log_infidelity(1.0, 4)
+    # before the start it is the start value
+    assert nofb_mean_log_infidelity(-1.0, 2) == pytest.approx(math.log(3 / 4))
+
+
+@pytest.mark.parametrize(
+    "t,n,message",
+    [
+        (1.0, 4, "supports n = 1, 2 or 3, not 4"),
+        (1.0, 1.5, "supports n = 1, 2 or 3, not 1.5"),
+        (math.nan, 2, "t must be finite, not nan"),
+        (math.inf, 2, "t must be finite, not inf"),
+        (-math.inf, 2, "t must be finite, not -inf"),
+    ],
+    ids=["n4", "n1.5", "nan", "inf", "-inf"],
+)
+def test_nofb_mean_log_infidelity_rejects_bad_inputs(t, n, message):
+    with pytest.raises(ValueError, match=message):
+        nofb_mean_log_infidelity(t, n)
