@@ -45,6 +45,7 @@ and the small regressions used by the above.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import warnings
@@ -97,11 +98,12 @@ RESOLVE_SIZE = 2**15
 # Trajectories per shard: run_ensemble splits an ensemble across CPUs only
 # when every shard gets at least this many.
 SHARD_MIN = 500
-# Samples per vectorized chunk of mc_permuted_step_rate up to d = 8; a
-# larger d takes MC_CHUNK_ROWS * 8 // d, so a chunk's (d, samples) arrays
-# never pass d = 8's size.  Each chunk has its own stream, so this also
-# fixes which samples an estimate takes.
+# Samples per chunk of mc_permuted_step_rate, and per sub-block of a chunk,
+# up to d = 8; a larger d takes ROWS * 8 // d of each.  Each chunk has its
+# own stream, so MC_CHUNK_ROWS fixes which samples an estimate takes; the
+# sub-blocks keep the arrays cache-sized and do not change the estimate.
 MC_CHUNK_ROWS = 100_000
+MC_BLOCK_ROWS = 4096
 # A first-passage mean is considered unusable above this censoring level.
 CENSOR_LIMIT = 1e-3
 # Target range [lo, hi] of the mean-time fits behind every speed-up.
@@ -953,14 +955,19 @@ def mc_permuted_step_rate(
     by z_s^r = +-1, which keeps its law.
 
     The samples go in chunks of MC_CHUNK_ROWS (MC_CHUNK_ROWS * 8 // d
-    once d > 8, so that memory stays bounded at every n), chunk c drawing
-    from its own stream default_rng(SeedSequence(master_seed,
-    spawn_key=(c, 2))), a tag no trajectory stream uses; all chunks'
-    streams are built in one bulk call, like a shard's trajectory
-    streams.  The chunks run on a pool of one thread per usable CPU
-    (their numpy calls release the GIL), and their moments
-    merge in chunk order, so the estimate depends only on (master_seed,
-    samples, MC_CHUNK_ROWS), bitwise, whatever the number of CPUs."""
+    once d > 8), chunk c drawing from its own stream
+    default_rng(SeedSequence(master_seed, spawn_key=(c, 2))), a tag no
+    trajectory stream uses; all chunks' streams are built in one bulk
+    call, like a shard's trajectory streams.  A chunk of m samples steps
+    in even sub-blocks of at most MC_BLOCK_ROWS (likewise), so memory
+    stays bounded at every n, and keeps only its m ln(Delta) changes.
+    The sub-blocks read the chunk's stream (m*d permutation uniforms, m
+    true-outcome uniforms, the normals) through cursors advanced by 0,
+    m*d and m*d + m, so they draw the numbers of whole-chunk draws.  The
+    chunks run on a pool of one thread per usable CPU (their numpy calls
+    release the GIL), and their moments merge in chunk order, so the
+    estimate depends only on (master_seed, samples, MC_CHUNK_ROWS),
+    bitwise, whatever the number of CPUs or MC_BLOCK_ROWS."""
     _check_whole("samples", samples, 2)
     _positive("gamma", gamma)
     _positive("dt", dt)
@@ -975,25 +982,33 @@ def mc_permuted_step_rate(
     sqrt_dt = math.sqrt(dt)
     drift = record_strength(gamma) * dt
     rows = max(1, min(MC_CHUNK_ROWS, MC_CHUNK_ROWS * 8 // d))
+    block = max(1, min(MC_BLOCK_ROWS, MC_BLOCK_ROWS * 8 // d))
 
     def chunk(c: int, rng: np.random.Generator):
         """(count, mean, M2) of chunk c's ln(Delta) changes, drawn from rng."""
         m = min(rows, samples - c * rows)
-        # slot k of sample j holds population src[j, k], i* in slot 0; u
-        # and src are freed once spent, which keeps the peak RSS down
-        u = rng.random((m, d))
-        u[np.arange(m), true_outcomes(probs, rng.random(m))] = -1.0
-        src = np.argsort(u, axis=1)
-        del u
-        lamp = probs[src].T
-        del src
-        record = rng.standard_normal((m, n)) * sqrt_dt + drift
-        delta = infidelity_columns(update_columns(lamp, record.T, gamma))
-        dl = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
+        # each uniform is one 64-bit output of the stream, and the normals
+        # come last, so these cursors read it as whole-chunk draws would
+        perm, outcome = copy.deepcopy(rng), copy.deepcopy(rng)
+        outcome.bit_generator.advance(m * d)
+        rng.bit_generator.advance(m * d + m)
+        dl = np.empty(m)
+        # even parts: a narrow one may round its column sums differently
+        parts = -(-m // block)
+        edges = [m * j // parts for j in range(parts + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            k = hi - lo
+            # slot s of sample j holds population argsort(u)[j, s], i* in slot 0
+            u = perm.random((k, d))
+            u[np.arange(k), true_outcomes(probs, outcome.random(k))] = -1.0
+            lamp = probs[np.argsort(u, axis=1)].T
+            record = rng.standard_normal((k, n)) * sqrt_dt + drift
+            delta = infidelity_columns(update_columns(lamp, record.T, gamma))
+            dl[lo:hi] = np.log(np.maximum(delta, LOG_FLOOR)) - ln0
         # two-pass within the chunk, merged across chunks
         mean = float(dl.mean())
-        dev = dl - mean
-        return m, mean, float(dev @ dev)
+        dl -= mean
+        return m, mean, float(dl @ dl)
 
     chunks = -(-samples // rows)
     streams = _keyed_streams(master_seed, range(chunks), 2)

@@ -73,7 +73,7 @@ def fixed_cycle_policy(cycle) -> ControlPolicy:
     return ControlPolicy("fixed_cycle", tuple(cycle))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as registers.z_table
 def h_order_targets(n: int) -> np.ndarray:
     """Vertex visit order for Hamming ordering on n qubits.
 

@@ -25,6 +25,9 @@ NORMALIZATION_TOL = 1e-10
 
 def _register_dim(n: int) -> int:
     """2^n as an exact int, for a register of at least one qubit."""
+    # a float fails in the shift, and a bool would pass as 0 or 1
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"register size must be an integer, not n={n!r}")
     if n < 1:
         raise ValueError(f"register needs at least one qubit, not n={n}")
     return 1 << n
@@ -36,7 +39,7 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: z_table(True) is not z_table(1)
 def z_table(n: int) -> np.ndarray:
     """(n, 2^n) eigenvalue table; row r-1 belongs to qubit r. Read-only."""
     d = _register_dim(n)
@@ -125,8 +128,11 @@ class Permutation:
         except (OverflowError, TypeError, ValueError):
             raise ValueError(message) from None
         d = image.size
-        # the int cast truncates a fractional slot, which must not pass
-        if image.ndim != 1 or d == 0 or not np.array_equal(image, self.image):
+        # the int cast truncates a fractional slot and takes a bool for 0 or
+        # 1 (not a basis index, as in DiagonalState.pure); neither must pass
+        bools = any(isinstance(s, (bool, np.bool_))
+                    for s in np.asarray(self.image, dtype=object).flat)
+        if image.ndim != 1 or d == 0 or bools or not np.array_equal(image, self.image):
             raise ValueError(message)
         object.__setattr__(self, "image", image)
         counts = np.bincount(image, minlength=d) if image.min() >= 0 else None

@@ -1090,18 +1090,12 @@ def test_mc_permuted_step_rate_validation():
         mc_permuted_step_rate(DiagonalState.pure(2, 0), 1.0, 2e-4, 100, 0)
 
 
-def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
-    """With three chunks, the last one partial, the estimate is the plain
-    mean and ddof=1 standard error of the per-sample ln(Delta) changes,
-    recomputed here from each chunk's keyed stream."""
-    monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
-    state = two_level_state(2, 1e-3)
-    gamma, dt, samples, seed = 1.0, 2e-4, 2500, 31
-    est = mc_permuted_step_rate(state, gamma, dt, samples, seed)
-
+def whole_chunk_changes(state, gamma, dt, seed, sizes):
+    """The per-sample ln(Delta) changes of chunks of the given sizes, each
+    drawn at once from its chunk's keyed stream."""
     d = state.probs.size
     changes = []
-    for c, m in enumerate((1000, 1000, 500)):
+    for c, m in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, 2)))
         u = rng.random((m, d))
         # the true outcome i* takes slot 0, the others the argsort order
@@ -1113,11 +1107,54 @@ def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
         dR = record_strength(gamma) * dt + dW.T
         delta = infidelity_columns(update_columns(lam, dR, gamma))
         changes.append(np.log(delta) - math.log(state.infidelity()))
-    dl = np.concatenate(changes)
+    return np.concatenate(changes)
+
+
+def assert_estimate_of_changes(est, dl, dt):
+    """est is the plain mean and ddof=1 standard error of the changes dl."""
     assert est.value == pytest.approx(dl.mean() / dt, rel=1e-12)
     assert est.stderr == pytest.approx(
-        dl.std(ddof=1) / math.sqrt(samples) / dt, rel=1e-12
+        dl.std(ddof=1) / math.sqrt(dl.size) / dt, rel=1e-12
     )
+
+
+def test_mc_permuted_step_rate_variance_is_merged_across_chunks(monkeypatch):
+    """With three chunks, the last one partial, the estimate is the plain
+    mean and ddof=1 standard error of the per-sample ln(Delta) changes,
+    recomputed here from each chunk's keyed stream."""
+    monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
+    state = two_level_state(2, 1e-3)
+    gamma, dt, seed = 1.0, 2e-4, 31
+    est = mc_permuted_step_rate(state, gamma, dt, 2500, seed)
+    dl = whole_chunk_changes(state, gamma, dt, seed, (1000, 1000, 500))
+    assert_estimate_of_changes(est, dl, dt)
+
+
+def test_mc_permuted_step_rate_sub_blocks_take_the_whole_chunk_draws(monkeypatch):
+    """Chunks of 1000 and 701 samples step in even sub-blocks of at most
+    300 (4 x 250, and 233 + 234 + 234), which read the chunk's stream
+    through three cursors: the estimate is that of whole-chunk draws, and
+    bitwise that of one sub-block per chunk."""
+    monkeypatch.setattr(ensemble, "MC_CHUNK_ROWS", 1000)
+    widths = []
+
+    def recording_update(lam, dR, gamma):
+        widths.append(lam.shape[1])
+        return update_columns(lam, dR, gamma)
+
+    monkeypatch.setattr(ensemble, "update_columns", recording_update)
+    state = two_level_state(2, 1e-3)
+    gamma, dt, seed = 1.0, 2e-4, 31
+    monkeypatch.setattr(ensemble, "MC_BLOCK_ROWS", 300)
+    est = mc_permuted_step_rate(state, gamma, dt, 2701, seed)
+    assert sorted(widths) == [233, 234, 234] + [250] * 8
+    dl = whole_chunk_changes(state, gamma, dt, seed, (1000, 1000, 701))
+    assert_estimate_of_changes(est, dl, dt)
+
+    monkeypatch.setattr(ensemble, "MC_BLOCK_ROWS", 1000)
+    widths.clear()
+    assert mc_permuted_step_rate(state, gamma, dt, 2701, seed) == est
+    assert sorted(widths) == [701, 1000, 1000]
 
 
 def test_mc_permuted_step_rate_samples_the_true_outcome_into_slot_0(monkeypatch):
@@ -1173,14 +1210,26 @@ def test_mc_permuted_step_rate_does_not_depend_on_the_cpu_count(monkeypatch):
 
 
 def test_mc_permuted_step_rate_chunks_are_bounded_by_bytes(monkeypatch):
-    """At d = 256 a chunk takes MC_CHUNK_ROWS * 8 // d rows, so two chunks
-    in flight stay far below one 40 000-row chunk, whose uniforms alone
-    take 82 MB."""
+    """At d = 256 a chunk takes MC_CHUNK_ROWS * 8 // d rows and a sub-block
+    MC_BLOCK_ROWS * 8 // d, so two chunks in flight hold their 25 kB ln(Delta)
+    arrays and one 125-row sub-block each: far below one 40 000-row chunk,
+    whose uniforms alone take 82 MB.  The run peaks near 2.2 MB."""
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
     peak = traced_peak(lambda: mc_permuted_step_rate(
         flat_tail_state(8, 1e-3), 1.0, 2e-4, 40_000, 3
     ))
-    assert peak < 64e6
+    assert peak < 8e6
+
+
+def test_mc_permuted_step_rate_memory_is_bounded_by_its_sub_blocks(monkeypatch):
+    """At n = 3 two 100 000-row chunks in flight hold their 0.8 MB ln(Delta)
+    arrays and one 4096-row sub-block each, not whole-chunk arrays of 6.4 MB
+    apiece; the run peaks near 4.7 MB."""
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    peak = traced_peak(lambda: mc_permuted_step_rate(
+        flat_tail_state(3, 1e-3), 1.0, 2e-4, 200_000, 3
+    ))
+    assert peak < 8e6
 
 
 def test_mc_permuted_step_rate_raises_a_chunks_failure(monkeypatch):

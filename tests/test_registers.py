@@ -80,6 +80,33 @@ def test_every_entry_point_rejects_a_register_below_one_qubit(entry, n):
         REGISTER_ENTRY_POINTS[entry](n)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True, np.True_], ids=["1.5", "2.0", "True", "np.True_"])
+@pytest.mark.parametrize("entry", REGISTER_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_register_size_that_is_not_an_integer(entry, n):
+    """A float fails as a shift count, and a bool would pass as 1 qubit."""
+    with pytest.raises(ValueError, match=f"^register size must be an integer, not n={n!r}$"):
+        REGISTER_ENTRY_POINTS[entry](n)
+
+
+def test_every_entry_point_takes_a_numpy_integer_register_size():
+    n = np.int64(2)
+    DiagonalState(n, [0.25] * 4)
+    for entry, call in REGISTER_ENTRY_POINTS.items():
+        if entry != "DiagonalState":  # its one probability fits no n
+            call(n)
+
+
+@pytest.mark.parametrize("table", [z_table, h_order_targets])
+def test_a_cached_table_does_not_answer_a_bool_or_float_register_size(table):
+    """True == 1 and 2.0 == 2 with equal hashes, so a cache keyed on
+    value alone would return the n = 1 and n = 2 tables."""
+    table(1)
+    table(2)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="^register size must be an integer"):
+            table(n)
+
+
 STATE = two_level_state(2, 1e-3)
 POSITIVE_ENTRY_POINTS = {
     "SimulationParams-gamma": ("gamma", lambda v: SimulationParams(n=1, gamma=v)),
@@ -160,6 +187,17 @@ def test_pure_rejects_an_index_that_is_not_an_integer(index):
     ids=["inf", "1e30", "inf-array", "1e30-array", "None"],
 )
 def test_permutation_rejects_a_slot_that_does_not_convert(image):
+    with pytest.raises(ValueError, match="^image must be a nonempty 1-d integer array$"):
+        Permutation(image)
+
+
+@pytest.mark.parametrize(
+    "image", [[True, False], np.array([True, False]), [0, True]],
+    ids=["bools", "bool-array", "mixed"],
+)
+def test_permutation_rejects_a_bool_slot(image):
+    """A bool is not a slot, as it is not a basis index for
+    DiagonalState.pure, though it converts to 0 or 1."""
     with pytest.raises(ValueError, match="^image must be a nonempty 1-d integer array$"):
         Permutation(image)
 

@@ -124,8 +124,8 @@ def test_run_signatures():
 # `wc -l src/regreadout/*.py`, and the lines of those files that hold code
 # (no docstring, comment or blank).  A change that grows src raises these
 # in its own diff.
-SRC_LINES = 2368
-SRC_CODE_LINES = 1444
+SRC_LINES = 2389
+SRC_CODE_LINES = 1456
 
 
 def _code_lines(text: str) -> int:
