@@ -12,8 +12,9 @@ does only the control (both open-loop kinds move columns by a block of
 permutation images, a fixed cycle's shared by every column), the
 record's drift, the update, and ln(Delta) written into a (steps,
 trajectories) block with a freeze test; once per block, one resolver finds every passage of a
-first-passage target, interpolates them, and writes the grid points of
-the mean curves, and frozen columns are dropped.  H-ordering sorts
+first-passage target, interpolates them, and writes all the block's grid
+points of the mean curves in one vectorized pass, and frozen columns are
+dropped.  H-ordering sorts
 population values rather than indices: tied populations are
 interchangeable.  The uncontrolled run from a uniform start sums n
 per-qubit log-odds instead, O(n) per trajectory-step, and takes its
@@ -33,7 +34,10 @@ was bitwise at every width).  A large ensemble therefore splits into
 contiguous index ranges (shards), one per usable CPU: the calling
 process runs the first, forked children run the rest, and the shards
 merge into one EnsembleStats that equals the one-process run in that
-same sense.
+same sense.  On the log-odds path each process runs its range as
+consecutive even sub-ranges of at most LOG_ODDS_RANGE trajectories,
+merged as shards are, so it holds one sub-range's streams and blocks at
+a time.
 
 The rest of the module turns ensembles into numbers: mean log-infidelity
 curves with standard errors, mean first-passage times with censoring
@@ -55,7 +59,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .policies import ControlPolicy, h_order_targets, no_control
-from .registers import DiagonalState, _positive, infidelity_columns, z_table
+from .registers import DiagonalState, _positive, _whole, infidelity_columns, z_table
 from .sde import (
     LOG_FLOOR,
     IntegrationError,
@@ -98,6 +102,12 @@ RESOLVE_SIZE = 2**15
 # Trajectories per shard: run_ensemble splits an ensemble across CPUs only
 # when every shard gets at least this many.
 SHARD_MIN = 500
+# Trajectories per sub-range on the no-control log-odds path: a wider shard
+# runs as consecutive even sub-ranges, merged as shards are, so a process
+# holds one sub-range's streams and noise and ln(Delta) blocks at a time
+# (a 5000-trajectory n=3 shard's 15.4 MB noise block becomes 3.1 MB).
+# 512 held less but cost +7% shard time, 1024 +2-4%.
+LOG_ODDS_RANGE = 1024
 # Samples per chunk of mc_permuted_step_rate, and per sub-block of a chunk,
 # up to d = 8; a larger d takes ROWS * 8 // d of each.  Each chunk has its
 # own stream, so MC_CHUNK_ROWS fixes which samples an estimate takes; the
@@ -250,7 +260,11 @@ def run_ensemble(
     indices and NaN patterns exactly, the no-control per-trajectory arrays
     bitwise, every other float to 1e-12 relative.  An IntegrationError in
     any shard is raised here; when several fail, the earliest one, whose
-    message is the one-process run's.
+    message is the one-process run's.  On the log-odds path (below) a
+    process runs a range wider than LOG_ODDS_RANGE as consecutive even
+    sub-ranges, one after another, merged and failing as shards do; only
+    the merged mean and stderr of ln(Delta) differ from a one-range run,
+    in their last bits.
 
     When policy.kind is "none" and the initial populations are uniform,
     the state is the (n, active) per-qubit log-odds L = c*R, a drifted
@@ -278,7 +292,8 @@ def run_ensemble(
     at or above its ln(Delta).  A passage is interpolated linearly in
     ln(Delta) between its step and the step before (for a block's first
     step, the previous block's last), and the grid points read the block
-    directly.
+    directly, all of a block's in one pass over a (points, count) array,
+    each row's moments bitwise those of its values in a 1-d array.
     H-ordering sorts population values, since tied populations are
     interchangeable.  For retrodiction an origin label moves with each
     population (under H-ordering by the stable index sort).  On both
@@ -299,10 +314,14 @@ def run_ensemble(
     grid_steps = np.arange(0, total_steps + 1, record_every, dtype=np.int64)
     if grid_steps[-1] != total_steps:
         grid_steps = np.append(grid_steps, total_steps)
+    # the log-odds path: no control from a uniform start
+    factored = policy.kind == "none" and bool(np.all(state0.probs == state0.probs[0]))
     run = partial(
         _run_shard, params, policy, eps, grid_steps, state0, master_seed,
-        collect_retrodiction,
+        collect_retrodiction, factored,
     )
+    if factored:
+        run = partial(_run_in_ranges, run)
     shards = min(_usable_cpus(), count // SHARD_MIN)
     if shards < 2 or not hasattr(os, "fork"):
         res = run(0, count)
@@ -335,7 +354,7 @@ def run_ensemble(
 
 def _check_whole(name: str, value, least: int) -> None:
     """Reject a value that is not an integer of at least `least`."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    if not _whole(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
@@ -389,10 +408,7 @@ def _run_forked(run, ranges: list[tuple[int, int]]) -> list[_Shard]:
             child.start()
             sender.close()
             children.append((child, receiver))
-        try:
-            outcomes = [run(*ranges[0])]
-        except IntegrationError as exc:  # raised below unless a child's is earlier
-            outcomes = [exc]
+        outcomes = [_outcome(run, *ranges[0])]
         for child, receiver in children:
             try:
                 outcomes.append(receiver.recv())
@@ -409,10 +425,38 @@ def _run_forked(run, ranges: list[tuple[int, int]]) -> list[_Shard]:
         for child, receiver in children:
             child.join()
             receiver.close()
+    return _shards_or_earliest_error(outcomes)
+
+
+def _outcome(run, first: int, count: int):
+    """run(first, count), or the IntegrationError that stopped it."""
+    try:
+        return run(first, count)
+    except IntegrationError as exc:  # raised later unless another is earlier
+        return exc
+
+
+def _shards_or_earliest_error(outcomes: list) -> list[_Shard]:
+    """The shards of consecutive ranges, or, if any range failed, raise
+    its exception; of several, the earliest IntegrationError, whose `when`
+    is where the one-process run would have met it."""
     errors = [o for o in outcomes if isinstance(o, Exception)]
     if errors:
         raise min(errors, key=lambda e: getattr(e, "when", (math.inf, 0)))
     return outcomes
+
+
+def _run_in_ranges(run, first: int, count: int) -> _Shard:
+    """run(first, count) in this process as consecutive even sub-ranges of
+    at most LOG_ODDS_RANGE trajectories, run one after another and merged
+    as shards are, so that only one sub-range's streams and blocks are
+    held at a time.  A failure is raised as _run_forked raises one."""
+    parts = -(-count // LOG_ODDS_RANGE)
+    if parts == 1:
+        return run(first, count)
+    edges = [first + count * j // parts for j in range(parts + 1)]
+    outcomes = [_outcome(run, a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+    return _merge_shards(_shards_or_earliest_error(outcomes))
 
 
 def _merge_moments(a, b):
@@ -461,17 +505,17 @@ def _run_shard(
     state0: DiagonalState,
     master_seed: int,
     collect_retrodiction: bool,
+    factored: bool,
     first: int,
     count: int,
 ) -> _Shard:
     """Trajectories first .. first + count - 1 of run_ensemble's ensemble,
-    in this process."""
+    in this process, on the log-odds path if `factored`."""
     n = params.n
     d = 2**n
     initial = state0.probs
 
     kind = policy.kind
-    factored = kind == "none" and bool(np.all(initial == initial[0]))
     dt = params.dt
     # the loop's steps: dt each, or on the no-target log-odds path the
     # record grid's intervals, drawn exactly in law
@@ -697,20 +741,24 @@ def _run_shard(
             np.clip(frac, 0.0, 1.0, out=frac)
             fp[idx[cols[e]], p] = (step + rows[e]) * dt + frac * dt
 
-        while g_next < G and marks[g_next] <= step + k_steps:
-            r = marks[g_next] - step - 1
-            cur_ln[idx] = ln_blk[r]
-            mean_ln[g_next] = cur_ln.mean()
-            var_ln[g_next] = cur_ln.var(ddof=1)
-            active_at[g_next] = np.count_nonzero(frozen_at > r)
-            g_next += 1
+        # the block's grid points in one pass: row j of vals holds every
+        # trajectory's ln(Delta) at grid point g_next + j (a row's mean and
+        # variance are bitwise those of the same values in a 1-d array)
+        g_end = int(np.searchsorted(marks, step + k_steps, "right"))
+        rows = marks[g_next:g_end] - step - 1
+        vals = np.tile(cur_ln, (rows.size, 1))
+        vals[:, idx] = ln_blk[rows]
+        mean_ln[g_next:g_end] = vals.mean(axis=1)
+        var_ln[g_next:g_end] = vals.var(axis=1, ddof=1)
+        active_at[g_next:g_end] = np.count_nonzero(frozen_at > rows[:, None], axis=1)
+        g_next = g_end
         cur_ln[idx] = ln_blk[-1]
         step += k_steps
 
         keep = np.flatnonzero(frozen_at == k_steps)
         ptr = ptr[keep]
         # freed before the next blocks are allocated (part is a view of noise)
-        noise = part = images = ln_blk = None
+        noise = part = images = ln_blk = vals = None
         if keep.size < A:
             lam, idx, label = lam[:, keep], idx[keep], label[keep]
             if origin is not None:

@@ -23,10 +23,15 @@ BasisIndex = int
 NORMALIZATION_TOL = 1e-10
 
 
+def _whole(value) -> bool:
+    """Whether value is an integer: a Python or numpy int, not a bool
+    (which would pass as 0 or 1) and not a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _register_dim(n: int) -> int:
     """2^n as an exact int, for a register of at least one qubit."""
-    # a float fails in the shift, and a bool would pass as 0 or 1
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not _whole(n):
         raise ValueError(f"register size must be an integer, not n={n!r}")
     if n < 1:
         raise ValueError(f"register needs at least one qubit, not n={n}")
@@ -91,9 +96,7 @@ class DiagonalState:
     @classmethod
     def pure(cls, n: int, index: BasisIndex) -> "DiagonalState":
         d = _register_dim(n)
-        # a bool would pass as 0 or 1 and a float would fail as an index
-        whole = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
-        if not (whole and 0 <= index < d):
+        if not (_whole(index) and 0 <= index < d):
             raise ValueError(f"basis index {index} out of range for n={n}")
         probs = np.zeros(d)
         probs[index] = 1.0

@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .registers import _positive, _register_dim, z_table
+from .registers import _positive, _register_dim, _whole, z_table
 
 __all__ = [
     "IntegrationError", "SimulationParams", "trajectory_control_rng",
@@ -202,11 +202,13 @@ def _keyed_streams(master_seed: int, index: int | range, tag: int):
     any further seed words and the key words, and generate_state hashes
     the pool, which is done on one uint32 column over the indices.  A
     negative seed or index raises ValueError, as SeedSequence does, and so
-    does an index above 2**32 - 1 (more than one word), which the column
-    does not hold."""
-    keys = index if isinstance(index, range) else range(index, index + 1)
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+    do a bool or fractional one and an index above 2**32 - 1 (more than
+    one word), which the column does not hold."""
+    if not _whole(master_seed) or master_seed < 0:
         raise ValueError(f"the seed must be a non-negative integer, not {master_seed!r}")
+    if not (isinstance(index, range) or _whole(index)):
+        raise ValueError(f"a trajectory index must be an integer, not {index!r}")
+    keys = index if isinstance(index, range) else range(index, index + 1)
     if keys and not (0 <= keys[0] <= _M32 and 0 <= keys[-1] <= _M32):
         raise ValueError(f"trajectory indices must lie in [0, 2**32), not {index!r}")
     seed = int(master_seed)

@@ -18,7 +18,6 @@ bracket every other state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .policies import POLICY_KINDS
-from .registers import DiagonalState, _positive, _register_dim, z_table
+from .registers import DiagonalState, _positive, _register_dim, _whole, z_table
 
 __all__ = [
     "IdentityReport", "RateEstimate", "SpeedupBounds", "flat_tail_state",
@@ -48,7 +47,7 @@ def nofb_mean_log_infidelity(t: float, n: int, gamma: float = 1.0) -> float:
     quadrature, 128 nodes per qubit, over the folded normal density of
     |X_r| on [max(0, mean - 8 sd), mean + 8 sd], where the integrand is
     smooth (Gauss-Hermite in X_r meets the kink of |X_r| at 0)."""
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 3):
+    if not (_whole(n) and 1 <= n <= 3):
         raise ValueError(f"the quadrature supports n = 1, 2 or 3, not {n!r}")
     _positive("gamma", gamma)
     if not math.isfinite(t):
@@ -181,7 +180,18 @@ def _all_permutation_images(d: int) -> np.ndarray:
         raise ValueError("dimension must be at least 1")
     if d > 8:
         raise ValueError("enumeration cap exceeded (d! grows too fast above 8)")
-    images = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+    # each permutation of range(m) is its first entry f followed by a
+    # permutation of range(m - 1) with the entries >= f raised by one;
+    # filled in place, so building the 2.6 MB table of d = 8 peaks near
+    # 3.3 MB of traced memory (7.7 MB when joined from copies)
+    images = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, d + 1):
+        table = np.empty((m, len(images), m), dtype=np.intp)
+        table[:, :, 0] = np.arange(m)[:, None]
+        rest = table[:, :, 1:]
+        rest[:] = images
+        rest += rest >= table[:, :, :1]
+        images = table.reshape(-1, m)
     images.setflags(write=False)
     return images
 

@@ -89,16 +89,23 @@ def test_run_ensemble_validation():
 
 
 def test_whole_number_arguments_are_checked_where_they_enter():
-    """A fractional count, record_every or samples is rejected by name,
-    not run on an irregular record grid or failed deep inside numpy;
-    numpy integers are accepted."""
+    """A fractional or bool count, record_every, samples or seed is
+    rejected by name, not run on an irregular record grid, run as 0 or 1,
+    or failed deep inside numpy; numpy integers are accepted."""
     params = small_params(max_time=0.01)
+    state = two_level_state(2, 1e-3)
     with pytest.raises(ValueError, match="record_every"):
         run_ensemble(params, no_control(), [], 4, 0, record_every=2.5)
+    with pytest.raises(ValueError, match="record_every"):
+        run_ensemble(params, no_control(), [], 4, 0, record_every=True)
     with pytest.raises(ValueError, match="count"):
         run_ensemble(params, no_control(), EPS3, 1000.0, 0)
     with pytest.raises(ValueError, match="samples"):
-        mc_permuted_step_rate(two_level_state(2, 1e-3), 1.0, 2e-4, 1000.0, 0)
+        mc_permuted_step_rate(state, 1.0, 2e-4, 1000.0, 0)
+    with pytest.raises(ValueError, match="seed"):
+        run_ensemble(params, no_control(), EPS3, 4, True)
+    with pytest.raises(ValueError, match="seed"):
+        mc_permuted_step_rate(state, 1.0, 2e-4, 1000, True)
     stats = run_ensemble(params, no_control(), [], np.int64(4), 0,
                          record_every=np.int64(2))
     assert stats.trajectory_count == 4
@@ -367,6 +374,20 @@ def test_random_permutation_blocks_are_bounded_by_bytes():
     assert peak < 25e6
 
 
+def test_the_log_odds_path_is_bounded_by_its_ranges(monkeypatch):
+    """No control from a uniform start at n = 3, 5000 trajectories in one
+    process over 200 grid intervals: one 128-step noise block of all 5000
+    columns would take 15.4 MB, and the run peaked at 21.1 MB that way,
+    but sub-ranges of at most LOG_ODDS_RANGE trajectories hold a fifth of
+    that block at a time, and the run peaks near 7 MB."""
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 1)
+    params = SimulationParams(n=3, max_time=2.0, stop_epsilon=1e-250)
+    peak = traced_peak(lambda: run_ensemble(
+        params, no_control(), [], 5000, 5, record_every=16
+    ))
+    assert peak < 10e6
+
+
 def force_shards(monkeypatch, cpus):
     """Let run_ensemble see `cpus` usable CPUs and split any ensemble of
     at least 100 trajectories."""
@@ -422,10 +443,35 @@ def test_shards_merge_to_the_one_process_run(monkeypatch, name, n, cpus):
     relative.  No child outlives the call."""
     policy = shard_policy(name, n)
     params = SimulationParams(n=n, max_time=1.0, stop_epsilon=1e-4)
-    collect = dict(collect_retrodiction=True)
     force_shards(monkeypatch, 1)
-    one = run_ensemble(params, policy, EPS3, 151, 8, **collect)
+    one = run_ensemble(params, policy, EPS3, 151, 8, collect_retrodiction=True)
     force_shards(monkeypatch, cpus)
+    assert_merges_to(monkeypatch, one, policy, name, [cpus])
+
+
+@pytest.mark.parametrize("cpus, merges", [(1, [4]), (2, [2, 2])],
+                         ids=["one-process", "forked"])
+def test_log_odds_ranges_merge_to_the_one_range_run(monkeypatch, cpus, merges):
+    """No control from a uniform start, 151 trajectories with
+    LOG_ODDS_RANGE = 40: one process runs 4 sub-ranges and merges them as
+    shards are, and each of two shards merges its own 2 (the spy sees
+    this process's merges only).  The result is the one-range run's, with
+    the per-trajectory arrays bitwise and the merged curves to 1e-12
+    relative."""
+    params = SimulationParams(n=3, max_time=1.0, stop_epsilon=1e-4)
+    force_shards(monkeypatch, 1)
+    one = run_ensemble(params, no_control(), EPS3, 151, 8, collect_retrodiction=True)
+    force_shards(monkeypatch, cpus)
+    monkeypatch.setattr(ensemble, "LOG_ODDS_RANGE", 40)
+    assert_merges_to(monkeypatch, one, no_control(), "none", merges)
+
+
+def assert_merges_to(monkeypatch, one, policy, name, merges):
+    """Run `one`'s 151-trajectory ensemble again under `policy` (named
+    `name`) and check that this process merges parts of the counts
+    `merges`, in that order, into `one`: equal indices
+    and NaN patterns, no-control per-trajectory arrays bitwise, every
+    other float to 1e-12 relative.  No child outlives the call."""
     merged_parts = []
     merge = ensemble._merge_shards
 
@@ -434,12 +480,12 @@ def test_shards_merge_to_the_one_process_run(monkeypatch, name, n, cpus):
         return merge(parts)
 
     monkeypatch.setattr(ensemble, "_merge_shards", spy)
-    sharded = run_ensemble(params, policy, EPS3, 151, 8, **collect)
-    assert merged_parts == [cpus]
+    merged = run_ensemble(one.params, policy, EPS3, 151, 8, collect_retrodiction=True)
+    assert merged_parts == merges
     assert multiprocessing.active_children() == []
-    assert_same_trajectories(sharded, one, name)
+    assert_same_trajectories(merged, one, name)
     for f in fields(EnsembleStats):
-        x, y = getattr(sharded, f.name), getattr(one, f.name)
+        x, y = getattr(merged, f.name), getattr(one, f.name)
         if isinstance(x, np.ndarray) and x.dtype.kind == "f":
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=f.name)
         elif f.name not in ("final_indices", "true_indices", "retrodicted_indices"):
@@ -472,25 +518,67 @@ def poison_trajectories(monkeypatch, params, seed, failures):
     monkeypatch.setattr(ensemble, "update_columns", poisoned)
 
 
+class _PoisonedNoise:
+    """A noise stream whose first noise block holds NaN in the first
+    qubit's Wiener increment of step `step` (None: no NaN)."""
+
+    def __init__(self, gen, step):
+        self.gen, self.step = gen, step
+
+    def random(self):
+        return self.gen.random()
+
+    def standard_normal(self, out):
+        self.gen.standard_normal(out=out)
+        if self.step is not None:
+            out[self.step - 1, 0] = np.nan
+            self.step = None
+
+
+def poison_noise(monkeypatch, failures):
+    """Give trajectory i a NaN Wiener increment at step s, for each (i, s)
+    in `failures` (steps of the first noise block): on the log-odds path,
+    which takes no update_columns step, its log-odds and ln(Delta) turn
+    NaN there."""
+    steps = dict(failures)
+    make = ensemble.trajectory_noise_rng
+
+    def poisoned(seed, indices):
+        gens = make(seed, indices)
+        return [_PoisonedNoise(g, steps.get(i)) for g, i in zip(gens, indices)]
+
+    monkeypatch.setattr(ensemble, "trajectory_noise_rng", poisoned)
+
+
 @pytest.mark.parametrize(
-    "failures",
+    "failures, log_odds",
     [
-        pytest.param([(10, 30), (100, 12)], id="child-first"),
-        pytest.param([(10, 12), (100, 30)], id="parent-first"),
-        pytest.param([(100, 12)], id="child-only"),
+        pytest.param([(10, 30), (100, 12)], False, id="child-first"),
+        pytest.param([(10, 12), (100, 30)], False, id="parent-first"),
+        pytest.param([(100, 12)], False, id="child-only"),
+        pytest.param([(10, 30), (100, 12)], True, id="log-odds-later-range-first"),
     ],
 )
-def test_a_failing_shard_raises_the_one_process_error(monkeypatch, failures):
+def test_a_failing_shard_raises_the_one_process_error(monkeypatch, failures, log_odds):
     """A shard's IntegrationError reaches the caller; of several, the one
     with the earliest step, so the message is the one-process run's.  No
-    child outlives the failure."""
+    child outlives the failure.  On the log-odds path a process's
+    sub-ranges follow the same rule: with LOG_ODDS_RANGE = 40, trajectory
+    100 lies in a later sub-range than trajectory 10, in this process or
+    in a child, and fails first."""
     params = SimulationParams(n=2, max_time=0.5, stop_epsilon=1e-4)
-    poison_trajectories(monkeypatch, params, 5, failures)
+    if log_odds:
+        poison_noise(monkeypatch, failures)
+        policy = no_control()
+    else:
+        poison_trajectories(monkeypatch, params, 5, failures)
+        policy = h_ordering_policy()
     want = f"non-finite infidelity at step {min(s for _, s in failures)}$"
-    for cpus in (1, 2):
+    for cpus, size in ((1, ensemble.LOG_ODDS_RANGE), (1, 40), (2, 40)):
         force_shards(monkeypatch, cpus)
+        monkeypatch.setattr(ensemble, "LOG_ODDS_RANGE", size)
         with pytest.raises(IntegrationError, match=want):
-            run_ensemble(params, h_ordering_policy(), EPS3, 120, 5)
+            run_ensemble(params, policy, EPS3, 120, 5)
         assert multiprocessing.active_children() == []
 
 

@@ -236,6 +236,12 @@ def test_trajectory_rngs_are_the_default_rng_streams():
         for make in makers:
             with pytest.raises(ValueError):
                 make(seed, index)
+    # a bool would pass as seed or index 0 or 1, and a fractional one is
+    # not an integer either
+    for seed, index in ((True, 0), (5, True), (5, 1.5), (1.0, 0), (True, range(3))):
+        for make in makers:
+            with pytest.raises(ValueError, match="integer"):
+                make(seed, index)
 
 
 def test_trajectory_validation():

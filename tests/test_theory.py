@@ -5,6 +5,7 @@ the closed forms (small-n brute force, exact fractions), not from the
 module under test.
 """
 
+import itertools
 import math
 import time
 
@@ -112,11 +113,12 @@ def test_speedup_bounds_validation():
 
 
 def test_all_permutation_images():
-    images = _all_permutation_images(3)
-    assert images.shape == (6, 3)
-    assert np.array_equal(images[0], [0, 1, 2])
-    assert np.array_equal(images[-1], [2, 1, 0])
-    assert len({tuple(row) for row in images}) == 6
+    """Every permutation of range(d), in itertools' lexicographic order,
+    as a read-only intp table, for each d the enumeration covers."""
+    for d in range(1, 9):
+        images = _all_permutation_images(d)
+        assert images.dtype == np.intp and not images.flags.writeable
+        assert np.array_equal(images, list(itertools.permutations(range(d)))), d
     with pytest.raises(ValueError):
         _all_permutation_images(9)
 
@@ -341,11 +343,12 @@ def test_nofb_mean_log_infidelity_limits():
     [
         (1.0, 4, "supports n = 1, 2 or 3, not 4"),
         (1.0, 1.5, "supports n = 1, 2 or 3, not 1.5"),
+        (0.5, True, "supports n = 1, 2 or 3, not True"),
         (math.nan, 2, "t must be finite, not nan"),
         (math.inf, 2, "t must be finite, not inf"),
         (-math.inf, 2, "t must be finite, not -inf"),
     ],
-    ids=["n4", "n1.5", "nan", "inf", "-inf"],
+    ids=["n4", "n1.5", "bool", "nan", "inf", "-inf"],
 )
 def test_nofb_mean_log_infidelity_rejects_bad_inputs(t, n, message):
     with pytest.raises(ValueError, match=message):
